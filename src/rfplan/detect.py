@@ -224,7 +224,7 @@ def detect_affected(features: list[FeatureVector], clusters: ClusterResult,
 
 def correlation_matrix(batch: KpiBatch, baseline_window: int,
                        metric: str = "RTWP"):
-    """Symmetric Pearson matrix of per-cell excess series."""
+    """Symmetric Pearson matrix of per-cell excess series (1 on the diagonal)."""
     cells = batch.cells()
     if len(cells) < 2:
         raise InputError("need at least 2 cells")
@@ -232,11 +232,13 @@ def correlation_matrix(batch: KpiBatch, baseline_window: int,
     lengths = {excess[c].size for c in cells}
     if len(lengths) != 1:
         raise InputError("series length mismatch across cells")
-    n = len(cells)
-    r = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            r[i, j] = r[j, i] = pearson(excess[cells[i]], excess[cells[j]])
+    x = np.stack([excess[c] for c in cells])
+    # pearson's rule: a constant series correlates 0 with every other one
+    live = np.std(x, axis=1) > 0
+    r = np.eye(len(cells))
+    if np.count_nonzero(live) > 1:
+        r[np.ix_(live, live)] = np.corrcoef(x[live])
+    np.fill_diagonal(r, 1.0)
     return cells, r
 
 

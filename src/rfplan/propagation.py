@@ -205,12 +205,6 @@ class ShadowFadingField:
         return sigma * self.standard_samples(cell_id, n)
 
 
-def shadow_fading_db(fading: ShadowFadingField, cell_id: str, pixel: int,
-                     environment: str = "UMa", condition: str = "NLOS") -> float:
-    """Single-pixel lookup into the fading field (bulk callers use samples_db)."""
-    return float(fading.samples_db(cell_id, pixel + 1, environment, condition)[pixel])
-
-
 def los_condition_mask(seed: int, cell_id: str, p_los: np.ndarray) -> np.ndarray:
     """Freeze the per-pixel LOS/NLOS condition for one transmitter.
 

@@ -13,7 +13,7 @@ never reads it unless validation is explicitly requested.
 
 from __future__ import annotations
 
-import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -138,7 +138,10 @@ def synthesize_kpi(scenario: Scenario, duration_s: float, dt_s: float,
             c_dbm = interference_at_cell_dbm(intf, site, sector,
                                              band.center_freq_ghz,
                                              scenario.environment)
-            active = np.array([intf.active_at(ti) for ti in t])
+            # Interferer.active_at over the whole axis: half-open [a, b)
+            active = np.zeros(t.size, dtype=bool)
+            for a, b in intf.active_intervals:
+                active |= (t >= a) & (t < b)
             intf_lin += active * 10.0 ** (c_dbm / 10.0)
 
         rtwp = 10.0 * np.log10(base_lin + load_lin + intf_lin) + meas_rtwp
@@ -168,6 +171,9 @@ def excess_over_baseline_db(series: KpiSeries, baseline_window: int) -> np.ndarr
 
 def batch_excess(batch: KpiBatch, baseline_window: int,
                  metric: str = "RTWP") -> dict[str, np.ndarray]:
+    if metric not in batch.series:
+        raise InputError(f"no {metric} series in the KPI batch "
+                         f"(it has {', '.join(batch.series)})")
     return {cell: excess_over_baseline_db(batch.get(metric, cell), baseline_window)
             for cell in batch.cells()}
 
@@ -176,44 +182,203 @@ def batch_excess(batch: KpiBatch, baseline_window: int,
 # Wire format between the physical and twin sides
 
 
+_CSV_HEADER = ("timestamp_s", "cell_id", "metric", "value_dbm")
+_BLOCK_BYTES = 1 << 20      # bounds the reader's per-block arrays to a few MB
+_NL, _COMMA, _QUOTE = ord("\n"), ord(","), ord('"')
+
+
 def write_kpi_csv(batch: KpiBatch, path) -> None:
-    """CSV export: timestamp_s,cell_id,metric,value_dbm (fixed ordering)."""
+    """CSV export: timestamp_s,cell_id,metric,value_dbm (fixed ordering).
+
+    Rows run timestep by timestep; within a timestep, metrics in METRICS
+    order and cells sorted. Timestamps print as %.1f, values as %.4f.
+    """
+    cells = batch.cells()
+    metrics = [m for m in METRICS if m in batch.series]
+    timestamps = batch.get(metrics[0], cells[0]).timestamps
+    values = np.stack([batch.get(m, c).samples for m in metrics for c in cells],
+                      axis=1)
+    # one timestep's rows, each still missing the timestamp in front
+    rows = [f",{c},{m},".replace("%", "%%") + "%.4f\n"
+            for m in metrics for c in cells]
     with open(path, "w", newline="") as fh:
-        fh.write("timestamp_s,cell_id,metric,value_dbm\n")
-        cells = batch.cells()
-        metrics = [m for m in METRICS if m in batch.series]
-        any_series = batch.get(metrics[0], cells[0])
-        for i, ts in enumerate(any_series.timestamps):
-            for metric in metrics:
-                for cell in cells:
-                    v = batch.get(metric, cell).samples[i]
-                    fh.write(f"{ts:.1f},{cell},{metric},{v:.4f}\n")
+        fh.write(",".join(_CSV_HEADER) + "\n")
+        for ts, row in zip(timestamps.tolist(), values):
+            stamp = f"{ts:.1f}"
+            fh.write((stamp + stamp.join(rows)) % tuple(row.tolist()))
 
 
 def read_kpi_csv(path) -> KpiBatch:
-    """Parse a KPI CSV back into a batch (no ground truth on this side)."""
-    rows: dict[tuple[str, str], list[tuple[float, float]]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = {"timestamp_s", "cell_id", "metric", "value_dbm"}
-        if reader.fieldnames is None or set(reader.fieldnames) != expected:
-            raise InputError(f"unexpected KPI CSV header in {path}")
-        for row in reader:
-            try:
-                key = (row["metric"], row["cell_id"])
-                rows.setdefault(key, []).append(
-                    (float(row["timestamp_s"]), float(row["value_dbm"])))
-            except (TypeError, ValueError) as exc:
-                raise InputError(f"bad KPI CSV row {row}: {exc}") from exc
-    if not rows:
+    """Parse a KPI CSV back into a batch (no ground truth on this side).
+
+    The columns may come in any order and the rows in any order; CRLF
+    line ends and blank lines are accepted. The file is parsed in blocks
+    of about _BLOCK_BYTES. Raises InputError for a bad header, a row
+    without exactly four fields, a quoted field, a non-numeric or
+    non-finite number, a metric outside METRICS, a duplicate (timestamp,
+    cell, metric) row, and series that are unevenly spaced, do not share
+    one time axis, or do not cover the same cells in every metric.
+    """
+    keys: dict[tuple[str, str], int] = {}     # (cell, metric) -> id, file order
+    blocks = []                                # (key ids, timestamps, values)
+    with open(path, "rb") as fh:
+        cols = _kpi_csv_columns(fh.readline(), path)
+        line_no = 2
+        for block in _line_blocks(fh):
+            n_lines = block.count(b"\n")
+            where = f"{path}, lines {line_no}-{line_no + n_lines - 1}"
+            blocks.append(_parse_block(block.replace(b"\r\n", b"\n"),
+                                       cols, keys, where))
+            line_no += n_lines
+    if not keys:
         raise InputError(f"no KPI rows in {path}")
+    return _assemble(list(keys), blocks, path)
+
+
+def _kpi_csv_columns(header: bytes, path) -> list[int]:
+    """Column index of each _CSV_HEADER name in the file's header."""
+    names = header.decode("utf-8", "replace").rstrip("\r\n").split(",")
+    if sorted(names) != sorted(_CSV_HEADER):
+        raise InputError(f"unexpected KPI CSV header in {path}: {names}")
+    return [names.index(n) for n in _CSV_HEADER]
+
+
+def _line_blocks(fh):
+    """The rest of a binary file in blocks of about _BLOCK_BYTES, each
+    ending at a line end."""
+    tail = b""
+    while chunk := fh.read(_BLOCK_BYTES):
+        head, nl, tail = (tail + chunk).rpartition(b"\n")
+        if nl:
+            yield head + nl
+    if tail:
+        yield tail + b"\n"
+
+
+def _field_bytes(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """buf[lo:hi] for every element of lo/hi, zero-padded to the longest."""
+    length = hi - lo
+    span = np.arange(max(int(length.max()), 1))
+    out = buf[np.minimum(lo[..., None] + span, buf.size - 1)]
+    out[span >= length[..., None]] = 0
+    return out
+
+
+def _parse_block(block: bytes, cols, keys, where: str):
+    """(key ids, timestamps, values) of one block of whole LF-ended lines.
+
+    Key ids index ``keys``, which gains the block's new (cell, metric)
+    pairs in order of first appearance.
+    """
+    buf = np.frombuffer(block, dtype=np.uint8)
+    if np.any(buf == _QUOTE):
+        raise InputError(f"quoted KPI CSV fields are not supported ({where})")
+    if not np.all(buf):
+        raise InputError(f"NUL byte in KPI CSV ({where})")
+    ends = np.flatnonzero(buf == _NL)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    filled = ends > starts                      # blank lines are skipped
+    starts, ends = starts[filled], ends[filled]
+    n = starts.size
+    if n == 0:
+        return np.empty(0, dtype=np.int32), np.empty(0), np.empty(0)
+    commas = np.flatnonzero(buf == _COMMA)
+    # 3n commas in all, the i-th three inside line i: three on every line
+    if (commas.size != 3 * n or np.any(commas[0::3] < starts)
+            or np.any(commas[2::3] > ends)):
+        raise InputError(f"KPI CSV rows must have exactly 4 fields ({where})")
+    # field k of row i is buf[sep[i, k] + 1:sep[i, k + 1]]
+    sep = np.column_stack((starts - 1, commas.reshape(n, 3), ends))
+    t_col, cell_col, metric_col, v_col = cols
+    key = _field_bytes(buf, sep[:, [cell_col, metric_col]] + 1,
+                       sep[:, [cell_col + 1, metric_col + 1]])
+    width = key.shape[2]
+    key = key.reshape(n, 2 * width)
+    # exact ids: unique over the raw padded bytes (NUL never occurs in a field)
+    uniq, first, inverse = np.unique(key.view(np.dtype((np.void, 2 * width))).ravel(),
+                                     return_index=True, return_inverse=True)
+    lut = np.empty(uniq.size, dtype=np.int32)
+    try:
+        for u in np.argsort(first):
+            row = key[first[u]]
+            name = (row[:width].tobytes().rstrip(b"\0").decode(),
+                    row[width:].tobytes().rstrip(b"\0").decode())
+            lut[u] = keys.setdefault(name, len(keys))
+    except UnicodeDecodeError as exc:
+        raise InputError(f"KPI CSV cell or metric is not UTF-8 ({where})") from exc
+
+    try:
+        num = np.loadtxt(io.BytesIO(block), delimiter=",", usecols=(t_col, v_col),
+                         comments=None, ndmin=2)
+    except ValueError as exc:
+        raise InputError(f"bad KPI CSV number ({where}): {exc}") from exc
+    if num.shape[0] != n:
+        raise InputError(f"stray line break in KPI CSV ({where})")
+    return lut[inverse.ravel()], num[:, 0], num[:, 1]
+
+
+def _assemble(keys, blocks, path) -> KpiBatch:
+    """Group the parsed rows into series and check that they form a batch.
+
+    Empties ``blocks`` once joined and replaces each column by its sorted
+    copy in turn, so the rows are held about once, not three times over.
+    """
+    ids, stamps, values = (np.concatenate(col) for col in zip(*blocks))
+    blocks.clear()
+    for cell, metric in keys:
+        if metric not in METRICS:
+            raise InputError(f"unknown metric {metric!r} for cell {cell!r} in "
+                             f"{path}; expected one of {METRICS}")
+    bad = np.flatnonzero(~(np.isfinite(stamps) & np.isfinite(values)))
+    if bad.size:
+        i = bad[0]
+        cell, metric = keys[ids[i]]
+        raise InputError(f"non-finite KPI row in {path}: {cell} {metric} at "
+                         f"t={stamps[i]}, value {values[i]}")
+    order = np.lexsort((stamps, ids))
+    ids = ids[order]
+    stamps = stamps[order]
+    values = values[order]
+    dup = np.flatnonzero((ids[1:] == ids[:-1]) & (stamps[1:] == stamps[:-1]))
+    if dup.size:
+        cell, metric = keys[ids[dup[0]]]
+        raise InputError(f"duplicate KPI row in {path}: {cell} {metric} at "
+                         f"t={stamps[dup[0]]}")
+
+    bounds = np.searchsorted(ids, np.arange(len(keys) + 1))
+    lengths = np.diff(bounds)
+    if np.any(lengths != lengths[0]):
+        k = int(np.argmax(lengths != lengths[0]))
+        raise InputError(f"KPI series differ in length in {path}: "
+                         f"{keys[0]} has {lengths[0]} samples, {keys[k]} {lengths[k]}")
+    stamps = stamps.reshape(len(keys), -1)
+    differ = stamps != stamps[0]
+    if np.any(differ):
+        k, i = np.unravel_index(np.argmax(differ), differ.shape)
+        raise InputError(f"KPI series do not share one time axis in {path}: "
+                         f"sample {i} of {keys[k]} is at t={stamps[k, i]}, "
+                         f"of {keys[0]} at t={stamps[0, i]}")
+    axis = stamps[0]
+    dt = float(axis[1] - axis[0]) if axis.size > 1 else 1.0
+    # decimal timestamps parse to within half an ulp, so a step of an even
+    # grid matches dt to a few ulps of the largest timestamp
+    tol = 8 * np.spacing(np.abs(axis).max())
+    uneven = np.flatnonzero(np.abs(np.diff(axis) - dt) > tol)
+    if uneven.size:
+        raise InputError(f"KPI timestamps in {path} are not evenly spaced: step "
+                         f"{dt:g} s, then t={axis[uneven[0]]} -> {axis[uneven[0] + 1]}")
+
+    values = values.reshape(len(keys), -1)
     series: dict[str, dict[str, KpiSeries]] = {}
-    for (metric, cell), pairs in rows.items():
-        pairs.sort()
-        ts = np.array([p[0] for p in pairs])
-        dt = float(ts[1] - ts[0]) if ts.size > 1 else 1.0
+    for (cell, metric), samples in zip(keys, values):
         series.setdefault(metric, {})[cell] = KpiSeries(
-            cell, metric, float(ts[0]), dt, np.array([p[1] for p in pairs]))
+            cell, metric, float(axis[0]), dt, samples)
+    cell_sets = {metric: set(by_cell) for metric, by_cell in series.items()}
+    first_metric = next(iter(cell_sets))
+    for metric, cells in cell_sets.items():
+        if cells != cell_sets[first_metric]:
+            raise InputError(f"{metric} and {first_metric} cover different cells in "
+                             f"{path}: {sorted(cells ^ cell_sets[first_metric])}")
     return KpiBatch(series=series)
 
 

@@ -165,6 +165,18 @@ def test_detect_foreign_cells_rejected(capsys, tmp_path):
     assert "ghost" in err
 
 
+def test_detect_absent_metric_exits_one(capsys, tmp_path):
+    kpi = tmp_path / "kpi.csv"
+    assert run(capsys, "twin", DEMO, "--out", str(kpi))[0] == 0
+    rtwp_only = [line for line in kpi.read_text().splitlines(keepends=True)
+                 if ",RSSI," not in line]
+    kpi.write_text("".join(rtwp_only))
+    code, _, err = run(capsys, "--out-dir", str(tmp_path), "detect", str(kpi),
+                       DEMO, "--metric", "RSSI")
+    assert code == 1
+    assert "no RSSI series" in err
+
+
 def test_recommend_no_anomaly_noop(capsys, tmp_path):
     det = tmp_path / "clear.json"
     det.write_text(json.dumps({"anomaly": False, "affected_cells": [],

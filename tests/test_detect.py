@@ -10,7 +10,7 @@ from rfplan.detect import (cluster_cells, correlation_matrix, detect_affected,
                            feature_matrix, kmeans, normalize_features, pearson,
                            run_detection, select_k, silhouette_score)
 from rfplan.errors import InputError
-from rfplan.twin import KpiBatch, KpiSeries, synthesize_kpi
+from rfplan.twin import KpiBatch, KpiSeries, batch_excess, synthesize_kpi
 
 
 def batch_from_arrays(arrays: dict) -> KpiBatch:
@@ -185,6 +185,24 @@ def test_correlation_matrix_properties(demo_batch):
     assert r.shape == (len(cells), len(cells))
     assert np.allclose(np.diag(r), 1.0)
     assert np.allclose(r, r.T)
+
+
+@pytest.mark.parametrize("which", ["demo", "constant"])
+def test_correlation_matrix_matches_pearson_loop(demo_batch, which):
+    if which == "demo":
+        batch = demo_batch
+    else:   # constant series correlate 0 with the rest, as pearson defines
+        batch = step_batch()
+        batch.series["RTWP"]["c1"].samples[30:] += 4.0
+    cells, r = correlation_matrix(batch, 15)
+    excess = batch_excess(batch, 15)
+    loop = np.eye(len(cells))
+    for i in range(len(cells)):
+        for j in range(i + 1, len(cells)):
+            loop[i, j] = loop[j, i] = pearson(excess[cells[i]], excess[cells[j]])
+    assert np.max(np.abs(r - loop)) <= 1e-12
+    if which == "constant":
+        assert r[0, 1] != 0.0 and r[0, 2] == 0.0 and r[2, 2] == 1.0
 
 
 def test_affected_correlate_more(demo_scenario, demo_batch):

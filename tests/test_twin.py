@@ -1,18 +1,20 @@
 """Synthetic KPI feed: composition, excess series, wire formats."""
 
+import csv
 import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from rfplan import twin
 from rfplan.errors import InputError
 from rfplan.scenario import (Band, Interferer, Rect, Scenario, Sector, Site,
                              TwinConfig)
-from rfplan.twin import (batch_excess, excess_over_baseline_db,
-                         interference_at_cell_dbm, read_ground_truth,
-                         read_kpi_csv, synthesize_kpi, write_ground_truth,
-                         write_kpi_csv)
+from rfplan.twin import (METRICS, KpiBatch, KpiSeries, batch_excess,
+                         excess_over_baseline_db, interference_at_cell_dbm,
+                         read_ground_truth, read_kpi_csv, synthesize_kpi,
+                         write_ground_truth, write_kpi_csv)
 
 
 def small_scenario(interferers=(), twin=None):
@@ -175,3 +177,178 @@ def test_ground_truth_round_trip(tmp_path, demo_batch):
     assert len(truth) == 1
     assert truth[0].interferer_id == "JAM1"
     assert truth[0].position == (5000.0, 4500.0)
+
+
+# --- wire format: row-loop references ----------------------------------------
+
+
+def reference_write_kpi_csv(batch, path):
+    """The per-row writer write_kpi_csv must match byte for byte."""
+    with open(path, "w", newline="") as fh:
+        fh.write("timestamp_s,cell_id,metric,value_dbm\n")
+        cells = batch.cells()
+        metrics = [m for m in METRICS if m in batch.series]
+        any_series = batch.get(metrics[0], cells[0])
+        for i, ts in enumerate(any_series.timestamps):
+            for metric in metrics:
+                for cell in cells:
+                    v = batch.get(metric, cell).samples[i]
+                    fh.write(f"{ts:.1f},{cell},{metric},{v:.4f}\n")
+
+
+def reference_read_kpi_csv(path):
+    """float() per field through csv.DictReader: what read_kpi_csv must
+    reproduce bitwise on every file it accepts."""
+    rows = {}
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            rows.setdefault((row["metric"], row["cell_id"]), []).append(
+                (float(row["timestamp_s"]), float(row["value_dbm"])))
+    series = {}
+    for (metric, cell), pairs in rows.items():
+        pairs.sort()
+        ts = np.array([p[0] for p in pairs])
+        dt = float(ts[1] - ts[0]) if ts.size > 1 else 1.0
+        series.setdefault(metric, {})[cell] = KpiSeries(
+            cell, metric, float(ts[0]), dt, np.array([p[1] for p in pairs]))
+    return KpiBatch(series=series)
+
+
+def assert_batches_identical(a, b):
+    assert list(a.series) == list(b.series)
+    for metric in a.series:
+        assert list(a.series[metric]) == list(b.series[metric])
+        for cell, x in a.series[metric].items():
+            y = b.series[metric][cell]
+            assert (x.cell_id, x.metric) == (y.cell_id, y.metric)
+            assert (x.t0_s, x.dt_s) == (y.t0_s, y.dt_s)
+            assert x.samples.dtype == y.samples.dtype
+            assert x.samples.tobytes() == y.samples.tobytes()
+
+
+def edge_batch():
+    """Values that print as -0.0000, magnitudes of 1000 dBm and more, a
+    non-integer step and a non-zero start."""
+    values = {
+        ("RTWP", "B7"): [-0.00004, -1e-9, -0.0, 0.00005, -1234.56789, 1e4],
+        ("RTWP", "A1"): [-101.23455, -101.23445, 999.99995, -1000.0, 0.0, -5e-5],
+        ("RSSI", "B7"): [-99.5, -3000.125, -0.00001, 12345.6789, -7.77777, 1.0],
+        ("RSSI", "A1"): [-98.00001, -0.0000499, 2.5, -2.5, 1000.00004, -60.0],
+    }
+    series = {}
+    for (metric, cell), v in values.items():
+        series.setdefault(metric, {})[cell] = KpiSeries(
+            cell, metric, 7.5, 2.5, np.array(v))
+    return KpiBatch(series=series)
+
+
+@pytest.mark.parametrize("which", ["demo", "edge"])
+def test_kpi_csv_writer_matches_row_loop(tmp_path, demo_batch, which):
+    batch = demo_batch if which == "demo" else edge_batch()
+    ref, new = tmp_path / "ref.csv", tmp_path / "new.csv"
+    reference_write_kpi_csv(batch, ref)
+    write_kpi_csv(batch, new)
+    assert new.read_bytes() == ref.read_bytes()
+    if which == "edge":
+        assert b",-0.0000\n" in ref.read_bytes()
+        assert b",12345.6789\n" in ref.read_bytes()
+    assert_batches_identical(read_kpi_csv(new), reference_read_kpi_csv(ref))
+
+
+@pytest.mark.parametrize("tail", ["no_final_newline", "blank_blocks"])
+def test_kpi_csv_reader_across_blocks(tmp_path, demo_batch, monkeypatch, tail):
+    # blocks far smaller than the file; the last ones may hold no row at all
+    p = tmp_path / "kpi.csv"
+    write_kpi_csv(demo_batch, p)
+    data = p.read_bytes()
+    p.write_bytes(data.rstrip(b"\n") if tail == "no_final_newline"
+                  else data + b"\n" * 250)
+    monkeypatch.setattr(twin, "_BLOCK_BYTES", 100)
+    assert_batches_identical(read_kpi_csv(p), reference_read_kpi_csv(p))
+
+
+def _reorder_columns(text, order):
+    lines = text.splitlines()
+    return "\n".join(",".join(line.split(",")[i] for i in order)
+                     for line in lines) + "\n"
+
+
+def _shuffle_rows(text):
+    header, *rows = text.splitlines()
+    rows = list(np.random.default_rng(3).permutation(rows))
+    return "\n".join([header, *rows]) + "\n"
+
+
+@pytest.mark.parametrize("variant", ["crlf", "columns", "rows", "blank_tail"])
+def test_kpi_csv_reader_accepts_dictreader_inputs(tmp_path, demo_batch, variant):
+    p = tmp_path / "kpi.csv"
+    write_kpi_csv(demo_batch, p)
+    text = p.read_text()
+    text = {"crlf": lambda s: s.replace("\n", "\r\n"),
+            "columns": lambda s: _reorder_columns(s, (2, 3, 1, 0)),
+            "rows": _shuffle_rows,
+            "blank_tail": lambda s: s + "\n\n\r\n"}[variant](text)
+    p.write_bytes(text.encode())
+    assert_batches_identical(read_kpi_csv(p), reference_read_kpi_csv(p))
+
+
+def kpi_rows(times=(0.0, 60.0, 120.0, 180.0)):
+    return [f"{t:.1f},{c},{m},-100.0" for t in times for m in METRICS
+            for c in ("A", "B")]
+
+
+def _edit(rows, old, new=None):
+    """rows with the row equal to old replaced by new, or dropped."""
+    i = rows.index(old)
+    return rows[:i] + ([new] if new else []) + rows[i + 1:]
+
+
+GOOD_ROWS = kpi_rows()
+MALFORMED = {
+    "nan": _edit(GOOD_ROWS, "60.0,B,RSSI,-100.0", "60.0,B,RSSI,nan"),
+    "inf": _edit(GOOD_ROWS, "0.0,A,RTWP,-100.0", "0.0,A,RTWP,-inf"),
+    "unknown_metric": GOOD_ROWS + [f"{t:.1f},A,SINR,3.0"
+                                   for t in (0.0, 60.0, 120.0, 180.0)],
+    "duplicate": GOOD_ROWS + ["60.0,A,RTWP,-99.0"],
+    "gap": kpi_rows(times=(0.0, 60.0, 180.0)),
+    "uneven": kpi_rows(times=(0.0, 60.0, 130.0, 180.0)),
+    "short_series": _edit(GOOD_ROWS, "180.0,B,RSSI,-100.0"),
+    "late_start": _edit(GOOD_ROWS, "0.0,A,RTWP,-100.0", "240.0,A,RTWP,-100.0"),
+    "missing_cell": [r for r in GOOD_ROWS if ",B,RSSI," not in r],
+    "quoted": [r.replace(",A,", ',"A",') for r in GOOD_ROWS],
+    "five_fields": _edit(GOOD_ROWS, "0.0,A,RSSI,-100.0", "0.0,A,RSSI,-100.0,x"),
+    "three_fields": _edit(GOOD_ROWS, "0.0,A,RSSI,-100.0", "0.0,A,RSSI"),
+    "no_rows": ["", ""],
+    "not_a_number": _edit(GOOD_ROWS, "0.0,B,RTWP,-100.0", "0.0,B,RTWP,-1OO"),
+}
+
+
+def test_kpi_csv_good_rows_parse(tmp_path):
+    p = tmp_path / "ok.csv"
+    p.write_text("timestamp_s,cell_id,metric,value_dbm\n" + "\n".join(GOOD_ROWS))
+    batch = read_kpi_csv(p)
+    assert batch.cells() == ["A", "B"]
+    assert batch.get("RSSI", "B").dt_s == 60.0
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_kpi_csv_reader_rejects(tmp_path, case):
+    p = tmp_path / f"{case}.csv"
+    p.write_text("timestamp_s,cell_id,metric,value_dbm\n"
+                 + "".join(r + "\n" for r in MALFORMED[case]))
+    with pytest.raises(InputError):
+        read_kpi_csv(p)
+
+
+def test_activity_mask_matches_active_at():
+    intf = make_interferer(active_intervals=((60.0, 180.0), (95.5, 130.2),
+                                             (300.0, 330.0), (840.0, 1e9)))
+    sc = small_scenario(interferers=[intf])
+    series = synthesize_kpi(sc, 900.0, 30.0).get("RTWP", "S1a")
+    active = series.samples > -102.0 + 1e-6
+    expected = np.array([intf.active_at(t) for t in series.timestamps])
+    assert np.array_equal(active, expected)
+    # starts are inside their interval, ends outside
+    t = list(series.timestamps)
+    assert active[t.index(60.0)] and not active[t.index(180.0)]
+    assert active[t.index(300.0)] and not active[t.index(330.0)]
