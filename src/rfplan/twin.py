@@ -192,10 +192,17 @@ def write_kpi_csv(batch: KpiBatch, path) -> None:
 
     Rows run timestep by timestep; within a timestep, metrics in METRICS
     order and cells sorted. Timestamps print as %.1f, values as %.4f.
+    Raises InputError for a timestamp that is not a multiple of 0.1 s,
+    which %.1f would round onto an uneven or repeated time axis.
     """
     cells = batch.cells()
     metrics = [m for m in METRICS if m in batch.series]
     timestamps = batch.get(metrics[0], cells[0]).timestamps
+    tenths = 10.0 * timestamps
+    off = np.flatnonzero(np.abs(tenths - np.round(tenths)) > 1e-6)
+    if off.size:
+        raise InputError(f"KPI timestamps are written to 0.1 s; t={timestamps[off[0]]:g} s "
+                         f"is not a multiple of 0.1 s (check the step)")
     values = np.stack([batch.get(m, c).samples for m in metrics for c in cells],
                       axis=1)
     # one timestep's rows, each still missing the timestamp in front
@@ -214,10 +221,11 @@ def read_kpi_csv(path) -> KpiBatch:
     The columns may come in any order and the rows in any order; CRLF
     line ends and blank lines are accepted. The file is parsed in blocks
     of about _BLOCK_BYTES. Raises InputError for a bad header, a row
-    without exactly four fields, a quoted field, a non-numeric or
-    non-finite number, a metric outside METRICS, a duplicate (timestamp,
-    cell, metric) row, and series that are unevenly spaced, do not share
-    one time axis, or do not cover the same cells in every metric.
+    without exactly four fields, a quoted field, an empty cell_id, a
+    non-numeric or non-finite number, a metric outside METRICS, a
+    duplicate (timestamp, cell, metric) row, and series that are
+    unevenly spaced, do not share one time axis, or do not cover the
+    same cells in every metric.
     """
     keys: dict[tuple[str, str], int] = {}     # (cell, metric) -> id, file order
     blocks = []                                # (key ids, timestamps, values)
@@ -255,13 +263,51 @@ def _line_blocks(fh):
         yield tail + b"\n"
 
 
-def _field_bytes(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """buf[lo:hi] for every element of lo/hi, zero-padded to the longest."""
+def _row_ids(rows: np.ndarray):
+    """Ids of the rows of a 2-D uint8 array, equal exactly when the rows
+    are, and the index of the first row with each id."""
+    n, width = rows.shape
+    words = np.zeros((n, -(-width // 8)), dtype=np.uint64)
+    words.view(np.uint8)[:, :width] = rows
+    order = np.lexsort(words.T)     # stable: equal rows keep file order
+    words = words[order]
+    new = np.ones(n, dtype=bool)
+    new[1:] = np.any(words[1:] != words[:-1], axis=1)
+    ids = np.empty(n, dtype=np.int64)
+    ids[order] = np.cumsum(new) - 1
+    return ids, order[new]
+
+
+def _key_ids(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, keys, where: str):
+    """Id in ``keys`` of each row's (cell, metric), the bytes
+    buf[lo[i, 0]:hi[i, 0]] and buf[lo[i, 1]:hi[i, 1]].
+
+    Rows whose two fields have the same lengths are compared as raw
+    bytes, so no key is padded to the longest one and the arrays stay
+    the size of the key text. ``keys`` gains the new pairs in order of
+    first appearance.
+    """
     length = hi - lo
-    span = np.arange(max(int(length.max()), 1))
-    out = buf[np.minimum(lo[..., None] + span, buf.size - 1)]
-    out[span >= length[..., None]] = 0
-    return out
+    shape = length[:, 0] * (int(length[:, 1].max()) + 1) + length[:, 1]
+    local = np.empty(lo.shape[0], dtype=np.int64)
+    names, firsts = [], []
+    for s in np.unique(shape):
+        rows = np.flatnonzero(shape == s)
+        cell_len, metric_len = length[rows[0]].tolist()
+        key = buf[np.concatenate((lo[rows, :1] + np.arange(cell_len),
+                                  lo[rows, 1:] + np.arange(metric_len)), axis=1)]
+        ids, first = _row_ids(key)
+        local[rows] = len(names) + ids
+        try:
+            names += [(key[f, :cell_len].tobytes().decode(),
+                       key[f, cell_len:].tobytes().decode()) for f in first]
+        except UnicodeDecodeError as exc:
+            raise InputError(f"KPI CSV cell or metric is not UTF-8 ({where})") from exc
+        firsts += rows[first].tolist()
+    lut = np.empty(len(names), dtype=np.int32)
+    for u in np.argsort(firsts):
+        lut[u] = keys.setdefault(names[u], len(keys))
+    return lut[local]
 
 
 def _parse_block(block: bytes, cols, keys, where: str):
@@ -273,8 +319,6 @@ def _parse_block(block: bytes, cols, keys, where: str):
     buf = np.frombuffer(block, dtype=np.uint8)
     if np.any(buf == _QUOTE):
         raise InputError(f"quoted KPI CSV fields are not supported ({where})")
-    if not np.all(buf):
-        raise InputError(f"NUL byte in KPI CSV ({where})")
     ends = np.flatnonzero(buf == _NL)
     starts = np.concatenate(([0], ends[:-1] + 1))
     filled = ends > starts                      # blank lines are skipped
@@ -290,23 +334,11 @@ def _parse_block(block: bytes, cols, keys, where: str):
     # field k of row i is buf[sep[i, k] + 1:sep[i, k + 1]]
     sep = np.column_stack((starts - 1, commas.reshape(n, 3), ends))
     t_col, cell_col, metric_col, v_col = cols
-    key = _field_bytes(buf, sep[:, [cell_col, metric_col]] + 1,
-                       sep[:, [cell_col + 1, metric_col + 1]])
-    width = key.shape[2]
-    key = key.reshape(n, 2 * width)
-    # exact ids: unique over the raw padded bytes (NUL never occurs in a field)
-    uniq, first, inverse = np.unique(key.view(np.dtype((np.void, 2 * width))).ravel(),
-                                     return_index=True, return_inverse=True)
-    lut = np.empty(uniq.size, dtype=np.int32)
-    try:
-        for u in np.argsort(first):
-            row = key[first[u]]
-            name = (row[:width].tobytes().rstrip(b"\0").decode(),
-                    row[width:].tobytes().rstrip(b"\0").decode())
-            lut[u] = keys.setdefault(name, len(keys))
-    except UnicodeDecodeError as exc:
-        raise InputError(f"KPI CSV cell or metric is not UTF-8 ({where})") from exc
-
+    lo = sep[:, [cell_col, metric_col]] + 1
+    hi = sep[:, [cell_col + 1, metric_col + 1]]
+    if np.any(hi[:, 0] == lo[:, 0]):
+        raise InputError(f"empty KPI CSV cell_id ({where})")
+    ids = _key_ids(buf, lo, hi, keys, where)
     try:
         num = np.loadtxt(io.BytesIO(block), delimiter=",", usecols=(t_col, v_col),
                          comments=None, ndmin=2)
@@ -314,7 +346,7 @@ def _parse_block(block: bytes, cols, keys, where: str):
         raise InputError(f"bad KPI CSV number ({where}): {exc}") from exc
     if num.shape[0] != n:
         raise InputError(f"stray line break in KPI CSV ({where})")
-    return lut[inverse.ravel()], num[:, 0], num[:, 1]
+    return ids, num[:, 0], num[:, 1]
 
 
 def _assemble(keys, blocks, path) -> KpiBatch:

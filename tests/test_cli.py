@@ -3,6 +3,8 @@
 import filecmp
 import json
 
+import pytest
+
 from rfplan.cli import demo_scenario_path, main
 
 DEMO = str(demo_scenario_path())
@@ -105,6 +107,15 @@ def test_twin_sample_count_and_truth(capsys, tmp_path):
     assert truth["ground_truth"][0]["interferer_id"] == "JAM1"
     # the KPI CSV itself must not leak the interferer
     assert "JAM1" not in out.read_text()
+
+
+@pytest.mark.parametrize("dt, code", [("0.25", 1), ("0.1", 0)])
+def test_twin_step_must_be_a_tenth(capsys, tmp_path, dt, code):
+    # the CSV carries timestamps to 0.1 s; 0.25 would write 0.0, 0.2, 0.5, ...
+    out = tmp_path / "kpi.csv"
+    assert run(capsys, "twin", DEMO, "--duration", "30", "--dt", dt,
+               "--out", str(out))[0] == code
+    assert out.exists() == (code == 0)
 
 
 def test_detect_recommend_report_loop(capsys, tmp_path):

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -267,6 +268,34 @@ def test_kpi_csv_reader_across_blocks(tmp_path, demo_batch, monkeypatch, tail):
     assert_batches_identical(read_kpi_csv(p), reference_read_kpi_csv(p))
 
 
+def test_kpi_csv_reader_mixed_cell_id_lengths(tmp_path, monkeypatch):
+    # ids of several lengths, one longer than a block, first seen in shuffled order
+    cells = ["B", "A22", "L" * 3000, "A2", "C"]
+    batch = KpiBatch(series={m: {c: KpiSeries(c, m, 0.0, 60.0, np.arange(5.0) - k)
+                                 for k, c in enumerate(cells)} for m in METRICS})
+    p = tmp_path / "kpi.csv"
+    write_kpi_csv(batch, p)
+    p.write_text(_shuffle_rows(p.read_text()))
+    monkeypatch.setattr(twin, "_BLOCK_BYTES", 2000)
+    assert_batches_identical(read_kpi_csv(p), reference_read_kpi_csv(p))
+
+
+def test_kpi_csv_reader_memory_with_one_long_cell_id(tmp_path):
+    # the key arrays hold the key text, not every row padded to the longest id
+    rows = kpi_rows(times=[60.0 * i for i in range(500)])
+    p = tmp_path / "long.csv"
+    p.write_text("timestamp_s,cell_id,metric,value_dbm\n"
+                 + "".join(r + "\n" for r in rows) + f"0.0,{'L' * 5000},RTWP,-1.0\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="differ in length"):
+            read_kpi_csv(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
 def _reorder_columns(text, order):
     lines = text.splitlines()
     return "\n".join(",".join(line.split(",")[i] for i in order)
@@ -315,6 +344,7 @@ MALFORMED = {
     "short_series": _edit(GOOD_ROWS, "180.0,B,RSSI,-100.0"),
     "late_start": _edit(GOOD_ROWS, "0.0,A,RTWP,-100.0", "240.0,A,RTWP,-100.0"),
     "missing_cell": [r for r in GOOD_ROWS if ",B,RSSI," not in r],
+    "empty_cell": [r.replace(",A,", ",,") for r in GOOD_ROWS],
     "quoted": [r.replace(",A,", ',"A",') for r in GOOD_ROWS],
     "five_fields": _edit(GOOD_ROWS, "0.0,A,RSSI,-100.0", "0.0,A,RSSI,-100.0,x"),
     "three_fields": _edit(GOOD_ROWS, "0.0,A,RSSI,-100.0", "0.0,A,RSSI"),
