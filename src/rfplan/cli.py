@@ -29,6 +29,13 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
+def _worker_count(text) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def demo_scenario_path() -> Path:
     return Path(resources.files("rfplan").joinpath("data/demo_scenario.json"))
 
@@ -283,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="coverage grid CSV + summary")
     p.add_argument("scenario")
     p.add_argument("--interference", choices=("on", "off"), default="on")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_worker_count, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_simulate)
 
@@ -310,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recommend", help="frequency reassignment + verification")
     p.add_argument("detection_json")
     p.add_argument("scenario")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_worker_count, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_recommend)
 
@@ -321,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("demo", help="run the whole loop on the bundled fixture")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_worker_count, default=1)
     p.set_defaults(func=cmd_demo)
 
     return parser

@@ -7,9 +7,11 @@ external interference plus noise), SINR against co-channel and external
 interference, and Shannon-style capped throughput.
 
 Determinism contract: for a fixed scenario seed the grid is bit-identical
-across repeated runs and across worker counts. Per-sector fields use RNG
-streams keyed by sector id, and the linear-power reduction always runs
-in sorted sector order.
+across repeated runs and across worker counts. Fields are computed one
+location (site or interferer) per task, with RNG streams keyed by
+transmitter id, and the reduction always runs in sorted sector order.
+No per-sector map outlives the reduction: the grid keeps per-pixel
+results, built from per-band linear sums.
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import propagation
+from .errors import InputError
 from .planning import noise_floor_dbm
 from .scenario import Scenario
 
-PRUNE_FLOOR_DBM = -130.0       # per-sector powers below this are dropped
 COVERAGE_FLOOR_DBM = -110.0    # serving RSRP below this counts as uncovered
 SINR_FLOOR_DB = -10.0          # no usable throughput below this SINR
 
@@ -53,7 +55,6 @@ class CoverageGrid:
     resolution_m: float
     sector_ids: list[str]           # sorted; indexes the arrays below
     sector_band: list[str]
-    sector_power_dbm: np.ndarray    # (S, ny, nx), NaN below the prune floor
     best_server: np.ndarray         # (ny, nx) index into sector_ids
     rsrp_dbm: np.ndarray            # serving-sector power, (ny, nx)
     rssi_dbm: np.ndarray
@@ -74,19 +75,6 @@ class CoverageGrid:
         return np.isin(self.best_server, sorted(wanted))
 
 
-def received_power_dbm(site, sector, point_xy, *, environment, fc_ghz, h_ut_m=1.5,
-                       condition="NLOS", fading_db=0.0) -> float:
-    """EIRP minus pattern attenuation, pathloss and shadow fading at a point."""
-    dx = point_xy[0] - site.position[0]
-    dy = point_xy[1] - site.position[1]
-    d2d = max(math.hypot(dx, dy), propagation.D2D_MIN_M)
-    pattern = AntennaPattern(sector.beamwidth_3db_deg, sector.front_to_back_db)
-    att = float(pattern.attenuation_db(bearing_deg(dx, dy) - sector.azimuth_deg))
-    pl = float(propagation.pathloss_db_clamped(
-        d2d, fc_ghz, site.height_m, h_ut_m, environment, condition))
-    return sector.tx_power_dbm + sector.antenna_gain_dbi - att - pl - fading_db
-
-
 def _pixel_centers(area, resolution_m):
     nx = max(1, math.ceil(area.width / resolution_m - 1e-9))
     ny = max(1, math.ceil(area.height / resolution_m - 1e-9))
@@ -95,37 +83,45 @@ def _pixel_centers(area, resolution_m):
     return x, y
 
 
-def _transmitter_field(scenario: Scenario, fading, X, Y, tx_id, position,
-                       height_m, tx_power_dbm, fc_ghz, gain_dbi=0.0,
-                       pattern=None, azimuth_deg=0.0):
-    """Received power map of one transmitter over all pixels, dBm.
+def _location_fields(scenario: Scenario, fading, X, Y, position, height_m,
+                     transmitters):
+    """Received power maps, dBm, of the transmitters at one location.
 
-    LOS/NLOS condition is drawn once per (transmitter, pixel) from the
-    LOS probability and frozen by the scenario seed; shadow fading comes
-    from the stream keyed by the transmitter id.
+    transmitters holds (tx_id, fc_ghz, eirp_dbm, pattern, azimuth_deg);
+    pattern None is an omni antenna. Distance, bearing and LOS probability
+    are computed once for the location, pathloss once per frequency. Each
+    transmitter's LOS/NLOS condition is drawn once per pixel from the LOS
+    probability and frozen by the scenario seed; shadow fading comes from
+    the stream keyed by the transmitter id.
     """
     env = scenario.environment
     h_ut = scenario.ut_profile.height_m
     dx = X - position[0]
     dy = Y - position[1]
     d2d = np.maximum(np.hypot(dx, dy), propagation.D2D_MIN_M)
-
     p_los = propagation.los_probability(d2d, h_ut, env)
-    los = propagation.los_condition_mask(scenario.seed, tx_id, p_los)
     h_bs = max(height_m, 1.0)
-    pl_los = propagation.pathloss_db_clamped(d2d, fc_ghz, h_bs, h_ut, env, "LOS")
-    pl_nlos = propagation.pathloss_db_clamped(d2d, fc_ghz, h_bs, h_ut, env, "NLOS")
-    pl = np.where(los, pl_los, pl_nlos)
-
-    sf_std = fading.standard_samples(tx_id, d2d.size).reshape(d2d.shape)
     sigma_los = fading.sigma_db[(env, "LOS")]
     sigma_nlos = fading.sigma_db[(env, "NLOS")]
-    sf = sf_std * np.where(los, sigma_los, sigma_nlos)
-
-    power = tx_power_dbm + gain_dbi - pl - sf
-    if pattern is not None:
-        power = power - pattern.attenuation_db(bearing_deg(dx, dy) - azimuth_deg)
-    return power - scenario.ut_profile.body_loss_db
+    pathloss = {}
+    bearing = None
+    fields = []
+    for tx_id, fc_ghz, eirp_dbm, pattern, azimuth_deg in transmitters:
+        if fc_ghz not in pathloss:
+            pathloss[fc_ghz] = [propagation.pathloss_db_clamped(
+                d2d, fc_ghz, h_bs, h_ut, env, cond) for cond in ("LOS", "NLOS")]
+        pl_los, pl_nlos = pathloss[fc_ghz]
+        los = propagation.los_condition_mask(scenario.seed, tx_id, p_los)
+        pl = np.where(los, pl_los, pl_nlos)
+        sf_std = fading.standard_samples(tx_id, d2d.size).reshape(d2d.shape)
+        sf = sf_std * np.where(los, sigma_los, sigma_nlos)
+        power = eirp_dbm - pl - sf
+        if pattern is not None:
+            if bearing is None:
+                bearing = bearing_deg(dx, dy)
+            power = power - pattern.attenuation_db(bearing - azimuth_deg)
+        fields.append(power - scenario.ut_profile.body_loss_db)
+    return fields
 
 
 def throughput_mbps(sinr_db, bandwidth_mhz, cap_mbps, efficiency=1.0,
@@ -149,62 +145,64 @@ def compute_grid(scenario: Scenario, interferers_active: bool = True,
     RSSI and SINR; the serving-signal side is unaffected, which isolates
     interference effects in before/after comparisons.
     """
+    if n_workers < 1:
+        raise InputError(f"n_workers must be >= 1, got {n_workers}")
     x, y = _pixel_centers(scenario.area, scenario.grid_resolution_m)
     X, Y = np.meshgrid(x, y)
     fading = propagation.ShadowFadingField(seed=scenario.seed)
 
-    sectors = sorted(((site, sec) for site, sec in scenario.sectors()),
-                     key=lambda p: p[1].id)
-    sector_ids = [sec.id for _, sec in sectors]
+    def freq(band_ref):
+        return scenario.band_by_id(band_ref).center_freq_ghz
+
+    # one field pass per location; an interferer is a location with one
+    # omni transmitter, and its field is only computed when it counts
+    interferers = scenario.interferers if interferers_active else ()
+    locations = [
+        (site.position, site.height_m,
+         [(sec.id, freq(sec.band_ref), sec.tx_power_dbm + sec.antenna_gain_dbi,
+           AntennaPattern(sec.beamwidth_3db_deg, sec.front_to_back_db),
+           sec.azimuth_deg) for sec in site.sectors])
+        for site in scenario.sites]
+    locations += [(intf.position, intf.height_m,
+                   [(intf.id, freq(intf.band_ref), intf.tx_power_dbm, None, 0.0)])
+                  for intf in interferers]
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        per_location = list(pool.map(
+            lambda loc: _location_fields(scenario, fading, X, Y, *loc), locations))
+    n_sites = len(scenario.sites)
+    fields = [f for fs in per_location[:n_sites] for f in fs]   # scenario order
+    ext_fields = [f for fs in per_location[n_sites:] for f in fs]
+    del per_location
+
+    sectors = [sec for _, sec in scenario.sectors()]
+    order = sorted(range(len(sectors)), key=lambda i: sectors[i].id)
+    sector_ids = [sectors[i].id for i in order]
+    sector_band = [sectors[i].band_ref for i in order]
     band_ids = [b.id for b in scenario.bands]
     band_index = {b: i for i, b in enumerate(band_ids)}
-    sector_band = [sec.band_ref for _, sec in sectors]
 
-    def sector_field(pair):
-        site, sec = pair
-        band = scenario.band_by_id(sec.band_ref)
-        pattern = AntennaPattern(sec.beamwidth_3db_deg, sec.front_to_back_db)
-        return _transmitter_field(
-            scenario, fading, X, Y, sec.id, site.position, site.height_m,
-            sec.tx_power_dbm, band.center_freq_ghz, gain_dbi=sec.antenna_gain_dbi,
-            pattern=pattern, azimuth_deg=sec.azimuth_deg)
-
-    def interferer_field(intf):
-        band = scenario.band_by_id(intf.band_ref)
-        return _transmitter_field(
-            scenario, fading, X, Y, intf.id, intf.position, intf.height_m,
-            intf.tx_power_dbm, band.center_freq_ghz)
-
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            fields = list(pool.map(sector_field, sectors))
-            ext_fields = list(pool.map(interferer_field, scenario.interferers))
-    else:
-        fields = [sector_field(p) for p in sectors]
-        ext_fields = [interferer_field(i) for i in scenario.interferers]
-
-    power_dbm = np.stack(fields)                      # (S, ny, nx)
-    power_lin = 10.0 ** (power_dbm / 10.0)
-
-    # Fixed-order reductions keep results independent of worker count.
+    # Fixed-order reductions keep results independent of worker count. The
+    # strict > keeps the first maximum, so ties go to the lowest sector id.
     band_signal_lin = np.zeros((len(band_ids),) + X.shape)
-    for s, band_ref in enumerate(sector_band):
-        band_signal_lin[band_index[band_ref]] += power_lin[s]
+    rsrp = np.full(X.shape, -np.inf)                  # serving-sector power
+    best = np.zeros(X.shape, dtype=np.intp)
+    for s, i in enumerate(order):
+        power, fields[i] = fields[i], None            # freed once folded
+        band_signal_lin[band_index[sector_band[s]]] += 10.0 ** (power / 10.0)
+        better = power > rsrp
+        np.copyto(rsrp, power, where=better)
+        best[better] = s
 
     band_ext_lin = np.zeros_like(band_signal_lin)
-    if interferers_active:
-        for intf, f in zip(scenario.interferers, ext_fields):
-            band_ext_lin[band_index[intf.band_ref]] += 10.0 ** (f / 10.0)
+    for intf, f in zip(interferers, ext_fields):
+        band_ext_lin[band_index[intf.band_ref]] += 10.0 ** (f / 10.0)
 
     noise_lin = np.array([
         10.0 ** (noise_floor_dbm(b.bandwidth_mhz,
                                  scenario.ut_profile.noise_figure_db) / 10.0)
         for b in scenario.bands])
 
-    best = np.argmax(power_dbm, axis=0)               # first max = lowest id
-    rsrp = np.take_along_axis(power_dbm, best[None], axis=0)[0]
     s_lin = 10.0 ** (rsrp / 10.0)
-
     serving_band = np.asarray([band_index[b] for b in sector_band])[best]
     tot_lin = np.take_along_axis(band_signal_lin, serving_band[None], axis=0)[0]
     ext_lin = np.take_along_axis(band_ext_lin, serving_band[None], axis=0)[0]
@@ -219,15 +217,13 @@ def compute_grid(scenario: Scenario, interferers_active: bool = True,
     caps = np.asarray([b.throughput_cap_mbps if b.throughput_cap_mbps
                        else 1e12 for b in scenario.bands])[serving_band]
     tput = throughput_mbps(sinr, bw, caps)
-
-    pruned = np.where(power_dbm >= PRUNE_FLOOR_DBM, power_dbm, np.nan)
     covered = rsrp >= coverage_floor_dbm
 
     return CoverageGrid(
         x_m=x, y_m=y, resolution_m=scenario.grid_resolution_m,
-        sector_ids=sector_ids, sector_band=sector_band,
-        sector_power_dbm=pruned, best_server=best, rsrp_dbm=rsrp,
-        rssi_dbm=rssi, sinr_db=sinr, throughput_mbps=tput, covered=covered)
+        sector_ids=sector_ids, sector_band=sector_band, best_server=best,
+        rsrp_dbm=rsrp, rssi_dbm=rssi, sinr_db=sinr, throughput_mbps=tput,
+        covered=covered)
 
 
 def _stats(values: np.ndarray) -> dict:

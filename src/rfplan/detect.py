@@ -170,36 +170,6 @@ def cluster_cells(features: list[FeatureVector], k: int = 2, seed: int = 0,
         iterations=it, converged=converged, inertia_history=history)
 
 
-def silhouette_score(x: np.ndarray, labels: np.ndarray) -> float:
-    n = x.shape[0]
-    d = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(-1))
-    scores = []
-    for i in range(n):
-        same = labels == labels[i]
-        same[i] = False
-        a = d[i, same].mean() if np.any(same) else 0.0
-        b = min((d[i, labels == c].mean() for c in set(labels) if c != labels[i]),
-                default=0.0)
-        denom = max(a, b)
-        scores.append(0.0 if denom == 0 else (b - a) / denom)
-    return float(np.mean(scores))
-
-
-def select_k(features: list[FeatureVector], candidates=(2, 3, 4),
-             seed: int = 0) -> int:
-    """Best k among the candidates by silhouette; ties to the smaller k."""
-    z = feature_matrix(features)
-    best_k, best_score = candidates[0], -np.inf
-    for k in candidates:
-        if k >= len(features):
-            continue
-        labels, *_ = kmeans(z, k, seed=seed)
-        score = silhouette_score(z, labels)
-        if score > best_score + 1e-12:
-            best_k, best_score = k, score
-    return best_k
-
-
 def detect_affected(features: list[FeatureVector], clusters: ClusterResult,
                     threshold_db: float = 3.0) -> DetectionResult:
     """Affected set = high-excess cluster members above the dB threshold.

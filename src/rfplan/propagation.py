@@ -188,12 +188,10 @@ class ShadowFadingField:
     """Reproducible log-normal shadow fading, independent per pixel.
 
     Samples are deterministic given (seed, cell id, pixel index).
-    decorrelation_m is reserved for a future spatially-correlated variant.
     """
     seed: int
     sigma_db: Mapping[tuple[str, str], float] = field(
         default_factory=lambda: dict(DEFAULT_SIGMA_SF_DB))
-    decorrelation_m: float = 50.0
 
     def standard_samples(self, cell_id: str, n: int) -> np.ndarray:
         """Unit-variance stream for one cell; scale by sigma per condition."""

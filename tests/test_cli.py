@@ -28,6 +28,20 @@ def test_usage_error_exits_one(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize("command", ["simulate", "recommend", "demo"])
+def test_workers_below_one_exits_one(capsys, tmp_path, command, workers):
+    quiet = tmp_path / "detection.json"        # recommends no change
+    quiet.write_text(json.dumps({"anomaly": False, "affected_cells": []}))
+    args = {"simulate": [DEMO], "recommend": [str(quiet), DEMO], "demo": []}
+    out_dir = tmp_path / "out"
+    code, _, err = run(capsys, "--out-dir", str(out_dir), command,
+                       *args[command], "--workers", workers)
+    assert code == 1
+    assert "--workers" in err
+    assert not out_dir.exists()
+
+
 def test_missing_file_exits_one(capsys, tmp_path):
     code, _, err = run(capsys, "--out-dir", str(tmp_path), "plan",
                        str(tmp_path / "nope.json"))

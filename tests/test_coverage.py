@@ -6,10 +6,15 @@ import filecmp
 import numpy as np
 import pytest
 
-from rfplan.coverage import (AntennaPattern, bearing_deg, compute_grid,
-                             grid_summary, received_power_dbm, throughput_mbps,
-                             write_grid_csv)
-from rfplan.scenario import Band, Rect, Scenario, Sector, Site
+from rfplan import propagation
+from rfplan.coverage import (AntennaPattern, CoverageGrid, _pixel_centers,
+                             bearing_deg, compute_grid, grid_summary,
+                             throughput_mbps, write_grid_csv)
+from rfplan.detect import run_detection
+from rfplan.errors import InputError
+from rfplan.mitigate import apply, recommend
+from rfplan.planning import noise_floor_dbm
+from rfplan.scenario import Band, Interferer, Rect, Scenario, Sector, Site
 
 
 def isolated_scenario(**kw):
@@ -43,27 +48,6 @@ def test_bearing_convention():
     assert bearing_deg(1.0, 0.0) == 90.0       # due east
     assert bearing_deg(0.0, -1.0) == 180.0
     assert bearing_deg(-1.0, 0.0) == 270.0
-
-
-def test_received_power_boresight_oracle():
-    # tx 43 + gain 17 - PL 83.14 (UMa LOS at 100 m) = -23.14 dBm
-    site = Site("S", (0.0, 0.0), 25.0, ())
-    sec = Sector(id="a", azimuth_deg=0.0, band_ref="b", tx_power_dbm=43.0,
-                 antenna_gain_dbi=17.0)
-    v = received_power_dbm(site, sec, (0.0, 100.0), environment="UMa",
-                           fc_ghz=3.5, condition="LOS")
-    assert v == pytest.approx(-23.14, abs=0.01)
-
-
-def test_received_power_back_lobe():
-    site = Site("S", (0.0, 0.0), 25.0, ())
-    sec = Sector(id="a", azimuth_deg=0.0, band_ref="b", tx_power_dbm=43.0,
-                 antenna_gain_dbi=17.0, front_to_back_db=25.0)
-    front = received_power_dbm(site, sec, (0.0, 100.0), environment="UMa",
-                               fc_ghz=3.5, condition="LOS")
-    back = received_power_dbm(site, sec, (0.0, -100.0), environment="UMa",
-                              fc_ghz=3.5, condition="LOS")
-    assert back == pytest.approx(front - 25.0, abs=0.01)
 
 
 def test_throughput_oracle():
@@ -167,3 +151,169 @@ def test_serving_mask_partition(demo_grid):
     for sec in demo_grid.sector_ids:
         total += demo_grid.serving_mask([sec]).astype(int)
     assert np.all(total == 1)
+
+
+def test_grid_rejects_worker_count_below_one(demo_scenario):
+    for n in (0, -3):
+        with pytest.raises(InputError):
+            compute_grid(demo_scenario, n_workers=n)
+
+
+# --- reference: the stacked per-sector grid --------------------------------
+# compute_grid reduces one location's fields at a time; these two functions
+# are the implementation it replaced, which stacked every sector's power map
+# into an (S, ny, nx) array. The grid must match them bit for bit.
+
+def _reference_field(scenario, fading, X, Y, tx_id, position, height_m,
+                     tx_power_dbm, fc_ghz, gain_dbi=0.0, pattern=None,
+                     azimuth_deg=0.0):
+    env = scenario.environment
+    h_ut = scenario.ut_profile.height_m
+    dx = X - position[0]
+    dy = Y - position[1]
+    d2d = np.maximum(np.hypot(dx, dy), propagation.D2D_MIN_M)
+
+    p_los = propagation.los_probability(d2d, h_ut, env)
+    los = propagation.los_condition_mask(scenario.seed, tx_id, p_los)
+    h_bs = max(height_m, 1.0)
+    pl_los = propagation.pathloss_db_clamped(d2d, fc_ghz, h_bs, h_ut, env, "LOS")
+    pl_nlos = propagation.pathloss_db_clamped(d2d, fc_ghz, h_bs, h_ut, env, "NLOS")
+    pl = np.where(los, pl_los, pl_nlos)
+
+    sf_std = fading.standard_samples(tx_id, d2d.size).reshape(d2d.shape)
+    sigma_los = fading.sigma_db[(env, "LOS")]
+    sigma_nlos = fading.sigma_db[(env, "NLOS")]
+    sf = sf_std * np.where(los, sigma_los, sigma_nlos)
+
+    power = tx_power_dbm + gain_dbi - pl - sf
+    if pattern is not None:
+        power = power - pattern.attenuation_db(bearing_deg(dx, dy) - azimuth_deg)
+    return power - scenario.ut_profile.body_loss_db
+
+
+def reference_grid(scenario, interferers_active):
+    x, y = _pixel_centers(scenario.area, scenario.grid_resolution_m)
+    X, Y = np.meshgrid(x, y)
+    fading = propagation.ShadowFadingField(seed=scenario.seed)
+
+    sectors = sorted(((site, sec) for site, sec in scenario.sectors()),
+                     key=lambda p: p[1].id)
+    sector_ids = [sec.id for _, sec in sectors]
+    band_ids = [b.id for b in scenario.bands]
+    band_index = {b: i for i, b in enumerate(band_ids)}
+    sector_band = [sec.band_ref for _, sec in sectors]
+
+    fields = []
+    for site, sec in sectors:
+        band = scenario.band_by_id(sec.band_ref)
+        pattern = AntennaPattern(sec.beamwidth_3db_deg, sec.front_to_back_db)
+        fields.append(_reference_field(
+            scenario, fading, X, Y, sec.id, site.position, site.height_m,
+            sec.tx_power_dbm, band.center_freq_ghz, gain_dbi=sec.antenna_gain_dbi,
+            pattern=pattern, azimuth_deg=sec.azimuth_deg))
+    ext_fields = [_reference_field(
+        scenario, fading, X, Y, intf.id, intf.position, intf.height_m,
+        intf.tx_power_dbm, scenario.band_by_id(intf.band_ref).center_freq_ghz)
+        for intf in scenario.interferers]
+
+    power_dbm = np.stack(fields)                      # (S, ny, nx)
+    power_lin = 10.0 ** (power_dbm / 10.0)
+
+    band_signal_lin = np.zeros((len(band_ids),) + X.shape)
+    for s, band_ref in enumerate(sector_band):
+        band_signal_lin[band_index[band_ref]] += power_lin[s]
+
+    band_ext_lin = np.zeros_like(band_signal_lin)
+    if interferers_active:
+        for intf, f in zip(scenario.interferers, ext_fields):
+            band_ext_lin[band_index[intf.band_ref]] += 10.0 ** (f / 10.0)
+
+    noise_lin = np.array([
+        10.0 ** (noise_floor_dbm(b.bandwidth_mhz,
+                                 scenario.ut_profile.noise_figure_db) / 10.0)
+        for b in scenario.bands])
+
+    best = np.argmax(power_dbm, axis=0)               # first max = lowest id
+    rsrp = np.take_along_axis(power_dbm, best[None], axis=0)[0]
+    s_lin = 10.0 ** (rsrp / 10.0)
+
+    serving_band = np.asarray([band_index[b] for b in sector_band])[best]
+    tot_lin = np.take_along_axis(band_signal_lin, serving_band[None], axis=0)[0]
+    ext_lin = np.take_along_axis(band_ext_lin, serving_band[None], axis=0)[0]
+    n_lin = noise_lin[serving_band]
+
+    rssi = 10.0 * np.log10(tot_lin + ext_lin + n_lin)
+    interference_lin = np.maximum(tot_lin - s_lin, 0.0) + ext_lin + n_lin
+    sinr = rsrp - 10.0 * np.log10(interference_lin)
+
+    bw = np.asarray([b.bandwidth_mhz for b in scenario.bands])[serving_band]
+    caps = np.asarray([b.throughput_cap_mbps if b.throughput_cap_mbps
+                       else 1e12 for b in scenario.bands])[serving_band]
+    tput = throughput_mbps(sinr, bw, caps)
+
+    return CoverageGrid(
+        x_m=x, y_m=y, resolution_m=scenario.grid_resolution_m,
+        sector_ids=sector_ids, sector_band=sector_band, best_server=best,
+        rsrp_dbm=rsrp, rssi_dbm=rssi, sinr_db=sinr, throughput_mbps=tput,
+        covered=rsrp >= -110.0)
+
+
+def assert_matches_reference(scenario, interferers_active, n_workers):
+    got = compute_grid(scenario, interferers_active, n_workers=n_workers)
+    ref = reference_grid(scenario, interferers_active)
+    assert got.sector_ids == ref.sector_ids
+    assert got.sector_band == ref.sector_band
+    assert got.resolution_m == ref.resolution_m
+    for name in ("x_m", "y_m", "best_server", "rsrp_dbm", "rssi_dbm",
+                 "sinr_db", "throughput_mbps", "covered"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def interleaved_scenario(interferers=()):
+    """Site P holds sectors a, c and e, site Q holds b and d, so the
+    sorted-id reduction alternates sites and sums band n78 in another order
+    than the scenario lists it; P's sectors sit on two frequencies, and the
+    25 x 20 px grid is not a multiple of any SIMD width."""
+    def sector(sid, azimuth, band):
+        return Sector(id=sid, azimuth_deg=azimuth, band_ref=band,
+                      tx_power_dbm=40.0)
+    return Scenario(
+        name="interleaved", area=Rect(0, 0, 1230, 970), environment="UMi",
+        sites=(Site("P", (400.0, 500.0), 20.0,
+                    (sector("c", 200.0, "n78"), sector("a", 30.0, "n77"),
+                     sector("e", 320.0, "n78"))),
+               Site("Q", (900.0, 450.0), 30.0,
+                    (sector("b", 270.0, "n78"), sector("d", 90.0, "n78")))),
+        interferers=tuple(interferers),
+        bands=(Band("n78", 3.5, 100.0), Band("n77", 3.9, 40.0, "TDD", 150.0)),
+        grid_resolution_m=50.0, seed=11)
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("active", [True, False])
+def test_grid_matches_reference_demo(demo_scenario, active, workers):
+    assert_matches_reference(demo_scenario, active, workers)
+
+
+def test_grid_matches_reference_after_mitigation(demo_scenario, demo_batch):
+    detection = run_detection(demo_batch, 15, k=2, seed=demo_scenario.seed)
+    post = apply(demo_scenario, recommend(demo_scenario, detection))
+    # co-sited sectors now sit on two frequencies
+    assert any(len({sec.band_ref for sec in site.sectors}) > 1
+               for site in post.sites)
+    assert_matches_reference(post, True, 1)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_grid_matches_reference_interleaved_ids(workers):
+    assert_matches_reference(interleaved_scenario(), True, workers)
+
+
+@pytest.mark.parametrize("active", [True, False])
+def test_grid_matches_reference_with_interferers(active):
+    sc = interleaved_scenario(interferers=(
+        Interferer("J1", (600.0, 300.0), 1.5, 20.0, "n78", ((0.0, 1e9),)),
+        Interferer("J2", (1100.0, 800.0), 1.5, 25.0, "n77", ((0.0, 1e9),))))
+    assert_matches_reference(sc, active, 2)

@@ -8,7 +8,7 @@ import pytest
 
 from rfplan.detect import (cluster_cells, correlation_matrix, detect_affected,
                            feature_matrix, kmeans, normalize_features, pearson,
-                           run_detection, select_k, silhouette_score)
+                           run_detection)
 from rfplan.errors import InputError
 from rfplan.twin import KpiBatch, KpiSeries, batch_excess, synthesize_kpi
 
@@ -131,17 +131,6 @@ def test_kmeans_deterministic():
 def test_kmeans_k_out_of_range():
     with pytest.raises(InputError):
         kmeans(np.zeros((3, 2)), 4)
-
-
-def test_silhouette_and_select_k():
-    rng = np.random.default_rng(1)
-    x = np.vstack([rng.normal(0, 0.1, size=(20, 2)),
-                   rng.normal(5, 0.1, size=(20, 2))])
-    labels = np.array([0] * 20 + [1] * 20)
-    assert silhouette_score(x, labels) > 0.8
-
-    feats = normalize_features(step_batch(n_cells=8), baseline_window=10)
-    assert select_k(feats) == 2
 
 
 # --- affected gate ---------------------------------------------------------
