@@ -16,8 +16,8 @@ from importlib import resources
 from pathlib import Path
 
 from . import coverage, detect, localize, mitigate, planning, report, twin
-from .errors import RfplanError
-from .scenario import load_scenario
+from .errors import InputError, RfplanError
+from .scenario import load_scenario, read_json_object
 from .twin import _cell_baseline_dbm
 
 
@@ -47,6 +47,40 @@ def _load(args):
     return scenario
 
 
+def _finite(value) -> bool:
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _read_detection(path) -> detect.DetectionResult:
+    """The fields of a detection file that recommend reads, shape-checked."""
+    doc = read_json_object(path, "detection", InputError)
+    cells, anomaly = doc.get("affected_cells", []), doc.get("anomaly", False)
+    evidence, threshold_db = doc.get("evidence", {}), doc.get("threshold_db", 3.0)
+    if not (isinstance(cells, list) and all(isinstance(c, str) for c in cells)):
+        raise InputError(f"{path}: affected_cells must be a list of cell ids")
+    if not (isinstance(anomaly, bool) and _finite(threshold_db)
+            and isinstance(evidence, dict)):
+        raise InputError(f"{path}: anomaly must be true or false, threshold_db "
+                         "a number and evidence an object")
+    if anomaly and not (cells and all(
+            isinstance(evidence.get(c), dict)
+            and _finite(evidence[c].get("mean_excess_db")) for c in cells)):
+        raise InputError(f"{path}: an anomaly needs affected cells, each with "
+                         "a numeric evidence.mean_excess_db")
+    return detect.DetectionResult(tuple(cells), anomaly, evidence,
+                                  float(threshold_db))
+
+
+def _read_metrics(path) -> dict:
+    """A summary file's metrics: {band: {metric: number}}."""
+    metrics = read_json_object(path, "summary", InputError).get("metrics", {})
+    if not (isinstance(metrics, dict) and all(
+            isinstance(m, dict) and all(_finite(v) for v in m.values())
+            for m in metrics.values())):
+        raise InputError(f"{path}: metrics must map bands to objects of numbers")
+    return metrics
+
+
 def _write_json(path, data, verbose=False):
     with open(path, "w") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
@@ -69,8 +103,7 @@ def cmd_plan(args) -> int:
     scenario = _load(args)
     band_ids = [args.band] if args.band else None
     if band_ids and band_ids[0] not in {b.id for b in scenario.bands}:
-        print(f"unknown band {args.band!r}", file=sys.stderr)
-        return 1
+        raise InputError(f"unknown band {args.band!r}")
     results = planning.plan_scenario(scenario, condition=args.condition,
                                      band_ids=band_ids)
     data = {
@@ -133,9 +166,7 @@ def cmd_detect(args) -> int:
     cells = set(batch.cells())
     expected = set(scenario.sector_ids)
     if not cells <= expected:
-        print(f"KPI cells not in scenario: {sorted(cells - expected)}",
-              file=sys.stderr)
-        return 1
+        raise InputError(f"KPI cells not in scenario: {sorted(cells - expected)}")
 
     seed = args.seed if args.seed is not None else scenario.seed
     result = detect.run_detection(batch, args.baseline_window, k=args.k,
@@ -176,14 +207,7 @@ def cmd_detect(args) -> int:
 
 def cmd_recommend(args) -> int:
     scenario = _load(args)
-    with open(args.detection_json) as fh:
-        det_doc = json.load(fh)
-    result = detect.DetectionResult(
-        affected_cells=tuple(det_doc.get("affected_cells", [])),
-        anomaly_flag=bool(det_doc.get("anomaly", False)),
-        evidence=det_doc.get("evidence", {}),
-        threshold_db=float(det_doc.get("threshold_db", 3.0)))
-
+    result = _read_detection(args.detection_json)
     rec = mitigate.recommend(scenario, result)
     doc = {
         "scenario": scenario.name,
@@ -207,12 +231,8 @@ def cmd_recommend(args) -> int:
 
 
 def cmd_report(args) -> int:
-    with open(args.sim_summary) as fh:
-        sim_doc = json.load(fh)
-    with open(args.twin_summary) as fh:
-        twin_doc = json.load(fh)
-    rows, warnings = report.build_comparison(sim_doc.get("metrics", {}),
-                                             twin_doc.get("metrics", {}))
+    rows, warnings = report.build_comparison(_read_metrics(args.sim_summary),
+                                             _read_metrics(args.twin_summary))
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     print(report.format_table(rows))
@@ -234,7 +254,6 @@ def cmd_demo(args) -> int:
     cmd_plan(ns)
 
     print("== simulate (interference off / on) ==")
-    ns.workers = args.workers
     for mode in ("off", "on"):
         ns.interference = mode
         ns.out = str(out_dir / f"grid_{mode}.csv")

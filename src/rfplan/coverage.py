@@ -101,8 +101,8 @@ def _location_fields(scenario: Scenario, fading, X, Y, position, height_m,
     d2d = np.maximum(np.hypot(dx, dy), propagation.D2D_MIN_M)
     p_los = propagation.los_probability(d2d, h_ut, env)
     h_bs = max(height_m, 1.0)
-    sigma_los = fading.sigma_db[(env, "LOS")]
-    sigma_nlos = fading.sigma_db[(env, "NLOS")]
+    sigma_los = propagation.DEFAULT_SIGMA_SF_DB[(env, "LOS")]
+    sigma_nlos = propagation.DEFAULT_SIGMA_SF_DB[(env, "NLOS")]
     pathloss = {}
     bearing = None
     fields = []
@@ -124,21 +124,19 @@ def _location_fields(scenario: Scenario, fading, X, Y, position, height_m,
     return fields
 
 
-def throughput_mbps(sinr_db, bandwidth_mhz, cap_mbps, efficiency=1.0,
-                    sinr_floor_db=SINR_FLOOR_DB):
+def throughput_mbps(sinr_db, bandwidth_mhz, cap_mbps):
     """Capped Shannon throughput; zero below the SINR floor."""
     if np.any(np.asarray(cap_mbps) <= 0):
         raise ValueError("cap_mbps must be > 0")
     sinr = np.asarray(sinr_db, dtype=float)
-    tput = efficiency * bandwidth_mhz * np.log2(1.0 + 10.0 ** (sinr / 10.0))
+    tput = bandwidth_mhz * np.log2(1.0 + 10.0 ** (sinr / 10.0))
     tput = np.minimum(tput, cap_mbps)
-    tput = np.where(sinr < sinr_floor_db, 0.0, tput)
+    tput = np.where(sinr < SINR_FLOOR_DB, 0.0, tput)
     return float(tput) if np.isscalar(sinr_db) else tput
 
 
 def compute_grid(scenario: Scenario, interferers_active: bool = True,
-                 n_workers: int = 1,
-                 coverage_floor_dbm: float = COVERAGE_FLOOR_DBM) -> CoverageGrid:
+                 n_workers: int = 1) -> CoverageGrid:
     """Evaluate the full coverage grid for a scenario.
 
     interferers_active toggles the external interferers' contribution to
@@ -217,7 +215,7 @@ def compute_grid(scenario: Scenario, interferers_active: bool = True,
     caps = np.asarray([b.throughput_cap_mbps if b.throughput_cap_mbps
                        else 1e12 for b in scenario.bands])[serving_band]
     tput = throughput_mbps(sinr, bw, caps)
-    covered = rsrp >= coverage_floor_dbm
+    covered = rsrp >= COVERAGE_FLOOR_DBM
 
     return CoverageGrid(
         x_m=x, y_m=y, resolution_m=scenario.grid_resolution_m,
@@ -226,13 +224,15 @@ def compute_grid(scenario: Scenario, interferers_active: bool = True,
         covered=covered)
 
 
-def _stats(values: np.ndarray) -> dict:
-    return {
-        "mean": float(np.mean(values)),
-        "p5": float(np.percentile(values, 5)),
-        "p50": float(np.percentile(values, 50)),
-        "p95": float(np.percentile(values, 95)),
-    }
+def _stats(grid: CoverageGrid, mask: np.ndarray) -> dict:
+    out = {}
+    for name in ("rssi_dbm", "sinr_db", "throughput_mbps"):
+        values = getattr(grid, name)[mask]
+        out[name] = {"mean": float(np.mean(values)),
+                     "p5": float(np.percentile(values, 5)),
+                     "p50": float(np.percentile(values, 50)),
+                     "p95": float(np.percentile(values, 95))}
+    return out
 
 
 def grid_summary(grid: CoverageGrid) -> dict:
@@ -245,24 +245,15 @@ def grid_summary(grid: CoverageGrid) -> dict:
     out = {
         "pixel_count": int(grid.best_server.size),
         "covered_fraction": float(np.mean(mask)),
-        "overall": {
-            "rssi_dbm": _stats(grid.rssi_dbm[mask]),
-            "sinr_db": _stats(grid.sinr_db[mask]),
-            "throughput_mbps": _stats(grid.throughput_mbps[mask]),
-        },
+        "overall": _stats(grid, mask),
         "bands": {},
     }
-    bands = sorted(set(grid.sector_band))
-    for band in bands:
+    for band in sorted(set(grid.sector_band)):
         sectors = [s for s, b in zip(grid.sector_ids, grid.sector_band) if b == band]
         bmask = mask & grid.serving_mask(sectors)
         if not np.any(bmask):
             continue
-        out["bands"][band] = {
-            "rssi_dbm": _stats(grid.rssi_dbm[bmask]),
-            "sinr_db": _stats(grid.sinr_db[bmask]),
-            "throughput_mbps": _stats(grid.throughput_mbps[bmask]),
-        }
+        out["bands"][band] = _stats(grid, bmask)
     return out
 
 

@@ -9,12 +9,15 @@ a quiet network never alarms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
 from .twin import KpiBatch, batch_excess
+
+KMEANS_MAX_ITER = 100
+KMEANS_TOL = 1e-6               # centroid shift, z-score units
 
 
 @dataclass(frozen=True)
@@ -39,7 +42,6 @@ class ClusterResult:
     inertia: float
     iterations: int
     converged: bool
-    inertia_history: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -116,8 +118,7 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     return np.stack(centers)
 
 
-def kmeans(x: np.ndarray, k: int, seed: int = 0, max_iter: int = 100,
-           tol: float = 1e-6):
+def kmeans(x: np.ndarray, k: int, seed: int = 0):
     """Lloyd iterations with k-means++ seeding; deterministic given seed.
 
     Ties in assignment go to the lower cluster index; an emptied cluster
@@ -131,11 +132,9 @@ def kmeans(x: np.ndarray, k: int, seed: int = 0, max_iter: int = 100,
     rng = np.random.default_rng(seed)
     centroids = _kmeanspp_init(x, k, rng)
 
-    labels = np.zeros(n, dtype=int)
     history: list[float] = []
     converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, KMEANS_MAX_ITER + 1):
         d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(-1)
         labels = np.argmin(d2, axis=1)          # argmin: ties to lower index
         for c in range(k):
@@ -151,23 +150,22 @@ def kmeans(x: np.ndarray, k: int, seed: int = 0, max_iter: int = 100,
         history.append(float(d2[np.arange(n), labels].sum()))
         shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
         centroids = new_centroids
-        if shift < tol:
+        if shift < KMEANS_TOL:
             converged = True
             break
     inertia = history[-1]
     return labels, centroids, inertia, it, converged, history
 
 
-def cluster_cells(features: list[FeatureVector], k: int = 2, seed: int = 0,
-                  max_iter: int = 100, tol: float = 1e-6) -> ClusterResult:
+def cluster_cells(features: list[FeatureVector], k: int = 2,
+                  seed: int = 0) -> ClusterResult:
     z = feature_matrix(features)
-    labels, centroids, inertia, it, converged, history = kmeans(
-        z, k, seed=seed, max_iter=max_iter, tol=tol)
+    labels, centroids, inertia, it, converged, _ = kmeans(z, k, seed=seed)
     return ClusterResult(
         k=k,
         assignments={f.cell_id: int(l) for f, l in zip(features, labels)},
         labels=labels, centroids=centroids, inertia=inertia,
-        iterations=it, converged=converged, inertia_history=history)
+        iterations=it, converged=converged)
 
 
 def detect_affected(features: list[FeatureVector], clusters: ClusterResult,

@@ -29,9 +29,5 @@ class InfeasibleError(RfplanError):
     """Link budget cannot close even at the minimum distance."""
 
 
-class DegenerateGeometryError(RfplanError):
-    """Sensor geometry too poor for the requested estimator."""
-
-
 class InputError(RfplanError):
     """Inconsistent or malformed user-supplied input files."""

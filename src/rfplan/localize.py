@@ -11,13 +11,16 @@ the lower start index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import least_squares
 
 from . import propagation
 from .errors import InputError
+
+SOURCE_HEIGHT_M = 1.5          # forward-model interferer height, a valid UT height
+TX_POWER_GUESS_DBM = 20.0      # LSQ start for the interferer's power
 
 
 @dataclass
@@ -63,9 +66,8 @@ def _collinear(pos: np.ndarray) -> bool:
     return sv.size < 2 or sv[1] <= 1e-9 * max(sv[0], 1.0)
 
 
-def pathloss_lsq(observations, fc_ghz: float, environment: str = "UMa",
-                 tx_power_guess_dbm: float = 20.0, source_height_m: float = 1.5,
-                 n_grid: int = 5) -> LocalizationEstimate:
+def pathloss_lsq(observations, fc_ghz: float,
+                 environment: str = "UMa") -> LocalizationEstimate:
     """Invert observed interference powers through the pathloss model.
 
     observations: iterable of (cell_id, (x, y), h_bs_m, power_dbm) where
@@ -83,36 +85,29 @@ def pathloss_lsq(observations, fc_ghz: float, environment: str = "UMa",
     pos = np.array([o[1] for o in obs], dtype=float)
     h_bs = np.array([o[2] for o in obs], dtype=float)
     power = np.array([o[3] for o in obs], dtype=float)
-    h_src = min(max(source_height_m, propagation.H_UT_MIN_M),
-                propagation.H_UT_MAX_M)
-
+    centroid = weighted_centroid(
+        (i, tuple(p), float(v)) for i, p, v in zip(ids, pos, power))
     if _collinear(pos):
-        centroid = weighted_centroid(
-            (i, tuple(p), float(v)) for i, p, v in zip(ids, pos, power))
-        return LocalizationEstimate(
-            position=centroid.position, method="PathlossLSQ",
-            residual=centroid.residual, cells_used=tuple(ids), fallback=True)
+        return replace(centroid, method="PathlossLSQ", fallback=True)
 
     def residuals(theta):
         x, y, p = theta
         d = np.hypot(pos[:, 0] - x, pos[:, 1] - y)
         pl = np.array([
             float(propagation.pathloss_db_clamped(
-                di, fc_ghz, hb, h_src, environment, "NLOS"))
+                di, fc_ghz, hb, SOURCE_HEIGHT_M, environment, "NLOS"))
             for di, hb in zip(d, h_bs)])
         return (p - pl) - power
 
-    # Multi-start: a fixed grid over the sensor hull plus the weighted
+    # Multi-start: a fixed 5 x 5 grid over the sensor hull plus the weighted
     # centroid; deterministic best-of with ties to the lower start index.
-    xs = np.linspace(pos[:, 0].min(), pos[:, 0].max(), n_grid)
-    ys = np.linspace(pos[:, 1].min(), pos[:, 1].max(), n_grid)
-    centroid = weighted_centroid(
-        (i, tuple(p), float(v)) for i, p, v in zip(ids, pos, power))
+    xs = np.linspace(pos[:, 0].min(), pos[:, 0].max(), 5)
+    ys = np.linspace(pos[:, 1].min(), pos[:, 1].max(), 5)
     starts = [centroid.position] + [(x0, y0) for y0 in ys for x0 in xs]
 
     best = None
     for x0, y0 in starts:
-        sol = least_squares(residuals, x0=[x0, y0, tx_power_guess_dbm],
+        sol = least_squares(residuals, x0=[x0, y0, TX_POWER_GUESS_DBM],
                             method="lm", max_nfev=200)
         if best is None or sol.cost < best.cost:
             best = sol
@@ -165,9 +160,7 @@ def estimate_interferer(scenario, detection, baseline_dbm: float,
         else:
             wc = out.get("WeightedCentroid") or weighted_centroid(
                 (c, p, e) for c, p, _, e, _ in rows)
-            out["PathlossLSQ"] = LocalizationEstimate(
-                position=wc.position, method="PathlossLSQ",
-                residual=wc.residual, cells_used=wc.cells_used, fallback=True)
+            out["PathlossLSQ"] = replace(wc, method="PathlossLSQ", fallback=True)
     return out
 
 

@@ -40,21 +40,17 @@ class VerificationVerdict:
 def _mean_nn_intersite_m(sites) -> float:
     if len(sites) < 2:
         return 500.0
-    dists = []
-    for a in sites:
-        nn = min(math.dist(a.position, b.position)
-                 for b in sites if b.id != a.id)
-        dists.append(nn)
-    return mean(dists)
+    return mean(min(math.dist(a.position, b.position)
+                    for b in sites if b.id != a.id) for a in sites)
 
 
-def recommend(scenario: Scenario, detection, estimate=None,
-              neighbor_radius_m: float | None = None) -> Recommendation:
+def recommend(scenario: Scenario, detection) -> Recommendation:
     """Reassign affected sectors to the cleanest declared alternative band.
 
     Candidate bands are the declared ones no interferer transmits on.
     Cost of a candidate for a sector = number of co-channel sectors
-    within the neighbor radius (already-decided reassignments count);
+    within the neighbor radius, ~2x the hexagon circumradius implied by
+    the inter-site spacing (already-decided reassignments count);
     ties break in band declaration order. With no candidates the result
     is an explicit no-op, not an error.
     """
@@ -68,9 +64,7 @@ def recommend(scenario: Scenario, detection, estimate=None,
             changes=(), rationale="no clean spectrum: every declared band "
             "overlaps an interferer")
 
-    if neighbor_radius_m is None:
-        # ~2x the hexagon circumradius implied by the inter-site spacing
-        neighbor_radius_m = 2.0 * _mean_nn_intersite_m(scenario.sites) / math.sqrt(3.0)
+    neighbor_radius_m = 2.0 * _mean_nn_intersite_m(scenario.sites) / math.sqrt(3.0)
 
     site_of = {sec.id: site for site, sec in scenario.sectors()}
     assigned = {sec.id: sec.band_ref for _, sec in scenario.sectors()}

@@ -69,13 +69,14 @@ def max_allowed_pathloss_db(budget: LinkBudget) -> float:
 
 
 def cell_radius_m(mapl_db: float, environment: str = "UMa", condition: str = "NLOS",
-                  fc_ghz: float = 3.5, h_bs_m: float = 25.0, h_ut_m: float = 1.5,
-                  tol_m: float = 1e-3) -> float:
+                  fc_ghz: float = 3.5, h_bs_m: float = 25.0,
+                  h_ut_m: float = 1.5) -> float:
     """Largest ground distance whose pathloss stays within the MAPL.
 
-    Bisection over the monotone pathloss curve, in log-distance so the
-    returned radius is well inside 0.1 m resolution everywhere in the
-    envelope. The search is capped at the model's 10 km validity limit.
+    Bisection over the monotone pathloss curve, in log-distance, down to a
+    1 mm bracket, so the returned radius is well inside 0.1 m resolution
+    everywhere in the envelope. The search is capped at the model's 10 km
+    validity limit.
     """
     def pl(d):
         return float(pathloss_db_array(d, fc_ghz, h_bs_m, h_ut_m,
@@ -89,7 +90,7 @@ def cell_radius_m(mapl_db: float, environment: str = "UMa", condition: str = "NL
         return D2D_MAX_M
 
     lo, hi = math.log10(D2D_MIN_M), math.log10(D2D_MAX_M)
-    while (10 ** hi - 10 ** lo) > tol_m:
+    while (10 ** hi - 10 ** lo) > 1e-3:
         mid = 0.5 * (lo + hi)
         if pl(10 ** mid) <= mapl_db:
             lo = mid
@@ -110,13 +111,12 @@ def required_site_count(area_m2: float, radius_m: float) -> int:
 
 
 def budget_from_config(config: dict | None, bandwidth_mhz: float,
-                       noise_figure_db: float | None = None) -> LinkBudget:
+                       noise_figure_db: float) -> LinkBudget:
     """Build a LinkBudget from the scenario's optional link_budget section."""
     config = dict(config or {})
     config.setdefault("tx_power_dbm", 43.0)
     config["bandwidth_mhz"] = bandwidth_mhz
-    if noise_figure_db is not None:
-        config.setdefault("noise_figure_db", noise_figure_db)
+    config.setdefault("noise_figure_db", noise_figure_db)
     return LinkBudget(**config)
 
 

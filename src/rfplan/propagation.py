@@ -13,8 +13,7 @@ silent extrapolation corrupts planning numbers downstream.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -101,25 +100,24 @@ def _nlos_pathloss(d2d, d3d, fc_ghz, h_bs_m, h_ut_m, environment):
     return np.maximum(los, nlos)
 
 
-def pathloss_db(query: PathlossQuery):
-    """Pathloss in dB for a validated single query."""
-    _check_envelope(query.d2d_m, query.fc_ghz, query.h_bs_m, query.h_ut_m,
-                    query.environment, query.condition)
-    return float(pathloss_db_array(
-        np.asarray(query.d2d_m, dtype=float), query.fc_ghz, query.h_bs_m,
-        query.h_ut_m, query.environment, query.condition, check=False))
-
-
-def pathloss_db_array(d2d_m, fc_ghz, h_bs_m, h_ut_m, environment, condition,
-                      check: bool = True):
-    """Vectorized pathloss over an array of ground distances."""
-    if check:
-        _check_envelope(d2d_m, fc_ghz, h_bs_m, h_ut_m, environment, condition)
-    d2d = np.asarray(d2d_m, dtype=float)
+def _pathloss(d2d, fc_ghz, h_bs_m, h_ut_m, environment, condition):
+    """Unchecked pathloss over an array of ground distances."""
     d3d = np.sqrt(d2d ** 2 + (h_bs_m - h_ut_m) ** 2)
     if condition == "LOS":
         return _los_pathloss(d2d, d3d, fc_ghz, h_bs_m, h_ut_m, environment)
     return _nlos_pathloss(d2d, d3d, fc_ghz, h_bs_m, h_ut_m, environment)
+
+
+def pathloss_db(query: PathlossQuery):
+    """Pathloss in dB for a validated single query."""
+    return float(pathloss_db_array(*astuple(query)))
+
+
+def pathloss_db_array(d2d_m, fc_ghz, h_bs_m, h_ut_m, environment, condition):
+    """Vectorized pathloss over an array of ground distances."""
+    _check_envelope(d2d_m, fc_ghz, h_bs_m, h_ut_m, environment, condition)
+    return _pathloss(np.asarray(d2d_m, dtype=float), fc_ghz, h_bs_m, h_ut_m,
+                     environment, condition)
 
 
 def pathloss_db_clamped(d2d_m, fc_ghz, h_bs_m, h_ut_m, environment, condition):
@@ -130,8 +128,7 @@ def pathloss_db_clamped(d2d_m, fc_ghz, h_bs_m, h_ut_m, environment, condition):
     through pathloss_db which reports instead of clamping.
     """
     d2d = np.clip(np.asarray(d2d_m, dtype=float), D2D_MIN_M, D2D_MAX_M)
-    return pathloss_db_array(d2d, fc_ghz, h_bs_m, h_ut_m, environment, condition,
-                             check=False)
+    return _pathloss(d2d, fc_ghz, h_bs_m, h_ut_m, environment, condition)
 
 
 def free_space_pathloss_db(d_m, fc_ghz):
@@ -187,20 +184,14 @@ def keyed_rng(seed: int, name: str, stream: int) -> np.random.Generator:
 class ShadowFadingField:
     """Reproducible log-normal shadow fading, independent per pixel.
 
-    Samples are deterministic given (seed, cell id, pixel index).
+    Samples are deterministic given (seed, cell id, pixel index); callers
+    scale them by DEFAULT_SIGMA_SF_DB for the pixel's condition.
     """
     seed: int
-    sigma_db: Mapping[tuple[str, str], float] = field(
-        default_factory=lambda: dict(DEFAULT_SIGMA_SF_DB))
 
     def standard_samples(self, cell_id: str, n: int) -> np.ndarray:
-        """Unit-variance stream for one cell; scale by sigma per condition."""
+        """Unit-variance stream for one cell."""
         return keyed_rng(self.seed, cell_id, _STREAM_SHADOW).standard_normal(n)
-
-    def samples_db(self, cell_id: str, n: int, environment: str,
-                   condition: str) -> np.ndarray:
-        sigma = float(self.sigma_db[(environment, condition)])
-        return sigma * self.standard_samples(cell_id, n)
 
 
 def los_condition_mask(seed: int, cell_id: str, p_los: np.ndarray) -> np.ndarray:

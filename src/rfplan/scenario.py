@@ -15,6 +15,7 @@ Azimuths are degrees clockwise from the +y axis ("north").
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, asdict
 from typing import Iterator, Optional
 
@@ -335,7 +336,7 @@ def _from_dict(data: dict) -> Scenario:
             schema_version=int(version))
     except ScenarioParseError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioParseError(f"malformed scenario file: {exc}") from exc
 
 
@@ -346,21 +347,35 @@ def to_dict(scenario: Scenario) -> dict:
     return d
 
 
+def _finite_float(text) -> float:
+    value = float(text)                 # NaN and Infinity arrive here too
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
+def read_json_object(path, what: str, error: type[Exception]) -> dict:
+    """The JSON object in a file, or error naming the path and the fault."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh, parse_constant=_finite_float,
+                             parse_float=_finite_float)
+    except OSError as exc:
+        raise error(f"cannot read {what} file {path}: {exc}") from exc
+    except ValueError as exc:           # bad syntax, not UTF-8, or non-finite
+        raise error(f"{what} file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise error(f"{what} file {path} must contain a JSON object")
+    return data
+
+
 def load_scenario(path) -> Scenario:
     """Load, default-fill and validate a scenario JSON file.
 
     Raises ScenarioParseError on malformed input and
     ScenarioValidationError naming the first violated invariant.
     """
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ScenarioParseError(f"cannot read scenario file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ScenarioParseError(f"scenario file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ScenarioParseError(f"scenario file {path} must contain a JSON object")
+    data = read_json_object(path, "scenario", ScenarioParseError)
     if int(data.get("schema_version", SCHEMA_VERSION)) != SCHEMA_VERSION:
         raise ScenarioParseError(
             f"unsupported schema_version {data.get('schema_version')} (expected {SCHEMA_VERSION})")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from . import propagation
 from .coverage import AntennaPattern, bearing_deg
 from .errors import InputError
 from .planning import noise_floor_dbm
-from .scenario import Interferer, Scenario, Sector, Site
+from .scenario import Interferer, Scenario, Sector, Site, read_json_object
 
 DAY_S = 86_400.0
 
@@ -56,7 +56,6 @@ class GroundTruth:
 @dataclass
 class KpiBatch:
     series: dict[str, dict[str, KpiSeries]]  # metric -> cell -> series
-    scenario_name: str = ""
     ground_truth: list[GroundTruth] = field(default_factory=list)
 
     def cells(self) -> list[str]:
@@ -156,8 +155,7 @@ def synthesize_kpi(scenario: Scenario, duration_s: float, dt_s: float,
     truth = [GroundTruth(i.id, i.position, i.tx_power_dbm, i.band_ref,
                          i.active_intervals)
              for i in scenario.interferers]
-    return KpiBatch(series=series, scenario_name=scenario.name,
-                    ground_truth=truth)
+    return KpiBatch(series=series, ground_truth=truth)
 
 
 def excess_over_baseline_db(series: KpiSeries, baseline_window: int) -> np.ndarray:
@@ -415,19 +413,23 @@ def _assemble(keys, blocks, path) -> KpiBatch:
 
 
 def write_ground_truth(batch: KpiBatch, path) -> None:
-    data = [{"interferer_id": g.interferer_id, "position": list(g.position),
-             "tx_power_dbm": g.tx_power_dbm, "band_ref": g.band_ref,
-             "active_intervals": [list(p) for p in g.active_intervals]}
-            for g in batch.ground_truth]
+    data = [asdict(g) for g in batch.ground_truth]
     with open(path, "w") as fh:
         json.dump({"ground_truth": data}, fh, indent=2)
         fh.write("\n")
 
 
 def read_ground_truth(path) -> list[GroundTruth]:
-    with open(path) as fh:
-        data = json.load(fh)
-    return [GroundTruth(g["interferer_id"], tuple(g["position"]),
-                        g["tx_power_dbm"], g["band_ref"],
-                        tuple(tuple(p) for p in g["active_intervals"]))
-            for g in data["ground_truth"]]
+    """The sealed ground truth; InputError if unreadable or wrongly shaped."""
+    data = read_json_object(path, "ground-truth", InputError)
+    try:
+        truth = []
+        for g in data["ground_truth"]:
+            x, y = g["position"]
+            truth.append(GroundTruth(
+                str(g["interferer_id"]), (float(x), float(y)),
+                float(g["tx_power_dbm"]), str(g["band_ref"]),
+                tuple((float(a), float(b)) for a, b in g["active_intervals"])))
+        return truth
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"ground-truth file {path} is malformed: {exc!r}") from exc

@@ -2,6 +2,7 @@
 
 import filecmp
 import json
+from pathlib import Path
 
 import pytest
 
@@ -212,6 +213,68 @@ def test_recommend_no_anomaly_noop(capsys, tmp_path):
     assert code == 0
     assert "no-op" in stdout
     assert json.loads(out.read_text())["verification"] is None
+
+
+BAD_JSON_INPUTS = {
+    "recommend-missing": ("recommend", None),
+    "report-missing": ("report", None),
+    "detection-not-json": ("recommend", "{not json"),
+    "detection-array": ("recommend", "[1,2]"),
+    "detection-cells-not-list": ("recommend", '{"affected_cells": 5}'),
+    "detection-no-evidence": (
+        "recommend", '{"anomaly": true, "affected_cells": ["A1"], "evidence": {}}'),
+    "detection-anomaly-without-cells": (
+        "recommend", '{"anomaly": true, "affected_cells": []}'),
+    "detection-anomaly-not-bool": (
+        "recommend", '{"anomaly": "no", "affected_cells": ["A1"], '
+        '"evidence": {"A1": {"mean_excess_db": 9.0}}}'),
+    "detection-threshold-not-number": ("recommend", '{"threshold_db": "x"}'),
+    "summary-metrics-not-object": ("report", '{"metrics": 5}'),
+    "summary-metric-not-number": ("report", '{"metrics": {"n78": {"RTWP": "x"}}}'),
+    "truth-missing": ("detect", None),
+    "truth-wrong-shape": ("detect", '{"ground_truth": 5}'),
+}
+
+
+@pytest.mark.parametrize("command, content", list(BAD_JSON_INPUTS.values()),
+                         ids=list(BAD_JSON_INPUTS))
+def test_bad_json_input_exits_one(capsys, tmp_path, command, content):
+    bad = tmp_path / "bad.json"             # absent when content is None
+    if content is not None:
+        bad.write_text(content)
+    if command == "recommend":
+        argv = ["recommend", str(bad), DEMO]
+    elif command == "report":
+        good = tmp_path / "good.json"
+        good.write_text('{"metrics": {"n78": {"RTWP": -100.0}}}')
+        argv = ["report", str(bad), str(good)]
+    else:                                   # the ground truth behind --validate
+        kpi = tmp_path / "kpi.csv"
+        assert run(capsys, "twin", DEMO, "--out", str(kpi))[0] == 0
+        argv = ["detect", str(kpi), DEMO, "--validate", str(bad)]
+    code, _, err = run(capsys, "--out-dir", str(tmp_path / "out"), *argv)
+    assert code == 1
+    assert str(bad) in err
+
+
+@pytest.mark.parametrize("old, new", [
+    ('"bandwidth_mhz": 10.0', '"bandwidth_mhz": NaN'),
+    ('"grid_resolution_m": 50.0', '"grid_resolution_m": NaN'),
+    ('"grid_resolution_m": 50.0', '"grid_resolution_m": -Infinity'),
+    ('"grid_resolution_m": 50.0', '"grid_resolution_m": 1e999'),
+    ('"bandwidth_mhz": 10.0', '"bandwidth_mhz": 1' + "0" * 400),
+], ids=["nan-bandwidth", "nan-resolution", "infinity", "overflow-float",
+        "overflow-int"])
+def test_non_finite_scenario_number_exits_one(capsys, tmp_path, old, new):
+    text = Path(DEMO).read_text()
+    assert old in text
+    bad = tmp_path / "scenario.json"
+    bad.write_text(text.replace(old, new, 1))
+    out = tmp_path / "grid.csv"
+    code, _, err = run(capsys, "simulate", str(bad), "--out", str(out))
+    assert code == 1
+    assert "malformed scenario file" in err or str(bad) in err
+    assert not out.exists()
 
 
 def test_seed_override_changes_twin(capsys, tmp_path):

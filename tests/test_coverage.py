@@ -181,8 +181,8 @@ def _reference_field(scenario, fading, X, Y, tx_id, position, height_m,
     pl = np.where(los, pl_los, pl_nlos)
 
     sf_std = fading.standard_samples(tx_id, d2d.size).reshape(d2d.shape)
-    sigma_los = fading.sigma_db[(env, "LOS")]
-    sigma_nlos = fading.sigma_db[(env, "NLOS")]
+    sigma_los = propagation.DEFAULT_SIGMA_SF_DB[(env, "LOS")]
+    sigma_nlos = propagation.DEFAULT_SIGMA_SF_DB[(env, "NLOS")]
     sf = sf_std * np.where(los, sigma_los, sigma_nlos)
 
     power = tx_power_dbm + gain_dbi - pl - sf

@@ -1,5 +1,7 @@
 """Pathloss closed forms, LOS probability and seeded shadow fading."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -55,17 +57,28 @@ def test_pathloss_monotone_in_distance():
             assert np.all(np.diff(pl) > 0)
 
 
-@pytest.mark.parametrize("query", [
+ENVELOPE_ERRORS = [
     PathlossQuery(0.5, 3.5, 25.0, 1.5),          # below 1 m
     PathlossQuery(20_000.0, 3.5, 25.0, 1.5),     # beyond 10 km
     PathlossQuery(100.0, 0.2, 25.0, 1.5),        # frequency too low
     PathlossQuery(100.0, 3.5, 25.0, 30.0),       # UT too high
     PathlossQuery(100.0, 3.5, 25.0, 1.5, "Rural"),
     PathlossQuery(100.0, 3.5, 25.0, 1.5, "UMa", "XLOS"),
-])
-def test_envelope_errors(query):
+]
+
+
+def _pathloss_db_array(q):
+    return pathloss_db_array(*astuple(q))
+
+
+# both public entry points run the one envelope check
+@pytest.mark.parametrize("entry, query", [
+    pytest.param(entry, q, id=f"{prefix}query{i}")
+    for prefix, entry in (("", pathloss_db), ("array-", _pathloss_db_array))
+    for i, q in enumerate(ENVELOPE_ERRORS)])
+def test_envelope_errors(entry, query):
     with pytest.raises(DomainError):
-        pathloss_db(query)
+        entry(query)
 
 
 def test_clamped_variant_does_not_error():
@@ -89,23 +102,17 @@ def test_los_probability_far_field():
     assert np.all(np.diff(p) < 0)        # decays with distance
 
 
-def test_shadow_fading_zero_sigma():
-    field = ShadowFadingField(seed=1, sigma_db={("UMa", "NLOS"): 0.0})
-    assert np.all(field.samples_db("cell", 100, "UMa", "NLOS") == 0.0)
-
-
 def test_shadow_fading_deterministic():
-    a = ShadowFadingField(seed=7).samples_db("c1", 1000, "UMa", "NLOS")
-    b = ShadowFadingField(seed=7).samples_db("c1", 1000, "UMa", "NLOS")
+    a = ShadowFadingField(seed=7).standard_samples("c1", 1000)
+    b = ShadowFadingField(seed=7).standard_samples("c1", 1000)
     assert np.array_equal(a, b)
-    c = ShadowFadingField(seed=8).samples_db("c1", 1000, "UMa", "NLOS")
+    c = ShadowFadingField(seed=8).standard_samples("c1", 1000)
     assert not np.array_equal(a, c)
 
 
 def test_shadow_fading_sample_std():
-    field = ShadowFadingField(seed=3, sigma_db={("UMa", "LOS"): 4.0})
-    s = field.samples_db("cell", 10_000, "UMa", "LOS")
-    assert 3.8 < float(np.std(s)) < 4.2
+    s = ShadowFadingField(seed=3).standard_samples("cell", 10_000)
+    assert 0.95 < float(np.std(s)) < 1.05
 
 
 def test_keyed_rng_streams_independent():
