@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import coverage, detect, localize, mitigate, planning, report, twin
 from .errors import InputError, RfplanError
-from .scenario import load_scenario, read_json_object
+from .scenario import _finite, load_scenario, read_json_object
 from .twin import _cell_baseline_dbm
 
 
@@ -45,10 +45,6 @@ def _load(args):
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
     return scenario
-
-
-def _finite(value) -> bool:
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def _read_detection(path) -> detect.DetectionResult:

@@ -212,8 +212,8 @@ def compute_grid(scenario: Scenario, interferers_active: bool = True,
 
     bw = np.asarray([b.bandwidth_mhz for b in scenario.bands])[serving_band]
     # uncapped bands get a cap far above any achievable Shannon rate
-    caps = np.asarray([b.throughput_cap_mbps if b.throughput_cap_mbps
-                       else 1e12 for b in scenario.bands])[serving_band]
+    caps = np.asarray([1e12 if b.throughput_cap_mbps is None else b.throughput_cap_mbps
+                       for b in scenario.bands])[serving_band]
     tput = throughput_mbps(sinr, bw, caps)
     covered = rsrp >= COVERAGE_FLOOR_DBM
 
@@ -259,11 +259,10 @@ def grid_summary(grid: CoverageGrid) -> dict:
 
 def write_grid_csv(grid: CoverageGrid, path) -> None:
     """Row-major CSV export, 2 decimal places, plot-ready."""
-    ids = grid.best_server_ids()
+    ids, x = grid.best_server_ids(), grid.x_m.tolist()
     with open(path, "w", newline="") as fh:
         fh.write("x_m,y_m,best_server,rssi_dbm,sinr_db,throughput_mbps\n")
-        for iy in range(grid.y_m.size):
-            for ix in range(grid.x_m.size):
-                fh.write(f"{grid.x_m[ix]:.2f},{grid.y_m[iy]:.2f},{ids[iy, ix]},"
-                         f"{grid.rssi_dbm[iy, ix]:.2f},{grid.sinr_db[iy, ix]:.2f},"
-                         f"{grid.throughput_mbps[iy, ix]:.2f}\n")
+        for iy, y in enumerate(grid.y_m.tolist()):     # one grid row at a time
+            fh.write("".join("%.2f,%.2f,%s,%.2f,%.2f,%.2f\n" % row for row in zip(
+                x, [y] * len(x), ids[iy].tolist(), grid.rssi_dbm[iy].tolist(),
+                grid.sinr_db[iy].tolist(), grid.throughput_mbps[iy].tolist())))

@@ -112,12 +112,11 @@ def required_site_count(area_m2: float, radius_m: float) -> int:
 
 def budget_from_config(config: dict | None, bandwidth_mhz: float,
                        noise_figure_db: float) -> LinkBudget:
-    """Build a LinkBudget from the scenario's optional link_budget section."""
-    config = dict(config or {})
-    config.setdefault("tx_power_dbm", 43.0)
-    config["bandwidth_mhz"] = bandwidth_mhz
-    config.setdefault("noise_figure_db", noise_figure_db)
-    return LinkBudget(**config)
+    """Build a LinkBudget from the scenario's optional link_budget section;
+    TypeError for an unknown key or a bandwidth_mhz, which is the band's."""
+    config = {"tx_power_dbm": 43.0, "noise_figure_db": noise_figure_db,
+              **(config or {})}
+    return LinkBudget(**config, bandwidth_mhz=bandwidth_mhz)
 
 
 def plan_scenario(scenario, condition: str = "NLOS",

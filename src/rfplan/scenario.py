@@ -12,14 +12,17 @@ geodetic CRS), powers in dBm, frequencies in GHz, bandwidths in MHz.
 Azimuths are degrees clockwise from the +y axis ("north").
 """
 
-from __future__ import annotations
-
+import dataclasses
+import functools
 import json
 import math
-from dataclasses import dataclass, field, asdict
+import sys
+import typing
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .errors import ScenarioParseError, ScenarioValidationError
+from .planning import budget_from_config
 
 SCHEMA_VERSION = 1
 
@@ -129,7 +132,7 @@ class Scenario:
     seed: int
     ut_profile: UserTerminalProfile = UserTerminalProfile()
     twin: TwinConfig = TwinConfig()
-    link_budget: Optional[dict] = None
+    link_budget: Optional[dict[str, float]] = None
     schema_version: int = SCHEMA_VERSION
 
     def sectors(self) -> Iterator[tuple[Site, Sector]]:
@@ -191,6 +194,9 @@ def validate(scenario: Scenario) -> list[Violation]:
             bad("BANDWIDTH_RANGE", f"{path}.bandwidth_mhz", "bandwidth_mhz must be > 0")
         if band.duplex not in DUPLEX_MODES:
             bad("DUPLEX_MODE", f"{path}.duplex", f"duplex must be one of {DUPLEX_MODES}")
+        if band.throughput_cap_mbps is not None and band.throughput_cap_mbps <= 0:
+            bad("THROUGHPUT_CAP", f"{path}.throughput_cap_mbps",
+                "throughput_cap_mbps must be > 0")
 
     margin = OUT_OF_AREA_MARGIN_FRACTION * scenario.area.diagonal
     site_ids = [s.id for s in scenario.sites]
@@ -253,6 +259,10 @@ def validate(scenario: Scenario) -> list[Violation]:
             "UT height_m must lie in [1, 22.5] m")
     if scenario.ut_profile.body_loss_db < 0:
         bad("BODY_LOSS", "ut_profile.body_loss_db", "body_loss_db must be >= 0")
+    try:            # 1 MHz stands in for the bands' bandwidths, checked above
+        budget_from_config(scenario.link_budget, 1.0, scenario.ut_profile.noise_figure_db)
+    except (TypeError, ValueError) as exc:
+        bad("LINK_BUDGET", "link_budget", str(exc))
 
     return v
 
@@ -260,91 +270,82 @@ def validate(scenario: Scenario) -> list[Violation]:
 # ---------------------------------------------------------------------------
 # JSON (de)serialization
 
+# Fields a scenario file may leave out although the dataclass requires
+# them. Every other default is the dataclass's own.
+FILE_DEFAULTS = {
+    Scenario: {"name": "unnamed", "interferers": (), "grid_resolution_m": 50.0,
+               "seed": 0},
+    Site: {"height_m": 25.0, "sectors": ()},
+    Sector: {"azimuth_deg": 0.0, "tx_power_dbm": 43.0},
+    Interferer: {"height_m": 1.5, "tx_power_dbm": 20.0},
+}
 
-def _require(obj: dict, key: str, path: str):
-    if key not in obj:
-        raise ScenarioParseError(f"missing required field {path}.{key}")
-    return obj[key]
+
+class _Mismatch(Exception):
+    """A JSON value that does not fit its annotation."""
 
 
-def _from_dict(data: dict) -> Scenario:
+def _expect(ok, what, value, where):
+    if not ok:
+        raise _Mismatch(f"{where}: expected {what}, got {json.dumps(value)[:40]}")
+    return value
+
+
+def _finite(value) -> bool:
+    """A JSON int or float (not a bool) that a float holds finitely."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+@functools.cache
+def _fields(cls):
+    """cls's field annotations, and the fields a file has to give."""
+    hints, fields = typing.get_type_hints(cls), dataclasses.fields(cls)
+    required = {f.name for f in fields if f.default is dataclasses.MISSING
+                and f.default_factory is dataclasses.MISSING}
+    return ({f.name: hints[f.name] for f in fields},
+            required - FILE_DEFAULTS.get(cls, {}).keys())
+
+
+def _read(tp, value, where):
+    """A parsed JSON value as annotation tp, checked all the way down;
+    where is its field path, for the error message."""
+    if tp is float:
+        return float(_expect(_finite(value), "a finite number", value, where))
+    if tp is int or tp is str:
+        return _expect(type(value) is tp, "an integer" if tp is int else "a string",
+                       value, where)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is typing.Union:                  # Optional[X]
+        return None if value is None else _read(args[0], value, where)
+    if origin is dict or dataclasses.is_dataclass(tp):
+        _expect(type(value) is dict, "an object", value, where)
+        prefix = where and where + "."
+        if origin is dict:                      # dict[str, X]
+            return {k: _read(args[1], v, prefix + k) for k, v in value.items()}
+        types, required = _fields(tp)
+        if not value.keys() <= types.keys():
+            raise _Mismatch(f"{prefix}{min(value.keys() - types.keys())}: unknown field")
+        if not required <= value.keys():
+            raise _Mismatch(f"{prefix}{min(required - value.keys())}: "
+                            "missing required field")
+        return tp(**FILE_DEFAULTS.get(tp, {}) | {
+            k: _read(types[k], v, prefix + k) for k, v in value.items()})
+    if origin is not tuple:
+        raise TypeError(f"no JSON reader for {tp}")
+    _expect(type(value) is list, "an array", value, where)
+    items = [args[0]] * len(value) if args[-1] is Ellipsis else args
+    _expect(len(items) == len(value), f"an array of {len(items)}", value, where)
+    return tuple(_read(t, v, f"{where}[{i}]") for i, (t, v) in enumerate(zip(items, value)))
+
+
+def from_json(cls, obj, path, error: type[Exception]):
+    """Dataclass cls built from a parsed JSON object, each field checked
+    against its annotation. An unknown key, a missing required field or a
+    mistyped value raises error naming the file and the field path."""
     try:
-        version = data.get("schema_version", SCHEMA_VERSION)
-        area_d = _require(data, "area", "$")
-        area = Rect(float(area_d["min_x"]), float(area_d["min_y"]),
-                    float(area_d["max_x"]), float(area_d["max_y"]))
-        bands = tuple(
-            Band(id=str(_require(b, "id", f"bands[{i}]")),
-                 center_freq_ghz=float(_require(b, "center_freq_ghz", f"bands[{i}]")),
-                 bandwidth_mhz=float(_require(b, "bandwidth_mhz", f"bands[{i}]")),
-                 duplex=str(b.get("duplex", "TDD")),
-                 throughput_cap_mbps=(None if b.get("throughput_cap_mbps") is None
-                                      else float(b["throughput_cap_mbps"])))
-            for i, b in enumerate(_require(data, "bands", "$")))
-        sites = []
-        for i, s in enumerate(_require(data, "sites", "$")):
-            sectors = tuple(
-                Sector(id=str(_require(sec, "id", f"sites[{i}].sectors[{j}]")),
-                       azimuth_deg=float(sec.get("azimuth_deg", 0.0)),
-                       band_ref=str(_require(sec, "band_ref", f"sites[{i}].sectors[{j}]")),
-                       tx_power_dbm=float(sec.get("tx_power_dbm", 43.0)),
-                       antenna_gain_dbi=float(sec.get("antenna_gain_dbi", 17.0)),
-                       beamwidth_3db_deg=float(sec.get("beamwidth_3db_deg", 65.0)),
-                       front_to_back_db=float(sec.get("front_to_back_db", 25.0)))
-                for j, sec in enumerate(s.get("sectors", [])))
-            sites.append(Site(id=str(_require(s, "id", f"sites[{i}]")),
-                              position=tuple(float(c) for c in _require(s, "position", f"sites[{i}]")),
-                              height_m=float(s.get("height_m", 25.0)),
-                              sectors=sectors))
-        interferers = tuple(
-            Interferer(id=str(_require(x, "id", f"interferers[{i}]")),
-                       position=tuple(float(c) for c in _require(x, "position", f"interferers[{i}]")),
-                       height_m=float(x.get("height_m", 1.5)),
-                       tx_power_dbm=float(x.get("tx_power_dbm", 20.0)),
-                       band_ref=str(_require(x, "band_ref", f"interferers[{i}]")),
-                       active_intervals=tuple((float(a), float(b))
-                                              for a, b in x.get("active_intervals", [])))
-            for i, x in enumerate(data.get("interferers", [])))
-        ut = data.get("ut_profile", {})
-        ut_profile = UserTerminalProfile(
-            height_m=float(ut.get("height_m", 1.5)),
-            noise_figure_db=float(ut.get("noise_figure_db", 7.0)),
-            body_loss_db=float(ut.get("body_loss_db", 0.0)))
-        tw = data.get("twin", {})
-        twin = TwinConfig(
-            rtwp_baseline_dbm=(None if tw.get("rtwp_baseline_dbm") is None
-                               else float(tw["rtwp_baseline_dbm"])),
-            bts_noise_figure_db=float(tw.get("bts_noise_figure_db", 5.0)),
-            load_offset_db=(None if tw.get("load_offset_db", -10.0) is None
-                            else float(tw.get("load_offset_db", -10.0))),
-            load_amplitude_db=float(tw.get("load_amplitude_db", 1.0)),
-            load_jitter_db=float(tw.get("load_jitter_db", 1.0)),
-            measurement_noise_db=float(tw.get("measurement_noise_db", 0.5)),
-            serving_traffic_dbm=float(tw.get("serving_traffic_dbm", -95.0)))
-        return Scenario(
-            name=str(data.get("name", "unnamed")),
-            area=area,
-            environment=str(_require(data, "environment", "$")),
-            sites=tuple(sites),
-            interferers=interferers,
-            bands=bands,
-            grid_resolution_m=float(data.get("grid_resolution_m", 50.0)),
-            seed=int(data.get("seed", 0)),
-            ut_profile=ut_profile,
-            twin=twin,
-            link_budget=data.get("link_budget"),
-            schema_version=int(version))
-    except ScenarioParseError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioParseError(f"malformed scenario file: {exc}") from exc
-
-
-def to_dict(scenario: Scenario) -> dict:
-    d = asdict(scenario)
-    d["area"] = {"min_x": scenario.area.min_x, "min_y": scenario.area.min_y,
-                 "max_x": scenario.area.max_x, "max_y": scenario.area.max_y}
-    return d
+        return _read(cls, obj, "")
+    except _Mismatch as exc:
+        raise error(f"{path}: {exc}") from None
 
 
 def _finite_float(text) -> float:
@@ -376,17 +377,20 @@ def load_scenario(path) -> Scenario:
     ScenarioValidationError naming the first violated invariant.
     """
     data = read_json_object(path, "scenario", ScenarioParseError)
-    if int(data.get("schema_version", SCHEMA_VERSION)) != SCHEMA_VERSION:
+    scenario = from_json(Scenario, data, path, ScenarioParseError)
+    if scenario.schema_version != SCHEMA_VERSION:
         raise ScenarioParseError(
-            f"unsupported schema_version {data.get('schema_version')} (expected {SCHEMA_VERSION})")
-    scenario = _from_dict(data)
+            f"{path}: unsupported schema_version {scenario.schema_version} "
+            f"(expected {SCHEMA_VERSION})")
     violations = validate(scenario)
     if violations:
-        raise ScenarioValidationError(violations)
+        error = ScenarioValidationError(violations)
+        error.args = (f"{path}: {error}",)      # name the file, as parse errors do
+        raise error
     return scenario
 
 
 def save_scenario(scenario: Scenario, path) -> None:
     with open(path, "w") as fh:
-        json.dump(to_dict(scenario), fh, indent=2, sort_keys=True)
+        json.dump(dataclasses.asdict(scenario), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -24,7 +24,8 @@ from . import propagation
 from .coverage import AntennaPattern, bearing_deg
 from .errors import InputError
 from .planning import noise_floor_dbm
-from .scenario import Interferer, Scenario, Sector, Site, read_json_object
+from .scenario import (Interferer, Scenario, Sector, Site, from_json,
+                       read_json_object)
 
 DAY_S = 86_400.0
 
@@ -51,6 +52,11 @@ class GroundTruth:
     tx_power_dbm: float
     band_ref: str
     active_intervals: tuple[tuple[float, float], ...]
+
+
+@dataclass
+class _TruthFile:
+    ground_truth: tuple[GroundTruth, ...]
 
 
 @dataclass
@@ -413,23 +419,12 @@ def _assemble(keys, blocks, path) -> KpiBatch:
 
 
 def write_ground_truth(batch: KpiBatch, path) -> None:
-    data = [asdict(g) for g in batch.ground_truth]
     with open(path, "w") as fh:
-        json.dump({"ground_truth": data}, fh, indent=2)
+        json.dump(asdict(_TruthFile(tuple(batch.ground_truth))), fh, indent=2)
         fh.write("\n")
 
 
 def read_ground_truth(path) -> list[GroundTruth]:
     """The sealed ground truth; InputError if unreadable or wrongly shaped."""
     data = read_json_object(path, "ground-truth", InputError)
-    try:
-        truth = []
-        for g in data["ground_truth"]:
-            x, y = g["position"]
-            truth.append(GroundTruth(
-                str(g["interferer_id"]), (float(x), float(y)),
-                float(g["tx_power_dbm"]), str(g["band_ref"]),
-                tuple((float(a), float(b)) for a, b in g["active_intervals"])))
-        return truth
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"ground-truth file {path} is malformed: {exc!r}") from exc
+    return list(from_json(_TruthFile, data, path, InputError).ground_truth)

@@ -233,6 +233,12 @@ BAD_JSON_INPUTS = {
     "summary-metric-not-number": ("report", '{"metrics": {"n78": {"RTWP": "x"}}}'),
     "truth-missing": ("detect", None),
     "truth-wrong-shape": ("detect", '{"ground_truth": 5}'),
+    "truth-unknown-field": ("detect", '{"ground_truth": [{"interferer_id": "J", '
+                            '"position": [0, 0], "tx_power_dbm": 20, "band_ref": "n78", '
+                            '"active_intervals": [], "seen": true}]}'),
+    "truth-numeric-id": ("detect", '{"ground_truth": [{"interferer_id": 7, '
+                         '"position": [0, 0], "tx_power_dbm": 20, "band_ref": "n78", '
+                         '"active_intervals": []}]}'),
 }
 
 
@@ -275,6 +281,52 @@ def test_non_finite_scenario_number_exits_one(capsys, tmp_path, old, new):
     assert code == 1
     assert "malformed scenario file" in err or str(bad) in err
     assert not out.exists()
+
+
+SCENARIO_EDITS = {     # id: (command, keys to the edited field, new value, field path)
+    "sites-object": ("simulate", ("sites",), {"a": 1}, "sites"),
+    "ut-profile-array": ("simulate", ("ut_profile",), [1], "ut_profile"),
+    "schema-version-string": ("simulate", ("schema_version",), "x", "schema_version"),
+    "position-one-element": ("simulate", ("sites", 0, "position"), [4700.0],
+                             "sites[0].position"),
+    "height-typo": ("simulate", ("sites", 0, "heigth_m"), 40.0, "sites[0].heigth_m"),
+    "seed-float": ("simulate", ("seed",), 1.5, "seed"),
+    "freq-bool": ("simulate", ("bands", 0, "center_freq_ghz"), True,
+                  "bands[0].center_freq_ghz"),
+    "numeric-string": ("simulate", ("bands", 0, "bandwidth_mhz"), "10.0",
+                       "bands[0].bandwidth_mhz"),
+    "numeric-id": ("simulate", ("sites", 0, "sectors", 1, "id"), 5,
+                   "sites[0].sectors[1].id"),
+    "interferer-typo": ("simulate", ("interferers", 0, "power_dbm"), 18.0,
+                       "interferers[0].power_dbm"),
+    "cap-negative": ("simulate", ("bands", 0, "throughput_cap_mbps"), -5.0,
+                     "bands[0].throughput_cap_mbps"),
+    "cap-zero": ("simulate", ("bands", 0, "throughput_cap_mbps"), 0.0,
+                 "bands[0].throughput_cap_mbps"),
+    "link-budget-number": ("plan", ("link_budget",), 5, "link_budget"),
+    "link-budget-unknown-key": ("plan", ("link_budget", "foo"), 1, "link_budget"),
+    "link-budget-bandwidth": ("plan", ("link_budget", "bandwidth_mhz"), 20.0,
+                              "link_budget"),
+    "cable-loss-negative": ("plan", ("link_budget", "cable_loss_db"), -1.0,
+                            "link_budget"),
+}
+
+
+@pytest.mark.parametrize("command, keys, value, field", list(SCENARIO_EDITS.values()),
+                         ids=list(SCENARIO_EDITS))
+def test_bad_scenario_field_exits_one(capsys, tmp_path, command, keys, value, field):
+    doc = json.loads(Path(DEMO).read_text())
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    bad = tmp_path / "scenario.json"
+    bad.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    code, _, err = run(capsys, "--out-dir", str(out_dir), command, str(bad))
+    assert code == 1
+    assert str(bad) in err and field in err
+    assert not out_dir.exists()
 
 
 def test_seed_override_changes_twin(capsys, tmp_path):

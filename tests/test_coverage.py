@@ -146,6 +146,26 @@ def test_grid_csv_shape(tmp_path, demo_grid):
     assert len(lines) == 1 + demo_grid.x_m.size * demo_grid.y_m.size
 
 
+def reference_grid_csv(grid, path):
+    """The per-pixel f-string writer that write_grid_csv must match byte for byte."""
+    ids = grid.best_server_ids()
+    with open(path, "w", newline="") as fh:
+        fh.write("x_m,y_m,best_server,rssi_dbm,sinr_db,throughput_mbps\n")
+        for iy in range(grid.y_m.size):
+            for ix in range(grid.x_m.size):
+                fh.write(f"{grid.x_m[ix]:.2f},{grid.y_m[iy]:.2f},{ids[iy, ix]},"
+                         f"{grid.rssi_dbm[iy, ix]:.2f},{grid.sinr_db[iy, ix]:.2f},"
+                         f"{grid.throughput_mbps[iy, ix]:.2f}\n")
+
+
+@pytest.mark.parametrize("which", ["demo", "interleaved"])
+def test_grid_csv_matches_reference(tmp_path, demo_grid, which):
+    grid = demo_grid if which == "demo" else compute_grid(interleaved_scenario())
+    write_grid_csv(grid, tmp_path / "got.csv")
+    reference_grid_csv(grid, tmp_path / "ref.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 def test_serving_mask_partition(demo_grid):
     total = np.zeros(demo_grid.shape, dtype=int)
     for sec in demo_grid.sector_ids:
@@ -247,8 +267,8 @@ def reference_grid(scenario, interferers_active):
     sinr = rsrp - 10.0 * np.log10(interference_lin)
 
     bw = np.asarray([b.bandwidth_mhz for b in scenario.bands])[serving_band]
-    caps = np.asarray([b.throughput_cap_mbps if b.throughput_cap_mbps
-                       else 1e12 for b in scenario.bands])[serving_band]
+    caps = np.asarray([1e12 if b.throughput_cap_mbps is None else b.throughput_cap_mbps
+                       for b in scenario.bands])[serving_band]
     tput = throughput_mbps(sinr, bw, caps)
 
     return CoverageGrid(

@@ -7,8 +7,8 @@ import pytest
 
 from rfplan.cli import demo_scenario_path
 from rfplan.errors import ScenarioParseError, ScenarioValidationError
-from rfplan.scenario import (Band, Interferer, Rect, Scenario, Sector, Site,
-                             load_scenario, save_scenario, validate)
+from rfplan.scenario import (FILE_DEFAULTS, Band, Interferer, Rect, Scenario,
+                             Sector, Site, load_scenario, save_scenario, validate)
 
 MINIMAL = {
     "environment": "UMa",
@@ -105,6 +105,23 @@ def test_save_load_round_trip(tmp_path, demo_scenario):
     save_scenario(demo_scenario, p)
     again = load_scenario(p)
     assert again == demo_scenario
+
+    bands = tuple(dataclasses.replace(b, throughput_cap_mbps=None)
+                  for b in demo_scenario.bands)
+    twin = dataclasses.replace(demo_scenario.twin, rtwp_baseline_dbm=None,
+                               load_offset_db=None)
+    all_none = dataclasses.replace(demo_scenario, bands=bands, twin=twin,
+                                   link_budget=None)
+    save_scenario(all_none, p)
+    assert load_scenario(p) == all_none
+
+
+def test_file_defaults_are_file_only():
+    # a field with its own dataclass default must not get a second one
+    for cls, defaults in FILE_DEFAULTS.items():
+        fields = {f.name: f for f in dataclasses.fields(cls)}
+        for name in defaults:
+            assert fields[name].default is dataclasses.MISSING, (cls, name)
 
 
 def test_interferer_active_intervals():
