@@ -15,7 +15,8 @@ from .planning import (LinkBudget, PlanResult, cell_radius_m,
                        max_allowed_pathloss_db, receiver_sensitivity_dbm,
                        required_site_count)
 from .coverage import (AntennaPattern, CoverageGrid, compute_grid,
-                       grid_summary, throughput_mbps, write_grid_csv)
+                       compute_grids, grid_summary, throughput_mbps,
+                       write_grid_csv)
 from .twin import (KpiBatch, KpiSeries, excess_over_baseline_db,
                    interference_at_cell_dbm, read_kpi_csv, synthesize_kpi,
                    write_kpi_csv)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -34,6 +35,13 @@ def _worker_count(text) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
     return n
+
+
+def _finite_float(text) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return x
 
 
 def demo_scenario_path() -> Path:
@@ -78,9 +86,10 @@ def _read_metrics(path) -> dict:
 
 
 def _write_json(path, data, verbose=False):
+    # NaN and Infinity are not JSON: fail before the file is opened
+    text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     if verbose:
         print(f"wrote {path}")
 
@@ -321,11 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario")
     p.add_argument("--baseline-window", type=int, default=15)
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--threshold", type=float, default=3.0)
+    p.add_argument("--threshold", type=_finite_float, default=3.0)
     p.add_argument("--metric", choices=twin.METRICS, default="RTWP")
     p.add_argument("--validate", default=None,
                    help="sealed ground-truth file to score localization against")
-    p.add_argument("--validation-radius", type=float, default=500.0)
+    p.add_argument("--validation-radius", type=_finite_float, default=500.0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_detect)
 

@@ -10,15 +10,20 @@ Determinism contract: for a fixed scenario seed the grid is bit-identical
 across repeated runs and across worker counts. Fields are computed one
 location (site or interferer) per task, with RNG streams keyed by
 transmitter id, and the reduction always runs in sorted sector order.
-No per-sector map outlives the reduction: the grid keeps per-pixel
-results, built from per-band linear sums.
+Each map is folded as soon as every lower sector id has been, and only a
+few locations are in flight, so the maps alive at once do not grow with
+the sector count. The grid keeps per-pixel results, built from per-band
+linear sums. compute_grids builds several scenarios' grids in one pass
+and computes a field they share once.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -83,44 +88,51 @@ def _pixel_centers(area, resolution_m):
     return x, y
 
 
-def _location_fields(scenario: Scenario, fading, X, Y, position, height_m,
+def _location_fields(scenario: Scenario, fading, x, y, position, height_m,
                      transmitters):
-    """Received power maps, dBm, of the transmitters at one location.
+    """Received power maps of the transmitters at one location, as
+    (dBm, linear mW) pairs.
 
     transmitters holds (tx_id, fc_ghz, eirp_dbm, pattern, azimuth_deg);
     pattern None is an omni antenna. Distance, bearing and LOS probability
     are computed once for the location, pathloss once per frequency. Each
     transmitter's LOS/NLOS condition is drawn once per pixel from the LOS
     probability and frozen by the scenario seed; shadow fading comes from
-    the stream keyed by the transmitter id.
+    the stream keyed by the transmitter id. Intermediate maps are dropped
+    or overwritten as soon as they are used, so a location holds few maps
+    besides the ones it returns.
     """
     env = scenario.environment
     h_ut = scenario.ut_profile.height_m
-    dx = X - position[0]
-    dy = Y - position[1]
-    d2d = np.maximum(np.hypot(dx, dy), propagation.D2D_MIN_M)
-    p_los = propagation.los_probability(d2d, h_ut, env)
     h_bs = max(height_m, 1.0)
+    dx, dy = np.meshgrid(x - position[0], y - position[1])
+    d2d = np.maximum(np.hypot(dx, dy), propagation.D2D_MIN_M)
+    bearing = (bearing_deg(dx, dy) if any(tx[3] is not None for tx in transmitters)
+               else None)
+    del dx, dy
+    p_los = propagation.los_probability(d2d, h_ut, env)
+    pathloss = {fc: [propagation.pathloss_db_clamped(d2d, fc, h_bs, h_ut, env, cond)
+                     for cond in ("LOS", "NLOS")]
+                for fc in {tx[1] for tx in transmitters}}
+    del d2d
     sigma_los = propagation.DEFAULT_SIGMA_SF_DB[(env, "LOS")]
     sigma_nlos = propagation.DEFAULT_SIGMA_SF_DB[(env, "NLOS")]
-    pathloss = {}
-    bearing = None
     fields = []
     for tx_id, fc_ghz, eirp_dbm, pattern, azimuth_deg in transmitters:
-        if fc_ghz not in pathloss:
-            pathloss[fc_ghz] = [propagation.pathloss_db_clamped(
-                d2d, fc_ghz, h_bs, h_ut, env, cond) for cond in ("LOS", "NLOS")]
+        # the pattern's temporaries come and go before the power map exists;
+        # x - 0.0 is x, bit for bit, so an omni antenna subtracts 0.0
+        att = 0.0 if pattern is None else pattern.attenuation_db(bearing - azimuth_deg)
         pl_los, pl_nlos = pathloss[fc_ghz]
         los = propagation.los_condition_mask(scenario.seed, tx_id, p_los)
-        pl = np.where(los, pl_los, pl_nlos)
-        sf_std = fading.standard_samples(tx_id, d2d.size).reshape(d2d.shape)
-        sf = sf_std * np.where(los, sigma_los, sigma_nlos)
-        power = eirp_dbm - pl - sf
-        if pattern is not None:
-            if bearing is None:
-                bearing = bearing_deg(dx, dy)
-            power = power - pattern.attenuation_db(bearing - azimuth_deg)
-        fields.append(power - scenario.ut_profile.body_loss_db)
+        sf = fading.standard_samples(tx_id, p_los.size).reshape(p_los.shape)
+        sf *= np.where(los, sigma_los, sigma_nlos)
+        power = np.where(los, pl_los, pl_nlos)
+        np.subtract(eirp_dbm, power, out=power)          # eirp - pl - sf - att
+        power -= sf
+        power -= att
+        power -= scenario.ut_profile.body_loss_db
+        del sf, att
+        fields.append((power, 10.0 ** (power / 10.0)))
     return fields
 
 
@@ -143,85 +155,163 @@ def compute_grid(scenario: Scenario, interferers_active: bool = True,
     RSSI and SINR; the serving-signal side is unaffected, which isolates
     interference effects in before/after comparisons.
     """
+    return compute_grids((scenario,), interferers_active, n_workers)[0]
+
+
+def compute_grids(scenarios, interferers_active: bool = True,
+                  n_workers: int = 1) -> list[CoverageGrid]:
+    """Coverage grids of several scenarios, in order, from shared field passes.
+
+    Scenarios with the same area, resolution, seed, environment and UT
+    profile share one pass: a transmitter found in several of them, with
+    the same position, frequency, EIRP and antenna, has its field computed
+    once. Each grid is bitwise what compute_grid gives for its scenario.
+    """
     if n_workers < 1:
         raise InputError(f"n_workers must be >= 1, got {n_workers}")
-    x, y = _pixel_centers(scenario.area, scenario.grid_resolution_m)
-    X, Y = np.meshgrid(x, y)
-    fading = propagation.ShadowFadingField(seed=scenario.seed)
-
-    def freq(band_ref):
-        return scenario.band_by_id(band_ref).center_freq_ghz
-
-    # one field pass per location; an interferer is a location with one
-    # omni transmitter, and its field is only computed when it counts
-    interferers = scenario.interferers if interferers_active else ()
-    locations = [
-        (site.position, site.height_m,
-         [(sec.id, freq(sec.band_ref), sec.tx_power_dbm + sec.antenna_gain_dbi,
-           AntennaPattern(sec.beamwidth_3db_deg, sec.front_to_back_db),
-           sec.azimuth_deg) for sec in site.sectors])
-        for site in scenario.sites]
-    locations += [(intf.position, intf.height_m,
-                   [(intf.id, freq(intf.band_ref), intf.tx_power_dbm, None, 0.0)])
-                  for intf in interferers]
+    scenarios = list(scenarios)
+    passes: dict[tuple, list[int]] = {}
+    for k, sc in enumerate(scenarios):
+        key = (sc.area, sc.grid_resolution_m, sc.seed, sc.environment, sc.ut_profile)
+        passes.setdefault(key, []).append(k)
+    grids = [None] * len(scenarios)
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        per_location = list(pool.map(
-            lambda loc: _location_fields(scenario, fading, X, Y, *loc), locations))
-    n_sites = len(scenario.sites)
-    fields = [f for fs in per_location[:n_sites] for f in fs]   # scenario order
-    ext_fields = [f for fs in per_location[n_sites:] for f in fs]
-    del per_location
+        for members in passes.values():
+            folds = [_Fold(scenarios[k], interferers_active) for k in members]
+            _field_pass(folds, pool, 2 * n_workers)
+            for k, fold in zip(members, folds):
+                grids[k] = fold.grid()
+    return grids
 
-    sectors = [sec for _, sec in scenario.sectors()]
-    order = sorted(range(len(sectors)), key=lambda i: sectors[i].id)
-    sector_ids = [sectors[i].id for i in order]
-    sector_band = [sectors[i].band_ref for i in order]
-    band_ids = [b.id for b in scenario.bands]
-    band_index = {b: i for i, b in enumerate(band_ids)}
 
-    # Fixed-order reductions keep results independent of worker count. The
-    # strict > keeps the first maximum, so ties go to the lowest sector id.
-    band_signal_lin = np.zeros((len(band_ids),) + X.shape)
-    rsrp = np.full(X.shape, -np.inf)                  # serving-sector power
-    best = np.zeros(X.shape, dtype=np.intp)
-    for s, i in enumerate(order):
-        power, fields[i] = fields[i], None            # freed once folded
-        band_signal_lin[band_index[sector_band[s]]] += 10.0 ** (power / 10.0)
-        better = power > rsrp
-        np.copyto(rsrp, power, where=better)
-        best[better] = s
+class _Fold:
+    """One scenario's reduction, fed transmitter maps in a fixed order.
 
-    band_ext_lin = np.zeros_like(band_signal_lin)
-    for intf, f in zip(interferers, ext_fields):
-        band_ext_lin[band_index[intf.band_ref]] += 10.0 ** (f / 10.0)
+    The order is the sectors by sorted id, then the active interferers as
+    the scenario lists them. Sectors add to a linear-power sum per band and
+    a running best server; the strict > keeps the first maximum, so ties
+    go to the lowest sector id. Interferers add to a per-band sum of their
+    own. The fixed order keeps results independent of worker count.
+    """
 
-    noise_lin = np.array([
-        10.0 ** (noise_floor_dbm(b.bandwidth_mhz,
-                                 scenario.ut_profile.noise_figure_db) / 10.0)
-        for b in scenario.bands])
+    def __init__(self, scenario: Scenario, interferers_active: bool):
+        self.scenario = scenario
+        self.x, self.y = _pixel_centers(scenario.area, scenario.grid_resolution_m)
+        shape = (self.y.size, self.x.size)
+        self.band_index = {b.id: i for i, b in enumerate(scenario.bands)}
 
-    s_lin = 10.0 ** (rsrp / 10.0)
-    serving_band = np.asarray([band_index[b] for b in sector_band])[best]
-    tot_lin = np.take_along_axis(band_signal_lin, serving_band[None], axis=0)[0]
-    ext_lin = np.take_along_axis(band_ext_lin, serving_band[None], axis=0)[0]
-    n_lin = noise_lin[serving_band]
+        def freq(band_ref):
+            return scenario.band_by_id(band_ref).center_freq_ghz
 
-    rssi = 10.0 * np.log10(tot_lin + ext_lin + n_lin)
-    interference_lin = np.maximum(tot_lin - s_lin, 0.0) + ext_lin + n_lin
-    sinr = rsrp - 10.0 * np.log10(interference_lin)
+        sectors = sorted(scenario.sectors(), key=lambda p: p[1].id)
+        self.sector_ids = [sec.id for _, sec in sectors]
+        self.sector_band = [sec.band_ref for _, sec in sectors]
+        # ((location, transmitter), band index, sorted index or None); a
+        # location is (position, height), a transmitter what
+        # _location_fields takes, and an interferer an omni transmitter
+        self.order = [
+            (((tuple(site.position), site.height_m),
+              (sec.id, freq(sec.band_ref), sec.tx_power_dbm + sec.antenna_gain_dbi,
+               AntennaPattern(sec.beamwidth_3db_deg, sec.front_to_back_db),
+               sec.azimuth_deg)), self.band_index[sec.band_ref], s)
+            for s, (site, sec) in enumerate(sectors)]
+        self.order += [
+            (((tuple(intf.position), intf.height_m),
+              (intf.id, freq(intf.band_ref), intf.tx_power_dbm, None, 0.0)),
+             self.band_index[intf.band_ref], None)
+            for intf in (scenario.interferers if interferers_active else ())]
+        self.done = 0
+        self.band_signal_lin = np.zeros((len(self.band_index),) + shape)
+        self.band_ext_lin = np.zeros_like(self.band_signal_lin)
+        self.rsrp = np.full(shape, -np.inf)               # serving-sector power
+        self.best = np.zeros(shape, dtype=np.intp)
 
-    bw = np.asarray([b.bandwidth_mhz for b in scenario.bands])[serving_band]
-    # uncapped bands get a cap far above any achievable Shannon rate
-    caps = np.asarray([1e12 if b.throughput_cap_mbps is None else b.throughput_cap_mbps
-                       for b in scenario.bands])[serving_band]
-    tput = throughput_mbps(sinr, bw, caps)
-    covered = rsrp >= COVERAGE_FLOOR_DBM
+    def advance(self, ready: dict) -> list:
+        """Fold the maps next in order that are ready; return their keys."""
+        used = []
+        while self.done < len(self.order) and self.order[self.done][0] in ready:
+            key, b, s = self.order[self.done]
+            power, power_lin = ready[key]
+            if s is None:
+                self.band_ext_lin[b] += power_lin
+            else:
+                self.band_signal_lin[b] += power_lin
+                better = power > self.rsrp
+                np.copyto(self.rsrp, power, where=better)
+                self.best[better] = s
+            used.append(key)
+            self.done += 1
+        return used
 
-    return CoverageGrid(
-        x_m=x, y_m=y, resolution_m=scenario.grid_resolution_m,
-        sector_ids=sector_ids, sector_band=sector_band, best_server=best,
-        rsrp_dbm=rsrp, rssi_dbm=rssi, sinr_db=sinr, throughput_mbps=tput,
-        covered=covered)
+    def grid(self) -> CoverageGrid:
+        """The per-pixel results, once every map has been folded."""
+        scenario, rsrp, best = self.scenario, self.rsrp, self.best
+        noise_lin = np.array([
+            10.0 ** (noise_floor_dbm(b.bandwidth_mhz,
+                                     scenario.ut_profile.noise_figure_db) / 10.0)
+            for b in scenario.bands])
+
+        s_lin = 10.0 ** (rsrp / 10.0)
+        serving_band = np.asarray([self.band_index[b] for b in self.sector_band])[best]
+        tot_lin = np.take_along_axis(self.band_signal_lin, serving_band[None], axis=0)[0]
+        ext_lin = np.take_along_axis(self.band_ext_lin, serving_band[None], axis=0)[0]
+        n_lin = noise_lin[serving_band]
+
+        rssi = 10.0 * np.log10(tot_lin + ext_lin + n_lin)
+        interference_lin = np.maximum(tot_lin - s_lin, 0.0) + ext_lin + n_lin
+        sinr = rsrp - 10.0 * np.log10(interference_lin)
+
+        bw = np.asarray([b.bandwidth_mhz for b in scenario.bands])[serving_band]
+        # uncapped bands get a cap far above any achievable Shannon rate
+        caps = np.asarray([1e12 if b.throughput_cap_mbps is None else b.throughput_cap_mbps
+                           for b in scenario.bands])[serving_band]
+        tput = throughput_mbps(sinr, bw, caps)
+        covered = rsrp >= COVERAGE_FLOOR_DBM
+
+        return CoverageGrid(
+            x_m=self.x, y_m=self.y, resolution_m=scenario.grid_resolution_m,
+            sector_ids=self.sector_ids, sector_band=self.sector_band,
+            best_server=best, rsrp_dbm=rsrp, rssi_dbm=rssi, sinr_db=sinr,
+            throughput_mbps=tput, covered=covered)
+
+
+def _field_pass(folds: list[_Fold], pool, depth: int) -> None:
+    """Compute every map the folds need, once each, and fold it as it comes.
+
+    The folds' scenarios share area, resolution, seed, environment and UT
+    profile, so a (location, transmitter) key names one map for all of
+    them. Locations go to the pool in the order their maps are first
+    needed, at most depth at a time; a map is dropped once every fold that
+    needs it has folded it.
+    """
+    first, x, y = folds[0].scenario, folds[0].x, folds[0].y
+    fading = propagation.ShadowFadingField(seed=first.seed)
+
+    rank: dict[tuple, int] = {}
+    refs: dict[tuple, int] = {}
+    for fold in folds:
+        for r, (key, _, _) in enumerate(fold.order):
+            rank[key] = min(r, rank.get(key, r))
+            refs[key] = refs.get(key, 0) + 1
+    locations: dict[tuple, list] = {}
+    for loc, tx in sorted(rank, key=rank.__getitem__):
+        locations.setdefault(loc, []).append(tx)
+
+    def fields(loc, transmitters):
+        maps = _location_fields(first, fading, x, y, *loc, transmitters)
+        return [((loc, tx), m) for tx, m in zip(transmitters, maps)]
+
+    ready: dict[tuple, tuple] = {}
+    pending = iter(locations.items())
+    in_flight = deque(pool.submit(fields, *item) for item in islice(pending, depth))
+    while in_flight:
+        ready.update(in_flight.popleft().result())
+        in_flight.extend(pool.submit(fields, *item) for item in islice(pending, 1))
+        for fold in folds:
+            for key in fold.advance(ready):
+                refs[key] -= 1
+                if not refs[key]:
+                    del ready[key]
 
 
 def _stats(grid: CoverageGrid, mask: np.ndarray) -> dict:

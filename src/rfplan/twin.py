@@ -110,8 +110,9 @@ def synthesize_kpi(scenario: Scenario, duration_s: float, dt_s: float,
     keyed by cell id so generation order (or parallel scheduling) cannot
     change the result.
     """
-    if dt_s <= 0 or duration_s < dt_s:
-        raise InputError("duration_s must be >= dt_s and dt_s > 0")
+    if not 0 < dt_s <= duration_s < math.inf:         # false for NaN too
+        raise InputError(f"duration_s and dt_s must be finite with 0 < dt_s "
+                         f"<= duration_s, got {duration_s} and {dt_s}")
     if not scenario.sites:
         raise InputError("scenario has no sectors")
     seed = scenario.seed if seed is None else seed

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from rfplan.cli import demo_scenario_path, main
+from rfplan.cli import _write_json, demo_scenario_path, main
 
 DEMO = str(demo_scenario_path())
 
@@ -131,6 +131,40 @@ def test_twin_step_must_be_a_tenth(capsys, tmp_path, dt, code):
     assert run(capsys, "twin", DEMO, "--duration", "30", "--dt", dt,
                "--out", str(out))[0] == code
     assert out.exists() == (code == 0)
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--duration", "nan"), ("--duration", "inf"), ("--dt", "nan"),
+    ("--dt", "inf"), ("--dt", "-inf")])
+def test_twin_non_finite_duration_exits_one(capsys, tmp_path, flag, value):
+    out = tmp_path / "kpi.csv"
+    code, _, err = run(capsys, "twin", DEMO, f"{flag}={value}", "--out", str(out))
+    assert code == 1
+    assert "finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--threshold", "--validation-radius"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_detect_non_finite_flag_exits_one(capsys, tmp_path, flag, value):
+    kpi = tmp_path / "kpi.csv"
+    assert run(capsys, "twin", DEMO, "--out", str(kpi))[0] == 0
+    det = tmp_path / "detection.json"
+    code, _, err = run(capsys, "detect", str(kpi), DEMO,
+                       "--validate", str(tmp_path / "kpi.csv.truth.json"),
+                       f"{flag}={value}", "--out", str(det))
+    assert code == 1
+    assert flag in err and "finite" in err
+    assert not det.exists()
+
+
+def test_json_output_rejects_non_finite_numbers(tmp_path):
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError):
+        _write_json(path, {"x": float("nan")})
+    assert not path.exists()
+    _write_json(path, {"x": 1.5})
+    assert json.loads(path.read_text()) == {"x": 1.5}
 
 
 def test_detect_recommend_report_loop(capsys, tmp_path):

@@ -2,17 +2,18 @@
 
 import dataclasses
 import filecmp
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from rfplan import propagation
+from rfplan import coverage, propagation
 from rfplan.coverage import (AntennaPattern, CoverageGrid, _pixel_centers,
-                             bearing_deg, compute_grid, grid_summary,
-                             throughput_mbps, write_grid_csv)
+                             bearing_deg, compute_grid, compute_grids,
+                             grid_summary, throughput_mbps, write_grid_csv)
 from rfplan.detect import run_detection
 from rfplan.errors import InputError
-from rfplan.mitigate import apply, recommend
+from rfplan.mitigate import Recommendation, apply, recommend
 from rfplan.planning import noise_floor_dbm
 from rfplan.scenario import Band, Interferer, Rect, Scenario, Sector, Site
 
@@ -280,7 +281,10 @@ def reference_grid(scenario, interferers_active):
 
 def assert_matches_reference(scenario, interferers_active, n_workers):
     got = compute_grid(scenario, interferers_active, n_workers=n_workers)
-    ref = reference_grid(scenario, interferers_active)
+    assert_same_grid(got, reference_grid(scenario, interferers_active))
+
+
+def assert_same_grid(got, ref):
     assert got.sector_ids == ref.sector_ids
     assert got.sector_band == ref.sector_band
     assert got.resolution_m == ref.resolution_m
@@ -337,3 +341,94 @@ def test_grid_matches_reference_with_interferers(active):
         Interferer("J1", (600.0, 300.0), 1.5, 20.0, "n78", ((0.0, 1e9),)),
         Interferer("J2", (1100.0, 800.0), 1.5, 25.0, "n77", ((0.0, 1e9),))))
     assert_matches_reference(sc, active, 2)
+
+
+# --- shared passes: compute_grids against separate compute_grid calls -----
+
+JAMMERS = (Interferer("J1", (600.0, 300.0), 1.5, 20.0, "n78", ((0.0, 1e9),)),
+           Interferer("J2", (1100.0, 800.0), 1.5, 25.0, "n77", ((0.0, 1e9),)))
+
+# the scenario sizes of the field passes each pair takes
+PAIR_PASSES = {"demo_mitigated": [2], "interleaved_moved": [2],
+               "other_seed": [1, 1], "other_interferers": [2]}
+
+
+def scenario_pair(case, demo_scenario, demo_batch):
+    if case == "demo_mitigated":
+        detection = run_detection(demo_batch, 15, k=2, seed=demo_scenario.seed)
+        return demo_scenario, apply(demo_scenario, recommend(demo_scenario, detection))
+    pre = interleaved_scenario(JAMMERS)
+    if case == "interleaved_moved":          # sector c to its site's other band
+        return pre, apply(pre, Recommendation((("c", "n78", "n77"),), "move c"))
+    if case == "other_seed":
+        return pre, dataclasses.replace(pre, seed=pre.seed + 1)
+    return pre, dataclasses.replace(pre, interferers=JAMMERS[1:])
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("active", [True, False])
+@pytest.mark.parametrize("case", sorted(PAIR_PASSES))
+def test_compute_grids_matches_separate_calls(monkeypatch, demo_scenario,
+                                              demo_batch, case, active, workers):
+    pre, post = scenario_pair(case, demo_scenario, demo_batch)
+    separate = [compute_grid(sc, active, n_workers=workers) for sc in (pre, post)]
+    passes, field_pass = [], coverage._field_pass
+
+    def counted(folds, *args):
+        passes.append(len(folds))
+        return field_pass(folds, *args)
+
+    monkeypatch.setattr(coverage, "_field_pass", counted)
+    got = compute_grids([pre, post], active, n_workers=workers)
+    assert passes == PAIR_PASSES[case]
+    assert len(got) == 2
+    for g, ref in zip(got, separate):
+        assert_same_grid(g, ref)
+
+
+def test_shared_pass_computes_each_transmitter_once(monkeypatch):
+    pre, post = scenario_pair("interleaved_moved", None, None)
+    computed, location_fields = [], coverage._location_fields
+
+    def counted(scenario, fading, x, y, position, height_m, transmitters):
+        computed.extend(tx[0] for tx in transmitters)
+        return location_fields(scenario, fading, x, y, position, height_m,
+                               transmitters)
+
+    monkeypatch.setattr(coverage, "_location_fields", counted)
+    compute_grids([pre, post, pre], True, n_workers=2)
+    # five sectors, sector c once more at its new band, two jammers
+    assert sorted(computed) == ["J1", "J2", "a", "b", "c", "c", "d", "e"]
+
+
+def test_compute_grids_keeps_input_order_across_passes(demo_scenario):
+    other = dataclasses.replace(demo_scenario, seed=demo_scenario.seed + 1)
+    got = compute_grids([demo_scenario, other, demo_scenario], True)
+    assert_same_grid(got[0], got[2])
+    assert_same_grid(got[1], compute_grid(other, True))
+
+
+def test_grid_peak_memory_is_not_a_map_per_sector():
+    """The fold streams, so the traced peak of a 36-site, 108-sector grid
+    stays below a quarter of one float64 map per sector. Sites alternate
+    between two bands, and a jammer is on."""
+    sites = tuple(
+        Site(f"S{i:02d}", (400.0 + 640.0 * (i % 6), 400.0 + 640.0 * (i // 6)), 25.0,
+             tuple(Sector(id=f"S{i:02d}_{k}", azimuth_deg=120.0 * k,
+                          band_ref=("n78", "n77")[i % 2], tx_power_dbm=40.0)
+                   for k in range(3)))
+        for i in range(36))
+    sc = Scenario(name="grid-36", area=Rect(0, 0, 4000, 4000), environment="UMa",
+                  sites=sites, interferers=JAMMERS[:1],
+                  bands=(Band("n78", 3.5, 100.0), Band("n77", 3.9, 40.0)),
+                  grid_resolution_m=25.0, seed=5)
+    compute_grid(isolated_scenario(), True)      # first-call imports and caches
+    tracemalloc.start()
+    try:
+        grid = compute_grid(sc, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    map_bytes = grid.rsrp_dbm.nbytes
+    assert grid.shape == (160, 160)
+    assert peak < len(sc.sector_ids) * map_bytes / 4

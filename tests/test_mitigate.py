@@ -2,11 +2,14 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from rfplan.detect import DetectionResult, run_detection
 from rfplan.errors import InputError
-from rfplan.mitigate import Recommendation, apply, recommend, verify
+from rfplan.mitigate import (Recommendation, VerificationVerdict, apply,
+                             recommend, verify)
+from test_coverage import interleaved_scenario, reference_grid
 
 
 def detection_for(cells, excess=6.0):
@@ -104,3 +107,40 @@ def test_verify_demo_loop(demo_scenario, demo_batch):
     assert v.improved
     assert v.delta_db > 3.0
     assert v.residual_affected == ()
+
+
+def reference_verify(pre_scenario, post_scenario, affected_sectors):
+    """verify on two separately built reference grids."""
+    affected = sorted(affected_sectors)
+    grid_pre = reference_grid(pre_scenario, True)
+    grid_post = reference_grid(post_scenario, True)
+    mask = grid_pre.serving_mask(affected)
+    pre_mean = float(np.mean(grid_pre.sinr_db[mask]))
+    post_mean = float(np.mean(grid_post.sinr_db[mask]))
+    residual = []
+    for sec in affected:
+        m = grid_pre.serving_mask([sec])
+        if np.any(m) and float(np.mean(grid_post.sinr_db[m])
+                               - np.mean(grid_pre.sinr_db[m])) <= 0:
+            residual.append(sec)
+    return VerificationVerdict(
+        pre_mean_sinr_db=pre_mean, post_mean_sinr_db=post_mean,
+        delta_db=post_mean - pre_mean, improved=post_mean > pre_mean,
+        residual_affected=tuple(residual),
+        affected_pixel_count=int(np.sum(mask)))
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("case", ["demo", "interleaved"])
+def test_verify_matches_two_grid_reference(demo_scenario, demo_batch, case,
+                                           workers):
+    if case == "demo":
+        det = run_detection(demo_batch, baseline_window=15)
+        pre, affected = demo_scenario, det.affected_cells
+        post = apply(pre, recommend(pre, det))
+    else:
+        pre, affected = interleaved_scenario(), ("c", "e")
+        post = apply(pre, Recommendation((("c", "n78", "n77"),), "move c"))
+    got = verify(pre, post, affected, n_workers=workers)
+    assert got.affected_pixel_count > 0
+    assert got == reference_verify(pre, post, affected)

@@ -102,6 +102,14 @@ def test_sample_count():
         synthesize_kpi(small_scenario(), 10.0, 60.0)
 
 
+@pytest.mark.parametrize("duration, dt", [
+    (math.nan, 60.0), (3600.0, math.nan), (math.inf, 60.0),
+    (math.inf, math.inf), (3600.0, -math.inf), (3600.0, 0.0)])
+def test_non_finite_or_empty_timing_rejected(duration, dt):
+    with pytest.raises(InputError, match="finite"):
+        synthesize_kpi(small_scenario(), duration, dt)
+
+
 def test_deterministic_given_seed(demo_scenario):
     a = synthesize_kpi(demo_scenario, 1800.0, 60.0, seed=9)
     b = synthesize_kpi(demo_scenario, 1800.0, 60.0, seed=9)
