@@ -25,6 +25,7 @@ from .detect import (ClusterResult, DetectionResult, FeatureVector,
                      normalize_features, run_detection)
 from .localize import (LocalizationEstimate, pathloss_lsq,
                        validate_localization, weighted_centroid)
-from .mitigate import Recommendation, VerificationVerdict, apply, recommend, verify
+from .mitigate import (Recommendation, VerificationVerdict, apply, compare,
+                       recommend, verify)
 
 __version__ = "0.1.0"

@@ -9,7 +9,9 @@ is file-in/file-out and deterministic given --seed. Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import sys
@@ -130,12 +132,18 @@ def cmd_simulate(args) -> int:
     grid = coverage.compute_grid(scenario,
                                  interferers_active=args.interference == "on",
                                  n_workers=args.workers)
-    path = _out(args, "grid.csv")
+    _write_simulation(args, scenario, grid, args.interference,
+                      _out(args, "grid.csv"))
+    return 0
+
+
+def _write_simulation(args, scenario, grid, interference, path) -> None:
+    """simulate's outputs: the grid CSV, its summary file and one line."""
     coverage.write_grid_csv(grid, path)
     summary = coverage.grid_summary(grid)
     summary_doc = {
         "scenario": scenario.name,
-        "interference": args.interference,
+        "interference": interference,
         "summary": summary,
         "metrics": report.sim_metrics(scenario, summary),
     }
@@ -145,7 +153,6 @@ def cmd_simulate(args) -> int:
           f"{summary['covered_fraction']:.1%}, mean RSSI "
           f"{ov['rssi_dbm']['mean']:.1f} dBm, mean SINR "
           f"{ov['sinr_db']['mean']:.1f} dB")
-    return 0
 
 
 def cmd_twin(args) -> int:
@@ -214,25 +221,30 @@ def cmd_recommend(args) -> int:
     scenario = _load(args)
     result = _read_detection(args.detection_json)
     rec = mitigate.recommend(scenario, result)
+    verdict = (mitigate.verify(scenario, mitigate.apply(scenario, rec),
+                               result.affected_cells, n_workers=args.workers)
+               if rec.changes else None)
+    _write_recommendation(args, scenario, rec, verdict)
+    return 0
+
+
+def _write_recommendation(args, scenario, rec, verdict) -> None:
+    """recommend's outputs: one line and the recommendation file; verdict
+    is None when the recommendation changes nothing."""
     doc = {
         "scenario": scenario.name,
         "rationale": rec.rationale,
         "expected_effect_db": rec.expected_effect_db,
         "changes": {sec: new for sec, _old, new in rec.changes},
+        "verification": None if verdict is None else dataclasses.asdict(verdict),
     }
-    if rec.changes:
-        post = mitigate.apply(scenario, rec)
-        verdict = mitigate.verify(scenario, post, result.affected_cells,
-                                  n_workers=args.workers)
-        doc["verification"] = dataclasses.asdict(verdict)
+    if verdict is None:
+        print(f"no-op: {rec.rationale}")
+    else:
         print(f"{len(rec.changes)} change(s); SINR "
               f"{verdict.pre_mean_sinr_db:.1f} -> {verdict.post_mean_sinr_db:.1f} dB "
               f"({'improved' if verdict.improved else 'NOT improved'})")
-    else:
-        doc["verification"] = None
-        print(f"no-op: {rec.rationale}")
     _write_json(_out(args, "recommendation.json"), doc, args.verbose)
-    return 0
 
 
 def cmd_report(args) -> int:
@@ -247,6 +259,14 @@ def cmd_report(args) -> int:
 
 
 def cmd_demo(args) -> int:
+    """The whole loop on the bundled scenario. Its output is that of plan,
+    simulate (off, then on), twin, detect, recommend and report run one
+    after another into one directory.
+
+    Twin, detect and the recommendation never read a grid, so they run
+    first, with their lines held back until the simulate section has
+    printed. The off, on and mitigated grids then come from one field pass.
+    """
     out_dir = Path(args.out_dir or "demo_out")
     out_dir.mkdir(parents=True, exist_ok=True)
     ns = argparse.Namespace(**vars(args))
@@ -258,29 +278,41 @@ def cmd_demo(args) -> int:
     ns.band, ns.condition = None, "NLOS"
     cmd_plan(ns)
 
+    held = io.StringIO()
+    with contextlib.redirect_stdout(held):
+        print("== twin ==")
+        ns.out = str(out_dir / "kpi.csv")
+        ns.duration, ns.dt = 3600.0, 60.0
+        cmd_twin(ns)
+
+        print("== detect ==")
+        ns.kpi_csv = str(out_dir / "kpi.csv")
+        ns.baseline_window, ns.k, ns.threshold, ns.metric = 15, 2, 3.0, "RTWP"
+        ns.validate = str(out_dir / "kpi.csv.truth.json")
+        ns.validation_radius = 500.0
+        ns.out = str(out_dir / "detection.json")
+        cmd_detect(ns)
+
+    scenario = _load(ns)
+    result = _read_detection(out_dir / "detection.json")   # as rfplan recommend does
+    rec = mitigate.recommend(scenario, result)
+    # without its interferers, the scenario gives simulate --interference off's grid
+    scenarios = [dataclasses.replace(scenario, interferers=()), scenario]
+    if rec.changes:
+        scenarios.append(mitigate.apply(scenario, rec))
+    grids = coverage.compute_grids(scenarios, interferers_active=True,
+                                   n_workers=ns.workers)
+
     print("== simulate (interference off / on) ==")
-    for mode in ("off", "on"):
-        ns.interference = mode
-        ns.out = str(out_dir / f"grid_{mode}.csv")
-        cmd_simulate(ns)
-
-    print("== twin ==")
-    ns.out = str(out_dir / "kpi.csv")
-    ns.duration, ns.dt = 3600.0, 60.0
-    cmd_twin(ns)
-
-    print("== detect ==")
-    ns.kpi_csv = str(out_dir / "kpi.csv")
-    ns.baseline_window, ns.k, ns.threshold, ns.metric = 15, 2, 3.0, "RTWP"
-    ns.validate = str(out_dir / "kpi.csv.truth.json")
-    ns.validation_radius = 500.0
-    ns.out = str(out_dir / "detection.json")
-    cmd_detect(ns)
+    for mode, grid in zip(("off", "on"), grids):
+        _write_simulation(ns, scenario, grid, mode, out_dir / f"grid_{mode}.csv")
+    sys.stdout.write(held.getvalue())
 
     print("== recommend ==")
-    ns.detection_json = str(out_dir / "detection.json")
     ns.out = str(out_dir / "recommendation.json")
-    cmd_recommend(ns)
+    verdict = (mitigate.compare(grids[1], grids[2], result.affected_cells)
+               if rec.changes else None)
+    _write_recommendation(ns, scenario, rec, verdict)
 
     print("== report ==")
     ns.sim_summary = str(out_dir / "grid_on.csv.summary.json")

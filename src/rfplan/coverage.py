@@ -13,8 +13,9 @@ transmitter id, and the reduction always runs in sorted sector order.
 Each map is folded as soon as every lower sector id has been, and only a
 few locations are in flight, so the maps alive at once do not grow with
 the sector count. The grid keeps per-pixel results, built from per-band
-linear sums. compute_grids builds several scenarios' grids in one pass
-and computes a field they share once.
+linear sums. compute_grids builds several scenarios' grids in one pass;
+a field they share is computed once and a sector fold they share is
+folded once.
 """
 
 from __future__ import annotations
@@ -111,8 +112,7 @@ def _location_fields(scenario: Scenario, fading, x, y, position, height_m,
                else None)
     del dx, dy
     p_los = propagation.los_probability(d2d, h_ut, env)
-    pathloss = {fc: [propagation.pathloss_db_clamped(d2d, fc, h_bs, h_ut, env, cond)
-                     for cond in ("LOS", "NLOS")]
+    pathloss = {fc: propagation.pathloss_los_nlos_db_clamped(d2d, fc, h_bs, h_ut, env)
                 for fc in {tx[1] for tx in transmitters}}
     del d2d
     sigma_los = propagation.DEFAULT_SIGMA_SF_DB[(env, "LOS")]
@@ -165,7 +165,9 @@ def compute_grids(scenarios, interferers_active: bool = True,
     Scenarios with the same area, resolution, seed, environment and UT
     profile share one pass: a transmitter found in several of them, with
     the same position, frequency, EIRP and antenna, has its field computed
-    once. Each grid is bitwise what compute_grid gives for its scenario.
+    once, and scenarios with the same sectors share one sector fold (their
+    grids then share the best_server and rsrp_dbm arrays). Each grid is
+    bitwise what compute_grid gives for its scenario.
     """
     if n_workers < 1:
         raise InputError(f"n_workers must be >= 1, got {n_workers}")
@@ -180,24 +182,56 @@ def compute_grids(scenarios, interferers_active: bool = True,
             folds = [_Fold(scenarios[k], interferers_active) for k in members]
             _field_pass(folds, pool, 2 * n_workers)
             for k, fold in zip(members, folds):
-                grids[k] = fold.grid()
+                grids[k] = fold.grid()              # frees sums no later fold needs
     return grids
+
+
+class _Sum:
+    """Per-band linear sums of transmitter maps, fed in a fixed order.
+
+    entries are ((location, transmitter), band index, sorted index), the
+    index None for an interferer. A sum built with serving=True also keeps
+    a running RSRP and best server; the strict > keeps the first maximum,
+    so ties go to the lowest sector id.
+    """
+
+    def __init__(self, entries: tuple, n_bands: int, shape: tuple, serving: bool):
+        self.entries, self.done = entries, 0
+        self.lin = np.zeros((n_bands,) + shape)
+        if serving:
+            self.rsrp = np.full(shape, -np.inf)           # serving-sector power
+            self.best = np.zeros(shape, dtype=np.intp)
+
+    def advance(self, ready: dict) -> list:
+        """Fold the maps next in order that are ready; return their keys."""
+        used = []
+        while self.done < len(self.entries) and self.entries[self.done][0] in ready:
+            key, b, s = self.entries[self.done]
+            power, power_lin = ready[key]
+            self.lin[b] += power_lin
+            if s is not None:
+                better = power > self.rsrp
+                np.copyto(self.rsrp, power, where=better)
+                self.best[better] = s
+            used.append(key)
+            self.done += 1
+        return used
 
 
 class _Fold:
     """One scenario's reduction, fed transmitter maps in a fixed order.
 
-    The order is the sectors by sorted id, then the active interferers as
-    the scenario lists them. Sectors add to a linear-power sum per band and
-    a running best server; the strict > keeps the first maximum, so ties
-    go to the lowest sector id. Interferers add to a per-band sum of their
-    own. The fixed order keeps results independent of worker count.
+    The order is the sectors by sorted id into one _Sum, then the active
+    interferers, as the scenario lists them, into another. Scenarios of a
+    pass whose entries are equal share that _Sum: an interference-free copy
+    of a scenario shares its sector sum, best server and RSRP, and a
+    mitigated copy its interferer sum. The fixed order keeps results
+    independent of worker count.
     """
 
     def __init__(self, scenario: Scenario, interferers_active: bool):
         self.scenario = scenario
         self.x, self.y = _pixel_centers(scenario.area, scenario.grid_resolution_m)
-        shape = (self.y.size, self.x.size)
         self.band_index = {b.id: i for i, b in enumerate(scenario.bands)}
 
         def freq(band_ref):
@@ -206,46 +240,30 @@ class _Fold:
         sectors = sorted(scenario.sectors(), key=lambda p: p[1].id)
         self.sector_ids = [sec.id for _, sec in sectors]
         self.sector_band = [sec.band_ref for _, sec in sectors]
-        # ((location, transmitter), band index, sorted index or None); a
-        # location is (position, height), a transmitter what
+        # a location is (position, height), a transmitter what
         # _location_fields takes, and an interferer an omni transmitter
-        self.order = [
+        self.signal_entries = tuple(
             (((tuple(site.position), site.height_m),
               (sec.id, freq(sec.band_ref), sec.tx_power_dbm + sec.antenna_gain_dbi,
                AntennaPattern(sec.beamwidth_3db_deg, sec.front_to_back_db),
                sec.azimuth_deg)), self.band_index[sec.band_ref], s)
-            for s, (site, sec) in enumerate(sectors)]
-        self.order += [
+            for s, (site, sec) in enumerate(sectors))
+        self.external_entries = tuple(
             (((tuple(intf.position), intf.height_m),
               (intf.id, freq(intf.band_ref), intf.tx_power_dbm, None, 0.0)),
              self.band_index[intf.band_ref], None)
-            for intf in (scenario.interferers if interferers_active else ())]
-        self.done = 0
-        self.band_signal_lin = np.zeros((len(self.band_index),) + shape)
-        self.band_ext_lin = np.zeros_like(self.band_signal_lin)
-        self.rsrp = np.full(shape, -np.inf)               # serving-sector power
-        self.best = np.zeros(shape, dtype=np.intp)
-
-    def advance(self, ready: dict) -> list:
-        """Fold the maps next in order that are ready; return their keys."""
-        used = []
-        while self.done < len(self.order) and self.order[self.done][0] in ready:
-            key, b, s = self.order[self.done]
-            power, power_lin = ready[key]
-            if s is None:
-                self.band_ext_lin[b] += power_lin
-            else:
-                self.band_signal_lin[b] += power_lin
-                better = power > self.rsrp
-                np.copyto(self.rsrp, power, where=better)
-                self.best[better] = s
-            used.append(key)
-            self.done += 1
-        return used
+            for intf in (scenario.interferers if interferers_active else ()))
+        self.signal = self.external = None      # the _Sums, set by _field_pass
 
     def grid(self) -> CoverageGrid:
-        """The per-pixel results, once every map has been folded."""
-        scenario, rsrp, best = self.scenario, self.rsrp, self.best
+        """The per-pixel results, once every map has been folded.
+
+        The fold lets go of its sums here, so a sum no other fold holds is
+        freed before the next grid is built.
+        """
+        scenario, signal, external = self.scenario, self.signal, self.external
+        self.signal = self.external = None
+        rsrp, best = signal.rsrp, signal.best
         noise_lin = np.array([
             10.0 ** (noise_floor_dbm(b.bandwidth_mhz,
                                      scenario.ut_profile.noise_figure_db) / 10.0)
@@ -253,8 +271,9 @@ class _Fold:
 
         s_lin = 10.0 ** (rsrp / 10.0)
         serving_band = np.asarray([self.band_index[b] for b in self.sector_band])[best]
-        tot_lin = np.take_along_axis(self.band_signal_lin, serving_band[None], axis=0)[0]
-        ext_lin = np.take_along_axis(self.band_ext_lin, serving_band[None], axis=0)[0]
+        tot_lin = np.take_along_axis(signal.lin, serving_band[None], axis=0)[0]
+        ext_lin = np.take_along_axis(external.lin, serving_band[None], axis=0)[0]
+        del signal, external
         n_lin = noise_lin[serving_band]
 
         rssi = 10.0 * np.log10(tot_lin + ext_lin + n_lin)
@@ -280,18 +299,31 @@ def _field_pass(folds: list[_Fold], pool, depth: int) -> None:
 
     The folds' scenarios share area, resolution, seed, environment and UT
     profile, so a (location, transmitter) key names one map for all of
-    them. Locations go to the pool in the order their maps are first
-    needed, at most depth at a time; a map is dropped once every fold that
-    needs it has folded it.
+    them, and folds with equal entries get one shared _Sum. Locations go
+    to the pool in the order their maps are first needed, at most depth at
+    a time; a map is dropped once every sum that needs it has folded it.
     """
     first, x, y = folds[0].scenario, folds[0].x, folds[0].y
     fading = propagation.ShadowFadingField(seed=first.seed)
 
+    sums: dict[tuple, _Sum] = {}
+
+    def shared(entries, n_bands, serving):
+        key = (n_bands, entries)
+        if key not in sums:
+            sums[key] = _Sum(entries, n_bands, (y.size, x.size), serving)
+        return sums[key]
+
     rank: dict[tuple, int] = {}
-    refs: dict[tuple, int] = {}
     for fold in folds:
-        for r, (key, _, _) in enumerate(fold.order):
+        n_bands = len(fold.band_index)
+        fold.signal = shared(fold.signal_entries, n_bands, True)
+        fold.external = shared(fold.external_entries, n_bands, False)
+        for r, (key, _, _) in enumerate(fold.signal_entries + fold.external_entries):
             rank[key] = min(r, rank.get(key, r))
+    refs: dict[tuple, int] = {}
+    for s in sums.values():
+        for key, _, _ in s.entries:
             refs[key] = refs.get(key, 0) + 1
     locations: dict[tuple, list] = {}
     for loc, tx in sorted(rank, key=rank.__getitem__):
@@ -306,22 +338,21 @@ def _field_pass(folds: list[_Fold], pool, depth: int) -> None:
     in_flight = deque(pool.submit(fields, *item) for item in islice(pending, depth))
     while in_flight:
         ready.update(in_flight.popleft().result())
-        in_flight.extend(pool.submit(fields, *item) for item in islice(pending, 1))
-        for fold in folds:
-            for key in fold.advance(ready):
+        for s in sums.values():
+            for key in s.advance(ready):
                 refs[key] -= 1
                 if not refs[key]:
                     del ready[key]
+        # the next location starts once this one's maps are folded and freed
+        in_flight.extend(pool.submit(fields, *item) for item in islice(pending, 1))
 
 
 def _stats(grid: CoverageGrid, mask: np.ndarray) -> dict:
     out = {}
     for name in ("rssi_dbm", "sinr_db", "throughput_mbps"):
         values = getattr(grid, name)[mask]
-        out[name] = {"mean": float(np.mean(values)),
-                     "p5": float(np.percentile(values, 5)),
-                     "p50": float(np.percentile(values, 50)),
-                     "p95": float(np.percentile(values, 95))}
+        p5, p50, p95 = np.percentile(values, (5, 50, 95)).tolist()
+        out[name] = {"mean": float(np.mean(values)), "p5": p5, "p50": p50, "p95": p95}
     return out
 
 
@@ -349,10 +380,12 @@ def grid_summary(grid: CoverageGrid) -> dict:
 
 def write_grid_csv(grid: CoverageGrid, path) -> None:
     """Row-major CSV export, 2 decimal places, plot-ready."""
-    ids, x = grid.best_server_ids(), grid.x_m.tolist()
+    # x is formatted once per grid and y once per row, into the row's format
+    ids, x = grid.best_server_ids(), ["%.2f" % v for v in grid.x_m.tolist()]
     with open(path, "w", newline="") as fh:
         fh.write("x_m,y_m,best_server,rssi_dbm,sinr_db,throughput_mbps\n")
         for iy, y in enumerate(grid.y_m.tolist()):     # one grid row at a time
-            fh.write("".join("%.2f,%.2f,%s,%.2f,%.2f,%.2f\n" % row for row in zip(
-                x, [y] * len(x), ids[iy].tolist(), grid.rssi_dbm[iy].tolist(),
+            row_format = "%%s,%.2f,%%s,%%.2f,%%.2f,%%.2f\n" % y
+            fh.write("".join(row_format % row for row in zip(
+                x, ids[iy].tolist(), grid.rssi_dbm[iy].tolist(),
                 grid.sinr_db[iy].tolist(), grid.throughput_mbps[iy].tolist())))

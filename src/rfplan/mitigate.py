@@ -4,7 +4,8 @@ Given a detection result, recommend moving each affected sector off the
 interfered band onto the declared alternative with the fewest co-channel
 neighbors nearby, apply the change to a copy of the scenario (value
 semantics), and verify the what-if by re-simulating both scenarios with
-the same seed so the comparison isolates the configuration change.
+the same seed so the comparison isolates the configuration change;
+compare does the comparison for a caller that has built the grids.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from statistics import mean
 
 import numpy as np
 
-from .coverage import compute_grids
+from .coverage import CoverageGrid, compute_grids
 from .errors import InputError
 from .scenario import Scenario
 
@@ -118,18 +119,24 @@ def apply(scenario: Scenario, rec: Recommendation) -> Scenario:
 
 def verify(pre_scenario: Scenario, post_scenario: Scenario,
            affected_sectors, n_workers: int = 1) -> VerificationVerdict:
-    """Simulate both scenarios (interferers on) and compare mean SINR over
-    the pixels the affected sectors served before the change.
+    """Simulate both scenarios (interferers on) and compare them.
 
     Both grids come from one compute_grids call. When the scenarios share
     area, resolution, seed, environment and UT profile, as apply() keeps
     them, the post grid costs only the fields of the sectors whose band
     changed, plus a second fold; every other field is computed once.
     """
-    affected = sorted(affected_sectors)
     grid_pre, grid_post = compute_grids((pre_scenario, post_scenario),
                                         interferers_active=True,
                                         n_workers=n_workers)
+    return compare(grid_pre, grid_post, affected_sectors)
+
+
+def compare(grid_pre: CoverageGrid, grid_post: CoverageGrid,
+            affected_sectors) -> VerificationVerdict:
+    """Compare mean SINR over the pixels the affected sectors served before
+    the change, for a caller that already has both grids."""
+    affected = sorted(affected_sectors)
     mask = grid_pre.serving_mask(affected)
     if not np.any(mask):
         raise InputError("affected sectors serve no pixels in the pre grid")

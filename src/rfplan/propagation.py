@@ -89,9 +89,8 @@ def _los_pathloss(d2d, d3d, fc_ghz, h_bs_m, h_ut_m, environment):
     return np.where(d2d <= dbp, pl1, pl2)
 
 
-def _nlos_pathloss(d2d, d3d, fc_ghz, h_bs_m, h_ut_m, environment):
-    """NLOS pathloss, lower-bounded by the LOS value at the same geometry."""
-    los = _los_pathloss(d2d, d3d, fc_ghz, h_bs_m, h_ut_m, environment)
+def _nlos_pathloss(d3d, fc_ghz, h_ut_m, environment, los):
+    """NLOS pathloss, lower-bounded by the LOS value los at the same geometry."""
     lf = 20.0 * np.log10(fc_ghz)
     if environment == "UMa":
         nlos = 13.54 + 39.08 * np.log10(d3d) + lf - 0.6 * (h_ut_m - 1.5)
@@ -103,9 +102,10 @@ def _nlos_pathloss(d2d, d3d, fc_ghz, h_bs_m, h_ut_m, environment):
 def _pathloss(d2d, fc_ghz, h_bs_m, h_ut_m, environment, condition):
     """Unchecked pathloss over an array of ground distances."""
     d3d = np.sqrt(d2d ** 2 + (h_bs_m - h_ut_m) ** 2)
+    los = _los_pathloss(d2d, d3d, fc_ghz, h_bs_m, h_ut_m, environment)
     if condition == "LOS":
-        return _los_pathloss(d2d, d3d, fc_ghz, h_bs_m, h_ut_m, environment)
-    return _nlos_pathloss(d2d, d3d, fc_ghz, h_bs_m, h_ut_m, environment)
+        return los
+    return _nlos_pathloss(d3d, fc_ghz, h_ut_m, environment, los)
 
 
 def pathloss_db(query: PathlossQuery):
@@ -129,6 +129,19 @@ def pathloss_db_clamped(d2d_m, fc_ghz, h_bs_m, h_ut_m, environment, condition):
     """
     d2d = np.clip(np.asarray(d2d_m, dtype=float), D2D_MIN_M, D2D_MAX_M)
     return _pathloss(d2d, fc_ghz, h_bs_m, h_ut_m, environment, condition)
+
+
+def pathloss_los_nlos_db_clamped(d2d_m, fc_ghz, h_bs_m, h_ut_m, environment):
+    """(LOS, NLOS) pathloss_db_clamped pair from one geometry evaluation.
+
+    The NLOS value is bounded by the LOS one, so the LOS pathloss and the
+    3-D distance are computed once for both; each array is bitwise what
+    pathloss_db_clamped gives for its condition.
+    """
+    d2d = np.clip(np.asarray(d2d_m, dtype=float), D2D_MIN_M, D2D_MAX_M)
+    d3d = np.sqrt(d2d ** 2 + (h_bs_m - h_ut_m) ** 2)
+    los = _los_pathloss(d2d, d3d, fc_ghz, h_bs_m, h_ut_m, environment)
+    return los, _nlos_pathloss(d3d, fc_ghz, h_ut_m, environment, los)
 
 
 def free_space_pathloss_db(d_m, fc_ghz):

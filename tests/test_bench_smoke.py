@@ -3,8 +3,8 @@
 bench/run.py patches rfplan.localize.least_squares, reads the
 scipy.optimize line of ``-X importtime`` and wraps every public function
 of the layer modules by name; a change under src/ can break any of these,
-and the benchmark then fails instead of measuring. One short traced
-demo_loop run checks them all.
+and the benchmark then fails instead of measuring. Short traced
+demo_loop and lattice_grid runs check them all.
 """
 
 import json
@@ -16,9 +16,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_traced_demo_loop_runs_and_reports_every_metric():
+def traced_run(workload):
+    """One iteration of a workload under --trace 1: -> its per-layer metrics."""
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "demo_loop", "--seed", "1",
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
          "--seconds", "0", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -30,7 +31,19 @@ def test_traced_demo_loop_runs_and_reports_every_metric():
     metrics = result["metrics"]
     assert set(metrics) == {m["name"] for m in declared}
     assert all(math.isfinite(m["value"]) for m in metrics.values())
+    return metrics
+
+
+def test_traced_demo_loop_runs_and_reports_every_metric():
+    metrics = traced_run("demo_loop")
     # probes that read 0 only when what they look for is gone
-    for name in ("import.scipy_optimize_s", "coverage.compute_grid.calls",
-                 "mitigate.verify.s", "detect.kmeans.iterations"):
+    for name in ("import.scipy_optimize_s", "detect.kmeans.iterations"):
+        assert metrics[name]["value"] > 0, name
+
+
+def test_traced_lattice_grid_runs_and_reports_every_metric():
+    metrics = traced_run("lattice_grid")
+    # the demo builds its grids in one compute_grids call and compares them
+    # without verify; the lattice loop still calls compute_grid and verify
+    for name in ("coverage.compute_grid.calls", "mitigate.verify.s"):
         assert metrics[name]["value"] > 0, name

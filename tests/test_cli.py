@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from rfplan import cli, coverage
 from rfplan.cli import _write_json, demo_scenario_path, main
 
 DEMO = str(demo_scenario_path())
@@ -381,3 +382,83 @@ def test_demo_end_to_end(capsys, tmp_path):
     rec = json.loads((tmp_path / "recommendation.json").read_text())
     assert rec["verification"]["improved"] is True
     assert rec["verification"]["delta_db"] > 3.0
+
+
+def demo_steps(capsys, out, scenario, seed, workers):
+    """The demo's subcommands, one after another, into one directory:
+    -> (stdout with the demo's section headers, stderr)."""
+    sections = {
+        "plan": [("plan", scenario, "--out", out / "plan.json")],
+        "simulate (interference off / on)": [
+            ("simulate", scenario, "--interference", mode, "--workers", workers,
+             "--out", out / f"grid_{mode}.csv") for mode in ("off", "on")],
+        "twin": [("twin", scenario, "--out", out / "kpi.csv")],
+        "detect": [("detect", out / "kpi.csv", scenario, "--validate",
+                    out / "kpi.csv.truth.json", "--out", out / "detection.json")],
+        "recommend": [("recommend", out / "detection.json", scenario,
+                       "--workers", workers, "--out", out / "recommendation.json")],
+        "report": [("report", out / "grid_on.csv.summary.json",
+                    out / "kpi.csv.summary.json", "--out", out / "report.json")],
+    }
+    stdout = stderr = ""
+    for header, commands in sections.items():
+        stdout += f"== {header} ==\n"
+        for argv in commands:
+            code, o, e = run(capsys, "--seed", str(seed), *map(str, argv))
+            assert code == 0, e
+            stdout, stderr = stdout + o, stderr + e
+    return stdout, stderr
+
+
+def files(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def no_clean_spectrum_scenario(tmp_path):
+    """The demo with its interfered band as the only band: the anomaly is
+    found, and the recommendation changes nothing."""
+    doc = json.loads(Path(DEMO).read_text())
+    doc["bands"] = doc["bands"][:1]
+    path = tmp_path / "one_band.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("seed, workers, case", [
+    (1, 1, "demo"), (1, 3, "demo"), (7, 1, "demo"), (7, 3, "demo"),
+    (1, 1, "no_change")])
+def test_demo_equals_its_subcommands(monkeypatch, capsys, tmp_path, seed,
+                                     workers, case):
+    """demo decides first and builds its grids in one pass; its stdout,
+    stderr and files are those of the subcommands run step by step."""
+    scenario = DEMO if case == "demo" else no_clean_spectrum_scenario(tmp_path)
+    monkeypatch.setattr(cli, "demo_scenario_path", lambda: Path(scenario))
+    out = tmp_path / "out"
+    code, demo_out, demo_err = run(capsys, "--seed", str(seed), "--out-dir",
+                                   str(out), "demo", "--workers", str(workers))
+    assert code == 0, demo_err
+    demo_files = files(out)
+    for p in out.iterdir():
+        p.unlink()
+    assert (demo_out, demo_err) == demo_steps(capsys, out, scenario, seed, workers)
+    assert demo_files == files(out)
+    verification = json.loads(demo_files["recommendation.json"])["verification"]
+    assert (verification is None) == (case == "no_change")
+
+
+@pytest.mark.parametrize("case, grids", [("demo", 3), ("no_change", 2)])
+def test_demo_makes_one_field_pass(monkeypatch, capsys, tmp_path, case, grids):
+    """off, on and, when the recommendation changes something, the
+    mitigated grid come from one field pass."""
+    if case == "no_change":
+        path = no_clean_spectrum_scenario(tmp_path)
+        monkeypatch.setattr(cli, "demo_scenario_path", lambda: path)
+    passes, field_pass = [], coverage._field_pass
+
+    def counted(folds, *args):
+        passes.append(len(folds))
+        return field_pass(folds, *args)
+
+    monkeypatch.setattr(coverage, "_field_pass", counted)
+    assert run(capsys, "--out-dir", str(tmp_path / "out"), "demo")[0] == 0
+    assert passes == [grids]

@@ -408,20 +408,26 @@ def test_compute_grids_keeps_input_order_across_passes(demo_scenario):
     assert_same_grid(got[1], compute_grid(other, True))
 
 
-def test_grid_peak_memory_is_not_a_map_per_sector():
-    """The fold streams, so the traced peak of a 36-site, 108-sector grid
-    stays below a quarter of one float64 map per sector. Sites alternate
-    between two bands, and a jammer is on."""
+def lattice_36():
+    """36 sites of three sectors on a 6 x 6 lattice, 160 x 160 px; sites
+    alternate between two bands, and a jammer is on."""
     sites = tuple(
         Site(f"S{i:02d}", (400.0 + 640.0 * (i % 6), 400.0 + 640.0 * (i // 6)), 25.0,
              tuple(Sector(id=f"S{i:02d}_{k}", azimuth_deg=120.0 * k,
                           band_ref=("n78", "n77")[i % 2], tx_power_dbm=40.0)
                    for k in range(3)))
         for i in range(36))
-    sc = Scenario(name="grid-36", area=Rect(0, 0, 4000, 4000), environment="UMa",
-                  sites=sites, interferers=JAMMERS[:1],
-                  bands=(Band("n78", 3.5, 100.0), Band("n77", 3.9, 40.0)),
-                  grid_resolution_m=25.0, seed=5)
+    return Scenario(name="grid-36", area=Rect(0, 0, 4000, 4000), environment="UMa",
+                    sites=sites, interferers=JAMMERS[:1],
+                    bands=(Band("n78", 3.5, 100.0), Band("n77", 3.9, 40.0)),
+                    grid_resolution_m=25.0, seed=5)
+
+
+def test_grid_peak_memory_is_not_a_map_per_sector():
+    """The fold streams, so the traced peak of a 36-site, 108-sector grid
+    stays below a quarter of one float64 map per sector. Sites alternate
+    between two bands, and a jammer is on."""
+    sc = lattice_36()
     compute_grid(isolated_scenario(), True)      # first-call imports and caches
     tracemalloc.start()
     try:
@@ -432,3 +438,54 @@ def test_grid_peak_memory_is_not_a_map_per_sector():
     map_bytes = grid.rsrp_dbm.nbytes
     assert grid.shape == (160, 160)
     assert peak < len(sc.sector_ids) * map_bytes / 4
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("case", sorted(PAIR_PASSES))
+def test_off_on_and_post_grids_from_one_pass(monkeypatch, demo_scenario,
+                                             demo_batch, case, workers):
+    """The demo's three grids: an interference-free copy, the scenario and
+    its what-if, each bitwise a separate compute_grid call; the first two
+    share one sector fold."""
+    pre, post = scenario_pair(case, demo_scenario, demo_batch)
+    off = dataclasses.replace(pre, interferers=())
+    separate = [compute_grid(pre, False, n_workers=workers),
+                compute_grid(pre, True, n_workers=workers),
+                compute_grid(post, True, n_workers=workers)]
+    passes, field_pass = [], coverage._field_pass
+
+    def counted(folds, *args):
+        passes.append(len(folds))
+        return field_pass(folds, *args)
+
+    monkeypatch.setattr(coverage, "_field_pass", counted)
+    got = compute_grids((off, pre, post), True, n_workers=workers)
+    assert passes == ([3] if case != "other_seed" else [2, 1])
+    for g, ref in zip(got, separate):
+        assert_same_grid(g, ref)
+    assert got[0].best_server is got[1].best_server
+    assert got[0].rsrp_dbm is got[1].rsrp_dbm
+
+
+def three_call_stats(grid, mask):
+    """The per-level _stats that grid_summary must match bit for bit."""
+    out = {}
+    for name in ("rssi_dbm", "sinr_db", "throughput_mbps"):
+        values = getattr(grid, name)[mask]
+        out[name] = {"mean": float(np.mean(values)),
+                     "p5": float(np.percentile(values, 5)),
+                     "p50": float(np.percentile(values, 50)),
+                     "p95": float(np.percentile(values, 95))}
+    return out
+
+
+@pytest.mark.parametrize("which", ["on", "off", "lattice"])
+def test_summary_matches_three_percentile_calls(monkeypatch, demo_grid,
+                                                demo_grid_off, which):
+    demo = {"on": demo_grid, "off": demo_grid_off}
+    grid = demo[which] if which in demo else compute_grid(lattice_36(), True, 2)
+    got = grid_summary(grid)
+    monkeypatch.setattr(coverage, "_stats", three_call_stats)
+    ref = grid_summary(grid)
+    assert len(ref["bands"]) == (2 if which == "lattice" else 1)
+    assert repr(got) == repr(ref)

@@ -5,10 +5,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from rfplan.coverage import compute_grids
 from rfplan.detect import DetectionResult, run_detection
 from rfplan.errors import InputError
 from rfplan.mitigate import (Recommendation, VerificationVerdict, apply,
-                             recommend, verify)
+                             compare, recommend, verify)
 from test_coverage import interleaved_scenario, reference_grid
 
 
@@ -144,3 +145,6 @@ def test_verify_matches_two_grid_reference(demo_scenario, demo_batch, case,
     got = verify(pre, post, affected, n_workers=workers)
     assert got.affected_pixel_count > 0
     assert got == reference_verify(pre, post, affected)
+    # compare on grids the caller built gives verify's verdict
+    grids = compute_grids((pre, post), True, n_workers=workers)
+    assert compare(*grids, affected) == got

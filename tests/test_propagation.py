@@ -9,7 +9,8 @@ from rfplan.errors import DomainError
 from rfplan.propagation import (PathlossQuery, ShadowFadingField,
                                 breakpoint_distance_m, free_space_pathloss_db,
                                 keyed_rng, los_probability, pathloss_db,
-                                pathloss_db_array, pathloss_db_clamped)
+                                pathloss_db_array, pathloss_db_clamped,
+                                pathloss_los_nlos_db_clamped)
 
 
 def test_uma_los_oracle():
@@ -84,6 +85,21 @@ def test_envelope_errors(entry, query):
 def test_clamped_variant_does_not_error():
     v = float(pathloss_db_clamped(0.01, 3.5, 25.0, 1.5, "UMa", "NLOS"))
     assert v == float(pathloss_db_clamped(1.0, 3.5, 25.0, 1.5, "UMa", "NLOS"))
+
+
+@pytest.mark.parametrize("env, h_bs, h_ut", [("UMa", 25.0, 1.5), ("UMi", 10.0, 1.5),
+                                          ("UMa", 25.0, 1.0), ("UMi", 1.0, 22.5)])
+@pytest.mark.parametrize("fc", [0.7, 3.5, 28.0])
+def test_los_nlos_pair_matches_per_condition_calls(env, h_bs, h_ut, fc):
+    # distances outside the envelope are clamped; h_ut = 1 puts the
+    # breakpoint at 0 m, so the LOS model is single-slope there
+    d2d = np.concatenate([[0.01, 1.0, 17.9, 18.0], np.geomspace(2.0, 9999.0, 994),
+                          [10_000.0, 12_500.0]]).reshape(20, 50)
+    los, nlos = pathloss_los_nlos_db_clamped(d2d, fc, h_bs, h_ut, env)
+    for got, cond in ((los, "LOS"), (nlos, "NLOS")):
+        ref = pathloss_db_clamped(d2d, fc, h_bs, h_ut, env, cond)
+        assert (got.dtype, got.shape) == (ref.dtype, ref.shape)
+        assert got.tobytes() == ref.tobytes(), cond
 
 
 def test_los_probability_near_field():
