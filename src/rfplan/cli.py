@@ -21,7 +21,7 @@ from pathlib import Path
 from . import coverage, detect, localize, mitigate, planning, report, twin
 from .errors import InputError, RfplanError
 from .scenario import _finite, load_scenario, read_json_object
-from .twin import _cell_baseline_dbm
+from .twin import cell_baseline_dbm
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,6 +55,11 @@ def _load(args):
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
     return scenario
+
+
+def _on_scenario(cmd):
+    """The subcommand run on the scenario file its arguments name."""
+    return lambda args: cmd(args, _load(args))
 
 
 def _read_detection(path) -> detect.DetectionResult:
@@ -106,8 +111,7 @@ def _out(args, default_name):
 # subcommands
 
 
-def cmd_plan(args) -> int:
-    scenario = _load(args)
+def cmd_plan(args, scenario) -> int:
     band_ids = [args.band] if args.band else None
     if band_ids and band_ids[0] not in {b.id for b in scenario.bands}:
         raise InputError(f"unknown band {args.band!r}")
@@ -127,8 +131,7 @@ def cmd_plan(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    scenario = _load(args)
+def cmd_simulate(args, scenario) -> int:
     grid = coverage.compute_grid(scenario,
                                  interferers_active=args.interference == "on",
                                  n_workers=args.workers)
@@ -155,8 +158,7 @@ def _write_simulation(args, scenario, grid, interference, path) -> None:
           f"{ov['sinr_db']['mean']:.1f} dB")
 
 
-def cmd_twin(args) -> int:
-    scenario = _load(args)
+def cmd_twin(args, scenario) -> int:
     batch = twin.synthesize_kpi(scenario, args.duration, args.dt)
     path = _out(args, "kpi.csv")
     twin.write_kpi_csv(batch, path)
@@ -172,8 +174,7 @@ def cmd_twin(args) -> int:
     return 0
 
 
-def cmd_detect(args) -> int:
-    scenario = _load(args)
+def cmd_detect(args, scenario) -> int:
     batch = twin.read_kpi_csv(args.kpi_csv)
     cells = set(batch.cells())
     expected = set(scenario.sector_ids)
@@ -196,7 +197,7 @@ def cmd_detect(args) -> int:
     }
     if result.anomaly_flag:
         first_band = scenario.sector_by_id(result.affected_cells[0])[1].band_ref
-        baseline = _cell_baseline_dbm(scenario, scenario.band_by_id(first_band))
+        baseline = cell_baseline_dbm(scenario, scenario.band_by_id(first_band))
         estimates = localize.estimate_interferer(scenario, result, baseline)
         doc["localization"] = {
             name: {"position": list(est.position), "residual": est.residual,
@@ -217,8 +218,7 @@ def cmd_detect(args) -> int:
     return 0
 
 
-def cmd_recommend(args) -> int:
-    scenario = _load(args)
+def cmd_recommend(args, scenario) -> int:
     result = _read_detection(args.detection_json)
     rec = mitigate.recommend(scenario, result)
     verdict = (mitigate.verify(scenario, mitigate.apply(scenario, rec),
@@ -273,17 +273,18 @@ def cmd_demo(args) -> int:
     ns.scenario = str(demo_scenario_path())
     ns.out_dir = str(out_dir)
     ns.out = None
+    scenario = _load(ns)
 
     print("== plan ==")
     ns.band, ns.condition = None, "NLOS"
-    cmd_plan(ns)
+    cmd_plan(ns, scenario)
 
     held = io.StringIO()
     with contextlib.redirect_stdout(held):
         print("== twin ==")
         ns.out = str(out_dir / "kpi.csv")
         ns.duration, ns.dt = 3600.0, 60.0
-        cmd_twin(ns)
+        cmd_twin(ns, scenario)
 
         print("== detect ==")
         ns.kpi_csv = str(out_dir / "kpi.csv")
@@ -291,9 +292,8 @@ def cmd_demo(args) -> int:
         ns.validate = str(out_dir / "kpi.csv.truth.json")
         ns.validation_radius = 500.0
         ns.out = str(out_dir / "detection.json")
-        cmd_detect(ns)
+        cmd_detect(ns, scenario)
 
-    scenario = _load(ns)
     result = _read_detection(out_dir / "detection.json")   # as rfplan recommend does
     rec = mitigate.recommend(scenario, result)
     # without its interferers, the scenario gives simulate --interference off's grid
@@ -341,21 +341,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--band", default=None)
     p.add_argument("--condition", choices=("LOS", "NLOS"), default="NLOS")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_plan)
+    p.set_defaults(func=_on_scenario(cmd_plan))
 
     p = sub.add_parser("simulate", help="coverage grid CSV + summary")
     p.add_argument("scenario")
     p.add_argument("--interference", choices=("on", "off"), default="on")
     p.add_argument("--workers", type=_worker_count, default=1)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=_on_scenario(cmd_simulate))
 
     p = sub.add_parser("twin", help="synthesize the KPI feed")
     p.add_argument("scenario")
     p.add_argument("--duration", type=float, default=3600.0)
     p.add_argument("--dt", type=float, default=60.0)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_twin)
+    p.set_defaults(func=_on_scenario(cmd_twin))
 
     p = sub.add_parser("detect", help="cluster KPI series, flag + localize")
     p.add_argument("kpi_csv")
@@ -368,14 +368,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sealed ground-truth file to score localization against")
     p.add_argument("--validation-radius", type=_finite_float, default=500.0)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_detect)
+    p.set_defaults(func=_on_scenario(cmd_detect))
 
     p = sub.add_parser("recommend", help="frequency reassignment + verification")
     p.add_argument("detection_json")
     p.add_argument("scenario")
     p.add_argument("--workers", type=_worker_count, default=1)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_recommend)
+    p.set_defaults(func=_on_scenario(cmd_recommend))
 
     p = sub.add_parser("report", help="simulated vs twin comparison table")
     p.add_argument("sim_summary")

@@ -190,26 +190,6 @@ def detect_affected(features: list[FeatureVector], clusters: ClusterResult,
                            cluster=clusters)
 
 
-def correlation_matrix(batch: KpiBatch, baseline_window: int,
-                       metric: str = "RTWP"):
-    """Symmetric Pearson matrix of per-cell excess series (1 on the diagonal)."""
-    cells = batch.cells()
-    if len(cells) < 2:
-        raise InputError("need at least 2 cells")
-    excess = batch_excess(batch, baseline_window, metric)
-    lengths = {excess[c].size for c in cells}
-    if len(lengths) != 1:
-        raise InputError("series length mismatch across cells")
-    x = np.stack([excess[c] for c in cells])
-    # pearson's rule: a constant series correlates 0 with every other one
-    live = np.std(x, axis=1) > 0
-    r = np.eye(len(cells))
-    if np.count_nonzero(live) > 1:
-        r[np.ix_(live, live)] = np.corrcoef(x[live])
-    np.fill_diagonal(r, 1.0)
-    return cells, r
-
-
 def run_detection(batch: KpiBatch, baseline_window: int, k: int = 2,
                   seed: int = 0, threshold_db: float = 3.0,
                   metric: str = "RTWP") -> DetectionResult:

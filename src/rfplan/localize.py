@@ -93,10 +93,8 @@ def pathloss_lsq(observations, fc_ghz: float,
     def residuals(theta):
         x, y, p = theta
         d = np.hypot(pos[:, 0] - x, pos[:, 1] - y)
-        pl = np.array([
-            float(propagation.pathloss_db_clamped(
-                di, fc_ghz, hb, SOURCE_HEIGHT_M, environment, "NLOS"))
-            for di, hb in zip(d, h_bs)])
+        pl = propagation.pathloss_db_clamped(d, fc_ghz, h_bs, SOURCE_HEIGHT_M,
+                                             environment, "NLOS")
         return (p - pl) - power
 
     # Multi-start: a fixed 5 x 5 grid over the sensor hull plus the weighted

@@ -66,27 +66,30 @@ def _check_envelope(d2d_m, fc_ghz, h_bs_m, h_ut_m, environment, condition):
         raise DomainError(f"unknown condition {condition!r}")
 
 
-def breakpoint_distance_m(fc_ghz: float, h_bs_m: float, h_ut_m: float) -> float:
-    """Dual-slope breakpoint d'_BP with the 1 m effective-height offset."""
-    h_bs_eff = max(h_bs_m - 1.0, 0.0)
+def breakpoint_distance_m(fc_ghz: float, h_bs_m, h_ut_m: float):
+    """Dual-slope breakpoint d'_BP with the 1 m effective-height offset,
+    per BS height when h_bs_m is an array."""
+    h_bs_eff = np.maximum(h_bs_m - 1.0, 0.0)
     h_ut_eff = max(h_ut_m - 1.0, 0.0)
     return 4.0 * h_bs_eff * h_ut_eff * (fc_ghz * 1e9) / SPEED_OF_LIGHT
 
 
 def _los_pathloss(d2d, d3d, fc_ghz, h_bs_m, h_ut_m, environment):
-    """LOS dual-slope pathloss, vectorized over distance."""
+    """LOS dual-slope pathloss, vectorized over distance and BS height."""
     dbp = breakpoint_distance_m(fc_ghz, h_bs_m, h_ut_m)
     lf = 20.0 * np.log10(fc_ghz)
-    dh2 = (h_bs_m - h_ut_m) ** 2
+    # a zero breakpoint (an antenna at 1 m) has the first slope only: no
+    # distance lies past it, and its second-slope term, log10(0) for
+    # h_bs = h_ut, is not formed
+    one_slope = dbp <= 0
+    bp2 = np.where(one_slope, 1.0, dbp ** 2 + (h_bs_m - h_ut_m) ** 2)
     if environment == "UMa":
         pl1 = 28.0 + 22.0 * np.log10(d3d) + lf
-        pl2 = 28.0 + 40.0 * np.log10(d3d) + lf - 9.0 * np.log10(dbp ** 2 + dh2)
+        pl2 = 28.0 + 40.0 * np.log10(d3d) + lf - 9.0 * np.log10(bp2)
     else:  # UMi street canyon
         pl1 = 32.4 + 21.0 * np.log10(d3d) + lf
-        pl2 = 32.4 + 40.0 * np.log10(d3d) + lf - 9.5 * np.log10(dbp ** 2 + dh2)
-    if dbp <= 0:
-        return pl1
-    return np.where(d2d <= dbp, pl1, pl2)
+        pl2 = 32.4 + 40.0 * np.log10(d3d) + lf - 9.5 * np.log10(bp2)
+    return np.where(d2d <= np.where(one_slope, np.inf, dbp), pl1, pl2)
 
 
 def _nlos_pathloss(d3d, fc_ghz, h_ut_m, environment, los):
@@ -125,7 +128,8 @@ def pathloss_db_clamped(d2d_m, fc_ghz, h_bs_m, h_ut_m, environment, condition):
 
     Used by grid and inversion code where the receive point can fall
     arbitrarily close to (or far from) a transmitter; public queries go
-    through pathloss_db which reports instead of clamping.
+    through pathloss_db which reports instead of clamping. h_bs_m may be
+    an array, one height per receiver, broadcast against d2d_m.
     """
     d2d = np.clip(np.asarray(d2d_m, dtype=float), D2D_MIN_M, D2D_MAX_M)
     return _pathloss(d2d, fc_ghz, h_bs_m, h_ut_m, environment, condition)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
+from .twin import cell_baseline_dbm
 
 METRIC_ORDER = ("RSSI", "RTWP", "SINR", "ThroughputDL", "ThroughputUL")
 
@@ -37,8 +38,6 @@ def sim_metrics(scenario, summary: dict) -> dict:
     RSSI/SINR/DL throughput are covered-pixel means; RTWP is the
     configured uplink baseline (the simulation-side expectation).
     """
-    from .twin import _cell_baseline_dbm
-
     out = {}
     for band_id, stats in summary.get("bands", {}).items():
         band = scenario.band_by_id(band_id)
@@ -46,7 +45,7 @@ def sim_metrics(scenario, summary: dict) -> dict:
             "RSSI": stats["rssi_dbm"]["mean"],
             "SINR": stats["sinr_db"]["mean"],
             "ThroughputDL": stats["throughput_mbps"]["mean"],
-            "RTWP": _cell_baseline_dbm(scenario, band),
+            "RTWP": cell_baseline_dbm(scenario, band),
         }
     return out
 

@@ -24,8 +24,7 @@ from . import propagation
 from .coverage import AntennaPattern, bearing_deg
 from .errors import InputError
 from .planning import noise_floor_dbm
-from .scenario import (Interferer, Scenario, Sector, Site, from_json,
-                       read_json_object)
+from .scenario import Scenario, from_json, read_json_object
 
 DAY_S = 86_400.0
 
@@ -72,31 +71,47 @@ class KpiBatch:
         return self.series[metric][cell_id]
 
 
-def interference_at_cell_dbm(interferer: Interferer, site: Site, sector: Sector,
-                             fc_ghz: float, environment: str = "UMa") -> float:
-    """Interferer power coupled into one sector's receiver, dBm.
+def coupling_dbm(scenario: Scenario) -> np.ndarray:
+    """Interferer power coupled into each sector's receiver, dBm.
 
+    Shape (interferers, sectors), sectors in scenario.sectors() order.
     NLOS pathloss from interferer to site (conservative), plus the sector
-    antenna gain toward the interferer. Different band: -inf sentinel,
-    no contribution.
+    antenna gain toward the interferer; a sector on another band gets the
+    -inf sentinel, no contribution. Distance, bearing and pathloss are
+    computed once per site, the pattern once per sector.
     """
-    if interferer.band_ref != sector.band_ref:
-        return -math.inf
-    dx = interferer.position[0] - site.position[0]
-    dy = interferer.position[1] - site.position[1]
-    d2d = max(math.hypot(dx, dy), propagation.D2D_MIN_M)
-    # Uplink into the BTS antenna: BS height on the receive side, the
-    # interferer plays the terminal role.
-    h_ut = min(max(interferer.height_m, propagation.H_UT_MIN_M), propagation.H_UT_MAX_M)
-    pl = float(propagation.pathloss_db_clamped(
-        d2d, fc_ghz, site.height_m, h_ut, environment, "NLOS"))
-    pattern = AntennaPattern(sector.beamwidth_3db_deg, sector.front_to_back_db)
-    gain = sector.antenna_gain_dbi - float(
-        pattern.attenuation_db(bearing_deg(dx, dy) - sector.azimuth_deg))
-    return interferer.tx_power_dbm - pl + gain
+    sectors = [sec for _, sec in scenario.sectors()]
+    site_of = np.repeat(np.arange(len(scenario.sites)),
+                        [len(site.sectors) for site in scenario.sites])
+    xy = np.array([site.position for site in scenario.sites],
+                  dtype=float).reshape(-1, 2)
+    h_bs = np.array([site.height_m for site in scenario.sites], dtype=float)
+    band = np.array([sec.band_ref for sec in sectors])
+    azimuth = np.array([sec.azimuth_deg for sec in sectors], dtype=float)
+    gain_dbi = np.array([sec.antenna_gain_dbi for sec in sectors], dtype=float)
+    pattern = AntennaPattern(
+        np.array([sec.beamwidth_3db_deg for sec in sectors], dtype=float),
+        np.array([sec.front_to_back_db for sec in sectors], dtype=float))
+    out = np.full((len(scenario.interferers), len(sectors)), -np.inf)
+    for i, intf in enumerate(scenario.interferers):
+        co_band = band == intf.band_ref
+        dx = intf.position[0] - xy[:, 0]
+        dy = intf.position[1] - xy[:, 1]
+        d2d = np.maximum(np.hypot(dx, dy), propagation.D2D_MIN_M)
+        # Uplink into the BTS antenna: BS height on the receive side, the
+        # interferer plays the terminal role.
+        h_ut = min(max(intf.height_m, propagation.H_UT_MIN_M), propagation.H_UT_MAX_M)
+        pl = propagation.pathloss_db_clamped(
+            d2d, scenario.band_by_id(intf.band_ref).center_freq_ghz, h_bs, h_ut,
+            scenario.environment, "NLOS")[site_of]
+        gain = gain_dbi - pattern.attenuation_db(bearing_deg(dx, dy)[site_of] - azimuth)
+        out[i, co_band] = (intf.tx_power_dbm - pl + gain)[co_band]
+    return out
 
 
-def _cell_baseline_dbm(scenario: Scenario, band) -> float:
+def cell_baseline_dbm(scenario: Scenario, band) -> float:
+    """A sector's RTWP without load or interference: the configured
+    baseline, or else the band's thermal noise floor."""
     if scenario.twin.rtwp_baseline_dbm is not None:
         return scenario.twin.rtwp_baseline_dbm
     return noise_floor_dbm(band.bandwidth_mhz, scenario.twin.bts_noise_figure_db)
@@ -118,11 +133,18 @@ def synthesize_kpi(scenario: Scenario, duration_s: float, dt_s: float,
     seed = scenario.seed if seed is None else seed
     cfg = scenario.twin
     t = dt_s * np.arange(int(duration_s // dt_s))
+    diurnal = cfg.load_amplitude_db * np.sin(2.0 * np.pi * t / DAY_S)
+    coupling = coupling_dbm(scenario)
+    # Interferer.active_at over the whole axis: half-open [a, b)
+    active = np.zeros((len(scenario.interferers), t.size), dtype=bool)
+    for on, intf in zip(active, scenario.interferers):
+        for a, b in intf.active_intervals:
+            on |= (t >= a) & (t < b)
 
     series: dict[str, dict[str, KpiSeries]] = {m: {} for m in METRICS}
-    for site, sector in scenario.sectors():
+    for k, (_, sector) in enumerate(scenario.sectors()):
         band = scenario.band_by_id(sector.band_ref)
-        baseline_dbm = _cell_baseline_dbm(scenario, band)
+        baseline_dbm = cell_baseline_dbm(scenario, band)
         base_lin = 10.0 ** (baseline_dbm / 10.0)
 
         rng = propagation.keyed_rng(seed, sector.id, propagation._STREAM_TWIN)
@@ -130,7 +152,6 @@ def synthesize_kpi(scenario: Scenario, duration_s: float, dt_s: float,
         meas_rtwp = cfg.measurement_noise_db * rng.standard_normal(t.size)
         meas_rssi = cfg.measurement_noise_db * rng.standard_normal(t.size)
 
-        diurnal = cfg.load_amplitude_db * np.sin(2.0 * np.pi * t / DAY_S)
         if cfg.load_offset_db is None:
             load_lin = np.zeros(t.size)
         else:
@@ -138,17 +159,8 @@ def synthesize_kpi(scenario: Scenario, duration_s: float, dt_s: float,
             load_lin = 10.0 ** (load_dbm / 10.0)
 
         intf_lin = np.zeros(t.size)
-        for intf in scenario.interferers:
-            if intf.band_ref != sector.band_ref:
-                continue
-            c_dbm = interference_at_cell_dbm(intf, site, sector,
-                                             band.center_freq_ghz,
-                                             scenario.environment)
-            # Interferer.active_at over the whole axis: half-open [a, b)
-            active = np.zeros(t.size, dtype=bool)
-            for a, b in intf.active_intervals:
-                active |= (t >= a) & (t < b)
-            intf_lin += active * 10.0 ** (c_dbm / 10.0)
+        for c_dbm, on in zip(coupling[:, k].tolist(), active):
+            intf_lin += on * 10.0 ** (c_dbm / 10.0)     # 0 mW off-band
 
         rtwp = 10.0 * np.log10(base_lin + load_lin + intf_lin) + meas_rtwp
 

@@ -4,7 +4,7 @@ bench/run.py patches rfplan.localize.least_squares, reads the
 scipy.optimize line of ``-X importtime`` and wraps every public function
 of the layer modules by name; a change under src/ can break any of these,
 and the benchmark then fails instead of measuring. Short traced
-demo_loop and lattice_grid runs check them all.
+demo_loop, lattice_grid and kpi_feed runs check them all.
 """
 
 import json
@@ -47,3 +47,12 @@ def test_traced_lattice_grid_runs_and_reports_every_metric():
     # without verify; the lattice loop still calls compute_grid and verify
     for name in ("coverage.compute_grid.calls", "mitigate.verify.s"):
         assert metrics[name]["value"] > 0, name
+
+
+def test_traced_kpi_feed_runs_and_reports_every_metric():
+    metrics = traced_run("kpi_feed")
+    # the only workload that runs the localizer: both the least_squares
+    # wrapper and the forward-model pathloss counter must still see it
+    for name in ("localize.least_squares.calls", "localize.pathloss_calls"):
+        assert metrics[name]["value"] > 0, name
+    assert metrics["localize.lsq_fallback"]["value"] == 0

@@ -462,3 +462,17 @@ def test_demo_makes_one_field_pass(monkeypatch, capsys, tmp_path, case, grids):
     monkeypatch.setattr(coverage, "_field_pass", counted)
     assert run(capsys, "--out-dir", str(tmp_path / "out"), "demo")[0] == 0
     assert passes == [grids]
+
+
+def test_demo_reads_the_scenario_once(monkeypatch, capsys, tmp_path):
+    """plan, twin and detect inside the demo share the one scenario the
+    demo loaded, instead of reading and validating the file again."""
+    calls, load = [], cli.load_scenario
+
+    def counted(path):
+        calls.append(path)
+        return load(path)
+
+    monkeypatch.setattr(cli, "load_scenario", counted)
+    assert run(capsys, "--out-dir", str(tmp_path / "out"), "demo")[0] == 0
+    assert len(calls) == 1

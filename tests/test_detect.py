@@ -6,9 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from rfplan.detect import (cluster_cells, correlation_matrix, detect_affected,
-                           feature_matrix, kmeans, normalize_features, pearson,
-                           run_detection)
+from rfplan.detect import (cluster_cells, detect_affected, feature_matrix,
+                           kmeans, normalize_features, pearson, run_detection)
 from rfplan.errors import InputError
 from rfplan.twin import KpiBatch, KpiSeries, batch_excess, synthesize_kpi
 
@@ -169,38 +168,12 @@ def test_quiet_demo_stays_clear(quiet_scenario):
     assert result.anomaly_flag is False
 
 
-def test_correlation_matrix_properties(demo_batch):
-    cells, r = correlation_matrix(demo_batch, 15)
-    assert r.shape == (len(cells), len(cells))
-    assert np.allclose(np.diag(r), 1.0)
-    assert np.allclose(r, r.T)
-
-
-@pytest.mark.parametrize("which", ["demo", "constant"])
-def test_correlation_matrix_matches_pearson_loop(demo_batch, which):
-    if which == "demo":
-        batch = demo_batch
-    else:   # constant series correlate 0 with the rest, as pearson defines
-        batch = step_batch()
-        batch.series["RTWP"]["c1"].samples[30:] += 4.0
-    cells, r = correlation_matrix(batch, 15)
-    excess = batch_excess(batch, 15)
-    loop = np.eye(len(cells))
-    for i in range(len(cells)):
-        for j in range(i + 1, len(cells)):
-            loop[i, j] = loop[j, i] = pearson(excess[cells[i]], excess[cells[j]])
-    assert np.max(np.abs(r - loop)) <= 1e-12
-    if which == "constant":
-        assert r[0, 1] != 0.0 and r[0, 2] == 0.0 and r[2, 2] == 1.0
-
-
 def test_affected_correlate_more(demo_scenario, demo_batch):
     result = run_detection(demo_batch, baseline_window=15)
-    cells, r = correlation_matrix(demo_batch, 15)
-    idx = {c: i for i, c in enumerate(cells)}
+    excess = batch_excess(demo_batch, 15)
     affected = list(result.affected_cells)
-    others = [c for c in cells if c not in affected]
-    aa = np.mean([r[idx[a], idx[b]] for a in affected for b in affected
+    others = [c for c in demo_batch.cells() if c not in affected]
+    aa = np.mean([pearson(excess[a], excess[b]) for a in affected for b in affected
                   if a < b])
-    au = np.mean([r[idx[a], idx[u]] for a in affected for u in others])
+    au = np.mean([pearson(excess[a], excess[u]) for a in affected for u in others])
     assert aa > au

@@ -4,16 +4,18 @@ import csv
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from rfplan import twin
+from rfplan import propagation, twin
+from rfplan.coverage import AntennaPattern, bearing_deg
 from rfplan.errors import InputError
 from rfplan.scenario import (Band, Interferer, Rect, Scenario, Sector, Site,
                              TwinConfig)
 from rfplan.twin import (METRICS, KpiBatch, KpiSeries, batch_excess,
-                         excess_over_baseline_db, interference_at_cell_dbm,
+                         coupling_dbm, excess_over_baseline_db,
                          read_ground_truth, read_kpi_csv, synthesize_kpi,
                          write_ground_truth, write_kpi_csv)
 
@@ -40,32 +42,137 @@ def make_interferer(**kw):
     return Interferer(**base)
 
 
+def one_site_scenario(*interferers, height_m=25.0, **sector):
+    """One site at the origin with one n78 sector "a", pointing north
+    unless sector overrides it."""
+    sec = Sector(**{"id": "a", "azimuth_deg": 0.0, "band_ref": "n78",
+                    "tx_power_dbm": 43.0, **sector})
+    return dataclasses.replace(
+        small_scenario(interferers), area=Rect(-5000, -5000, 5000, 5000),
+        sites=(Site("S", (0.0, 0.0), height_m, (sec,)),))
+
+
 def test_interference_colocated_formula():
-    site = Site("S", (0.0, 0.0), 25.0, ())
-    sec = Sector(id="a", azimuth_deg=0.0, band_ref="n78", tx_power_dbm=43.0,
-                 antenna_gain_dbi=17.0)
-    intf = make_interferer(position=(0.0, 1.0))
-    v = interference_at_cell_dbm(intf, site, sec, 3.5)
-    from rfplan.propagation import pathloss_db_clamped
-    pl = float(pathloss_db_clamped(1.0, 3.5, 25.0, 1.5, "UMa", "NLOS"))
-    assert v == pytest.approx(20.0 - pl + 17.0)
+    sc = one_site_scenario(make_interferer(position=(0.0, 1.0)),
+                           antenna_gain_dbi=17.0)
+    pl = float(propagation.pathloss_db_clamped(1.0, 3.5, 25.0, 1.5, "UMa", "NLOS"))
+    assert coupling_dbm(sc)[0, 0] == pytest.approx(20.0 - pl + 17.0)
 
 
 def test_interference_decays_with_distance():
-    site = Site("S", (0.0, 0.0), 25.0, ())
-    sec = Sector(id="a", azimuth_deg=0.0, band_ref="n78", tx_power_dbm=43.0)
-    near = interference_at_cell_dbm(make_interferer(position=(0.0, 200.0)),
-                                    site, sec, 3.5)
-    far = interference_at_cell_dbm(make_interferer(position=(0.0, 400.0)),
-                                   site, sec, 3.5)
+    near, far = coupling_dbm(one_site_scenario(
+        make_interferer(position=(0.0, 200.0)),
+        make_interferer(id="K", position=(0.0, 400.0))))[:, 0]
     assert far < near
 
 
 def test_interference_band_filter():
-    site = Site("S", (0.0, 0.0), 25.0, ())
-    sec = Sector(id="a", azimuth_deg=0.0, band_ref="n78", tx_power_dbm=43.0)
-    off_band = make_interferer(band_ref="n257")
-    assert interference_at_cell_dbm(off_band, site, sec, 28.0) == -math.inf
+    sc = one_site_scenario(make_interferer(band_ref="n257"))
+    assert coupling_dbm(sc)[0, 0] == -math.inf
+
+
+# --- coupling: the per-pair scalar reference ----------------------------------
+
+
+def reference_interference_at_cell_dbm(interferer, site, sector, fc_ghz,
+                                       environment="UMa"):
+    """The scalar (interferer, sector) coupling coupling_dbm must match.
+
+    NLOS pathloss from interferer to site, plus the sector antenna gain
+    toward the interferer; another band gives -inf.
+    """
+    if interferer.band_ref != sector.band_ref:
+        return -math.inf
+    dx = interferer.position[0] - site.position[0]
+    dy = interferer.position[1] - site.position[1]
+    d2d = max(math.hypot(dx, dy), propagation.D2D_MIN_M)
+    h_ut = min(max(interferer.height_m, propagation.H_UT_MIN_M), propagation.H_UT_MAX_M)
+    pl = float(propagation.pathloss_db_clamped(
+        d2d, fc_ghz, site.height_m, h_ut, environment, "NLOS"))
+    pattern = AntennaPattern(sector.beamwidth_3db_deg, sector.front_to_back_db)
+    gain = sector.antenna_gain_dbi - float(
+        pattern.attenuation_db(bearing_deg(dx, dy) - sector.azimuth_deg))
+    return interferer.tx_power_dbm - pl + gain
+
+
+def reference_coupling(scenario):
+    return np.array([[reference_interference_at_cell_dbm(
+        intf, site, sec, scenario.band_by_id(sec.band_ref).center_freq_ghz,
+        scenario.environment) for site, sec in scenario.sectors()]
+        for intf in scenario.interferers])
+
+
+def lattice_61():
+    """61 sites on a 500 m hexagonal lattice, heights 10/25/45 m, three
+    sectors each on two bands, and interferers on both bands: on a site,
+    between sites, outside the lattice, at 1 m and above the UT range."""
+    sites = []
+    for q in range(-4, 5):
+        for r in range(max(-4, -q - 4), min(4, -q + 4) + 1):
+            k = len(sites)
+            x, y = 500.0 * (q + r / 2.0), 500.0 * r * math.sqrt(3.0) / 2.0
+            sectors = tuple(Sector(
+                id=f"S{k:02d}_{j}", azimuth_deg=(120.0 * j + 7.0 * k) % 360.0,
+                band_ref=("n78", "n1")[(k + j) % 2], tx_power_dbm=43.0,
+                antenna_gain_dbi=15.0 + j, beamwidth_3db_deg=60.0 + 5.0 * j,
+                front_to_back_db=20.0 + 5.0 * j) for j in range(3))
+            sites.append(Site(f"S{k:02d}", (x, y), (10.0, 25.0, 45.0)[k % 3], sectors))
+    interferers = (
+        make_interferer(id="J0", position=(0.0, 0.0)),
+        make_interferer(id="J1", position=(130.0, -410.0), height_m=1.0),
+        make_interferer(id="J2", position=(-2210.0, 905.0), height_m=30.0,
+                        band_ref="n1", tx_power_dbm=33.0),
+        make_interferer(id="J3", position=(4600.0, 4700.0), band_ref="n1"),
+        make_interferer(id="J4", position=(250.0, 433.0), band_ref="n257"))
+    return Scenario(
+        name="lattice-61", area=Rect(-5000, -5000, 5000, 5000), environment="UMi",
+        sites=tuple(sites), interferers=interferers,
+        bands=(Band("n78", 3.5, 10.0), Band("n1", 2.1, 10.0), Band("n257", 28.0, 10.0)),
+        grid_resolution_m=100.0, seed=3)
+
+
+@pytest.mark.parametrize("which", ["demo", "lattice"])
+def test_coupling_matches_scalar_reference(demo_scenario, which):
+    sc = demo_scenario if which == "demo" else lattice_61()
+    got, want = coupling_dbm(sc), reference_coupling(sc)
+    assert got.shape == want.shape == (len(sc.interferers), len(sc.sector_ids))
+    off_band = np.isneginf(want)
+    assert np.array_equal(np.isneginf(got), off_band)
+    assert np.max(np.abs(got[~off_band] - want[~off_band])) <= 1e-9
+    if which == "lattice":
+        assert off_band.any() and not off_band.all()
+        assert len(sc.sites) == 61
+
+
+@pytest.mark.parametrize("environment", ["UMa", "UMi"])
+@pytest.mark.parametrize("condition", ["LOS", "NLOS"])
+def test_pathloss_per_receiver_height(environment, condition):
+    """One height per receiver, broadcast against the distances, gives
+    what one scalar call per receiver gives; a 1 m receiver has a zero
+    breakpoint next to the others' positive ones."""
+    d2d = np.array([0.5, 30.0, 150.0, 700.0, 2500.0, 12000.0, 400.0])
+    h_bs = np.array([10.0, 25.0, 45.0, 10.0, 25.0, 45.0, 1.0])
+    got = propagation.pathloss_db_clamped(d2d, 3.5, h_bs, 1.5, environment, condition)
+    want = [float(propagation.pathloss_db_clamped(d, 3.5, h, 1.5, environment, condition))
+            for d, h in zip(d2d, h_bs)]
+    assert np.max(np.abs(got - want)) <= 1e-9
+
+
+def test_one_metre_antennas_raise_no_warning():
+    """At h_bs = h_ut = 1 m the breakpoint is 0 and the second slope's
+    log10 argument would be 0: the first slope is taken, without a
+    divide-by-zero warning, alone or next to a taller receiver."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one = float(propagation.pathloss_db_clamped(100.0, 3.5, 1.0, 1.0, "UMa", "LOS"))
+        mixed = propagation.pathloss_db_clamped(
+            np.array([100.0, 100.0]), 3.5, np.array([1.0, 25.0]), 1.0, "UMi", "NLOS")
+        coupled = coupling_dbm(one_site_scenario(
+            make_interferer(position=(0.0, 100.0), height_m=1.0), height_m=1.0))
+    assert one == pytest.approx(28.0 + 22.0 * math.log10(100.0) + 20.0 * math.log10(3.5))
+    assert mixed[0] == float(propagation.pathloss_db_clamped(
+        100.0, 3.5, 1.0, 1.0, "UMi", "NLOS"))
+    assert np.isfinite(coupled).all()
 
 
 def test_linear_sum_oracle():
@@ -77,8 +184,7 @@ def test_linear_sum_oracle():
 def test_rtwp_composes_linearly():
     sc = small_scenario(interferers=[make_interferer()])
     batch = synthesize_kpi(sc, 600.0, 60.0)
-    site, sec = sc.sector_by_id("S1a")
-    c = interference_at_cell_dbm(sc.interferers[0], site, sec, 3.5)
+    c = coupling_dbm(sc)[0, sc.sector_ids.index("S1a")]
     expected = 10.0 * math.log10(10 ** -10.2 + 10 ** (c / 10.0))
     assert np.allclose(batch.get("RTWP", "S1a").samples, expected)
 
