@@ -380,12 +380,122 @@ def grid_summary(grid: CoverageGrid) -> dict:
 
 def write_grid_csv(grid: CoverageGrid, path) -> None:
     """Row-major CSV export, 2 decimal places, plot-ready."""
-    # x is formatted once per grid and y once per row, into the row's format
-    ids, x = grid.best_server_ids(), ["%.2f" % v for v in grid.x_m.tolist()]
-    with open(path, "w", newline="") as fh:
-        fh.write("x_m,y_m,best_server,rssi_dbm,sinr_db,throughput_mbps\n")
-        for iy, y in enumerate(grid.y_m.tolist()):     # one grid row at a time
-            row_format = "%%s,%.2f,%%s,%%.2f,%%.2f,%%.2f\n" % y
-            fh.write("".join(row_format % row for row in zip(
-                x, ids[iy].tolist(), grid.rssi_dbm[iy].tolist(),
-                grid.sinr_db[iy].tolist(), grid.throughput_mbps[iy].tolist())))
+    ny, nx = grid.shape
+    x, y = _fixed_text(grid.x_m, 2), _fixed_text(grid.y_m, 2)
+    servers = _text_table([f",{s}," for s in grid.sector_ids])
+    row_bytes = x.itemsize + y.itemsize + servers.itemsize + 40   # 40: three values
+    grid_rows = max(1, _TEXT_BLOCK_BYTES // (nx * row_bytes))
+    with open(path, "wb") as fh:
+        fh.write(b"x_m,y_m,best_server,rssi_dbm,sinr_db,throughput_mbps\n")
+        for i in range(0, ny, grid_rows):
+            rows = slice(i, i + grid_rows)
+            _write_lines(fh, (
+                np.tile(x, len(y[rows])), _COMMA, np.repeat(y[rows], nx),
+                servers[grid.best_server[rows].ravel()],
+                _fixed_text(grid.rssi_dbm[rows].ravel(), 2), _COMMA,
+                _fixed_text(grid.sinr_db[rows].ravel(), 2), _COMMA,
+                _fixed_text(grid.throughput_mbps[rows].ravel(), 2)))
+
+
+# ---------------------------------------------------------------------------
+# CSV text at array speed, for the grid writer here and the KPI writer in twin.
+# A text column is a 1-D array of fixed-width void items, NUL-padded; a
+# line is its columns' items side by side, with every NUL dropped.
+
+
+_TEXT_BLOCK_BYTES = 1 << 17     # text per block of a CSV writer; its arrays take a few times that
+_U4 = np.dtype("<u4")
+
+
+def _digit_table() -> np.ndarray:
+    """Four ASCII digits per uint32, for i in 0..9999: '%04d' at [i], the
+    same with its leading zeros as NUL at [i + 10**4], and with the units
+    digit kept at [i + 2 * 10**4] (so 0 is NUL NUL NUL '0')."""
+    i, place = np.arange(10_000)[:, None], np.array([1000, 100, 10, 1])
+    digits = (i // place % 10 + ord("0")).astype(np.uint8)
+    lead = i >= place
+    return np.concatenate((digits, digits * lead, digits * (lead | (place == 1)))
+                          ).view(_U4).ravel()
+
+
+_DIGITS = _digit_table()
+_COMMA, _NEWLINE = np.array([b","], dtype="V1"), np.array([b"\n"], dtype="V1")
+# a NUL inside a table text is held as 0xFF, a byte UTF-8 never uses, so
+# that NUL can pad the items; _write_lines drops the pads and restores it
+_RESTORE_NUL = bytes.maketrans(b"\xff", b"\0")
+
+
+def _fixed_text(values: np.ndarray, decimals: int) -> np.ndarray:
+    """'%.{decimals}f' % v for each v of a 1-D array, decimals >= 1, as a
+    text column.
+
+    The digits are those of q = rint(|v| * 10**decimals), four to a
+    uint32 from _DIGITS, and the sign is a byte of its own, from signbit,
+    so -0.0 prints as -0.00. That is the correctly rounded text unless
+    the scaled magnitude lies within two ulps of a rounding tie, where
+    the product's own rounding may decide: such values, those from 2**50
+    up and the non-finite are formatted by Python's %, one at a time.
+    """
+    values = np.asarray(values, dtype=float)
+    scale = 10.0 ** decimals
+    with np.errstate(over="ignore", invalid="ignore"):     # inf, inf - inf
+        scaled = np.abs(values) * scale
+        q = np.rint(scaled)
+        odd = ~(np.abs(scaled - q) + scaled * 2.0 ** -51 < 0.5)
+    q[odd] = 0.0
+    whole = np.floor(q / scale)             # exact, as q < 2**50
+    frac = (q - whole * scale).astype(np.intp)
+    whole = whole.astype(np.intp)
+    int_groups = -(-len(str(whole.max(initial=0))) // 4)
+    frac_groups, top = -(-decimals // 4), (decimals - 1) % 4 + 1
+    fields = ["sign", *(f"i{g}" for g in range(int_groups)), "dot",
+              *(f"f{g}" for g in range(frac_groups))]
+    formats = ["u1", *[_U4] * int_groups, "u1", *[_U4] * frac_groups]
+    exact = ["%.*f" % (decimals, v) for v in values[odd].tolist()]
+    width = max([2 + 4 * (int_groups + frac_groups), *map(len, exact)])
+    text = np.zeros(values.size, dtype={"names": fields, "formats": formats,
+                                        "itemsize": width})
+    text["sign"] = np.signbit(values) * np.uint8(ord("-"))
+    for g, part in enumerate(_groups(whole, int_groups)):
+        # a group with a digit above it is '%04d' (table 0); one without
+        # has NUL for its leading zeros (table 1, all NUL for 0), but keeps
+        # its units digit when it is the last group (table 2)
+        table = 2 if g == int_groups - 1 else 1
+        if g:
+            table = table * (whole < 10 ** (4 * (int_groups - g)))
+        text[f"i{g}"] = _DIGITS[part + table * 10_000]
+    text["dot"] = ord(".")
+    for g, part in enumerate(_groups(frac, frac_groups)):
+        if g == 0 and top < 4:      # the first decimals, then NUL
+            text["f0"] = _DIGITS[part * 10 ** (4 - top)] & np.uint32(256 ** top - 1)
+        else:
+            text[f"f{g}"] = _DIGITS[part]
+    text = text.view(f"V{width}")
+    if exact:
+        text[odd] = _text_table(exact, width)
+    return text
+
+
+def _groups(x: np.ndarray, n: int) -> list:
+    """x, each in [0, 10**(4 * n)), as n four-digit groups, the most
+    significant first."""
+    return [x // 10 ** (4 * g) % 10_000 for g in range(n - 1, 0, -1)] + [x % 10_000 if n > 1 else x]
+
+
+def _text_table(texts, width: int = 1) -> np.ndarray:
+    """The UTF-8 bytes of each text as a text column, at least ``width``
+    wide; a NUL inside a text is held as 0xFF."""
+    raw = [t.encode().replace(b"\0", b"\xff") for t in texts]
+    width = max([width, *map(len, raw)])
+    return np.array(raw, dtype=f"S{width}").view(f"V{width}")
+
+
+def _write_lines(fh, columns) -> None:
+    """Write the text columns side by side, one line per item, without
+    their NUL padding. A one-item column is repeated down every line."""
+    columns = (*columns, _NEWLINE)
+    lines = np.empty(max(map(len, columns)),
+                     dtype=[(f"c{k}", c.dtype) for k, c in enumerate(columns)])
+    for k, c in enumerate(columns):
+        lines[f"c{k}"] = c
+    fh.write(lines.tobytes().translate(_RESTORE_NUL, b"\0"))

@@ -21,7 +21,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import propagation
-from .coverage import AntennaPattern, bearing_deg
+from .coverage import (_TEXT_BLOCK_BYTES, AntennaPattern, _fixed_text, _text_table,
+                       _write_lines, bearing_deg)
 from .errors import InputError
 from .planning import noise_floor_dbm
 from .scenario import Scenario, from_json, read_json_object
@@ -201,7 +202,7 @@ def batch_excess(batch: KpiBatch, baseline_window: int,
 
 _CSV_HEADER = ("timestamp_s", "cell_id", "metric", "value_dbm")
 _BLOCK_BYTES = 1 << 20      # bounds the reader's per-block arrays to a few MB
-_NL, _COMMA, _QUOTE = ord("\n"), ord(","), ord('"')
+_NL, _CR, _COMMA, _QUOTE = ord("\n"), ord("\r"), ord(","), ord('"')
 
 
 def write_kpi_csv(batch: KpiBatch, path) -> None:
@@ -221,15 +222,20 @@ def write_kpi_csv(batch: KpiBatch, path) -> None:
         raise InputError(f"KPI timestamps are written to 0.1 s; t={timestamps[off[0]]:g} s "
                          f"is not a multiple of 0.1 s (check the step)")
     values = np.stack([batch.get(m, c).samples for m in metrics for c in cells],
-                      axis=1)
-    # one timestep's rows, each still missing the timestamp in front
-    rows = [f",{c},{m},".replace("%", "%%") + "%.4f\n"
-            for m in metrics for c in cells]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(_CSV_HEADER) + "\n")
-        for ts, row in zip(timestamps.tolist(), values):
-            stamp = f"{ts:.1f}"
-            fh.write((stamp + stamp.join(rows)) % tuple(row.tolist()))
+                      axis=1).ravel()
+    stamps = _fixed_text(timestamps, 1)
+    keys = _text_table([f",{c},{m}," for m in metrics for c in cells])
+    step = max(1, _TEXT_BLOCK_BYTES // (stamps.itemsize + keys.itemsize + 10))
+    with open(path, "wb") as fh:
+        fh.write(",".join(_CSV_HEADER).encode() + b"\n")
+        for i in range(0, values.size, step):
+            # rows i, i + 1, ... are (timestep t, key off), (t, off + 1), ...
+            t, off = divmod(i, len(keys))
+            rows = slice(off, off + min(step, values.size - i))
+            span = -(-rows.stop // len(keys))       # timesteps the block touches
+            _write_lines(fh, (np.repeat(stamps[t:t + span], len(keys))[rows],
+                              np.tile(keys, span)[rows],
+                              _fixed_text(values[i:i + step], 4)))
 
 
 def read_kpi_csv(path) -> KpiBatch:
@@ -252,8 +258,9 @@ def read_kpi_csv(path) -> KpiBatch:
         for block in _line_blocks(fh):
             n_lines = block.count(b"\n")
             where = f"{path}, lines {line_no}-{line_no + n_lines - 1}"
-            blocks.append(_parse_block(block.replace(b"\r\n", b"\n"),
-                                       cols, keys, where))
+            if b"\r" in block:
+                block = block.replace(b"\r\n", b"\n")
+            blocks.append(_parse_block(block, n_lines, cols, keys, where))
             line_no += n_lines
     if not keys:
         raise InputError(f"no KPI rows in {path}")
@@ -280,64 +287,183 @@ def _line_blocks(fh):
         yield tail + b"\n"
 
 
-def _row_ids(rows: np.ndarray):
-    """Ids of the rows of a 2-D uint8 array, equal exactly when the rows
-    are, and the index of the first row with each id."""
-    n, width = rows.shape
-    words = np.zeros((n, -(-width // 8)), dtype=np.uint64)
-    words.view(np.uint8)[:, :width] = rows
-    order = np.lexsort(words.T)     # stable: equal rows keep file order
-    words = words[order]
-    new = np.ones(n, dtype=bool)
-    new[1:] = np.any(words[1:] != words[:-1], axis=1)
-    ids = np.empty(n, dtype=np.int64)
-    ids[order] = np.cumsum(new) - 1
-    return ids, order[new]
+_WORD = np.dtype("<u8")
+_U = np.uint64      # shift counts and constants: numpy 1.x would not mix uint64 and int
 
 
-def _key_ids(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, keys, where: str):
-    """Id in ``keys`` of each row's (cell, metric), the bytes
-    buf[lo[i, 0]:hi[i, 0]] and buf[lo[i, 1]:hi[i, 1]].
+def _each_byte(b: int) -> np.uint64:
+    """The word with every byte equal to b."""
+    return _U(b * 0x0101010101010101)
 
-    Rows whose two fields have the same lengths are compared as raw
-    bytes, so no key is padded to the longest one and the arrays stay
-    the size of the key text. ``keys`` gains the new pairs in order of
-    first appearance.
+
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=_WORD)
+# _IN_FIELD[k][w]: the bytes of word k from the end of a field of w bytes
+# that lie in the field, w = 0..16
+_IN_FIELD = (~_LOW_BYTES[8 - np.minimum(np.arange(17), 8)],
+             ~_LOW_BYTES[16 - np.clip(np.arange(17), 8, 16)])
+_POW10 = 10 ** np.arange(17, dtype=_WORD)
+_SCALE = 10.0 ** np.arange(16)
+
+
+def _words_at(buf: np.ndarray) -> np.ndarray:
+    """The little-endian uint64 of the 8 bytes from each position of buf."""
+    return np.ndarray((buf.size - 7,), dtype=_WORD, buffer=buf, strides=(1,))
+
+
+def _bytes_equal(words: np.ndarray, byte: int) -> np.ndarray:
+    """0x80 in each byte of the words that equals ``byte``, 0 elsewhere."""
+    x = words ^ _each_byte(byte)
+    low7 = _each_byte(0x7F)
+    return ~((x & low7) + low7 | x | low7)
+
+
+def _count_bytes(words: np.ndarray) -> np.ndarray:
+    """How many bytes of each word have their top bit set."""
+    return (words >> _U(7) & _each_byte(1)) * _each_byte(1) >> _U(56)
+
+
+def _eight_digits(words: np.ndarray) -> np.ndarray:
+    """The number each word of eight digit values (0-9 per byte) spells,
+    the first digit in the low byte (Lemire, "Number parsing at a gigabyte
+    per second", SPE 51(8), 2021). Array arithmetic wraps silently; the
+    same on numpy scalars would warn."""
+    v = words * _U(10) + (words >> _U(8))
+    low = _U(0x000000FF000000FF)
+    return ((v & low) * _U(100 + (1_000_000 << 32))
+            + ((v >> _U(16)) & low) * _U(1 + (10_000 << 32))) >> _U(32)
+
+
+def _plain_numbers(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Values of the fields buf[lo:hi] of the plain form -?D+.D+ with at
+    most 15 digits, and the mask of those fields; the other entries are
+    left for np.loadtxt.
+
+    buf holds at least 16 bytes before the first field. A field is read
+    as the one or two words that end where it ends. With m its digits as
+    an integer and f the count after the dot, the value is m / 10**f: one
+    correctly rounded division of two exact doubles, as m < 10**15, so
+    bitwise what float() returns (Clinger, PLDI 1990).
     """
-    length = hi - lo
-    shape = length[:, 0] * (int(length[:, 1].max()) + 1) + length[:, 1]
-    local = np.empty(lo.shape[0], dtype=np.int64)
+    neg = buf[lo] == ord("-")
+    width = hi - lo - neg
+    plain = (width >= 3) & (width <= 16)
+    width = np.minimum(width, 16)
+    zeros, high = _each_byte(ord("0")), _each_byte(0xF0)
+    words8 = _words_at(buf)
+    v = f = n_dots = 0
+    # the last word, and the one before only if some field reaches into it
+    for k in range(2 if width.max() > 8 else 1):
+        keep = _IN_FIELD[k][width]
+        w = words8[hi - 8 * (k + 1)]
+        dot = _bytes_equal(w, ord(".")) & keep
+        # the bytes before the field and the dot become '0'
+        w = (w & keep | zeros & ~keep) + (dot >> _U(7)) * _U(2)
+        # every byte '0'-'9' (Lemire's check)
+        plain &= (w & high | (w + _each_byte(6) & high) >> _U(4)) == _each_byte(0x33)
+        v = v + _eight_digits(w - zeros) * _POW10[8 * k]
+        # the digits after the dot are the field's bytes above it
+        count = _count_bytes(dot)
+        n_dots = n_dots + count
+        f = f + np.where(count != 0, _count_bytes(~((dot << _U(1)) - _U(1))) + 8 * k, 0)
+    plain &= (n_dots == 1) & (f >= 1) & (f <= width - 2)
+    f = np.where(plain, f, 0)
+    # the dot spelled a 0 digit: v = int * 10**(f + 1) + frac
+    frac = v % _POW10[f]
+    value = ((v - frac) // _U(10) + frac).astype(float) / _SCALE[f]
+    return np.where(neg, -value, value), plain
+
+
+def _loadtxt(text: bytes, usecols, where: str) -> np.ndarray:
+    try:
+        return np.loadtxt(io.BytesIO(text), delimiter=",", usecols=usecols,
+                          comments=None, ndmin=2)
+    except ValueError as exc:
+        raise InputError(f"bad KPI CSV number ({where}): {exc}") from exc
+
+
+def _key_ids(buf: np.ndarray, fields, keys, where: str, out: np.ndarray):
+    """Id in ``keys`` of each row's (cell, metric); ``fields`` holds the
+    (lo, hi) arrays of the two, row i's cell being buf[lo[i]:hi[i]].
+
+    buf holds at least 8 bytes after the last key. Rows whose two fields
+    take the same numbers of 8-byte words are compared as those words,
+    NUL past each field's end, and one more holding both lengths: no key
+    is padded to the longest one. ``keys`` gains the new pairs in order
+    of first appearance.
+    """
+    lengths = [hi - lo for lo, hi in fields]
+    n_words = [(length + 7) // 8 for length in lengths]
+    if all(w.min() == w.max() for w in n_words):
+        groups = [slice(None)]
+    else:
+        shape = n_words[0] * (int(n_words[1].max()) + 1) + n_words[1]
+        groups = [np.flatnonzero(shape == s) for s in np.unique(shape)]
+    words8 = _words_at(buf)
+    local = np.empty(lengths[0].size, dtype=np.int64)
     names, firsts = [], []
-    for s in np.unique(shape):
-        rows = np.flatnonzero(shape == s)
-        cell_len, metric_len = length[rows[0]].tolist()
-        key = buf[np.concatenate((lo[rows, :1] + np.arange(cell_len),
-                                  lo[rows, 1:] + np.arange(metric_len)), axis=1)]
-        ids, first = _row_ids(key)
+    for rows in groups:
+        length = [x[rows] for x in lengths]
+        words = [length[0].astype(_WORD) << _U(32) | length[1].astype(_WORD)]
+        for (lo, _), field_len, w in zip(fields, length, n_words):
+            n = int(w[rows][0])
+            words += [words8[lo[rows] + 8 * j] for j in range(n)]
+            if n:
+                words[-1] &= _LOW_BYTES[field_len - 8 * (n - 1)]
+        ids, first = _row_ids(words)
+        first = np.arange(lengths[0].size)[rows][first]
         local[rows] = len(names) + ids
         try:
-            names += [(key[f, :cell_len].tobytes().decode(),
-                       key[f, cell_len:].tobytes().decode()) for f in first]
+            names += [tuple(buf[lo[r]:hi[r]].tobytes().decode() for lo, hi in fields)
+                      for r in first.tolist()]
         except UnicodeDecodeError as exc:
             raise InputError(f"KPI CSV cell or metric is not UTF-8 ({where})") from exc
-        firsts += rows[first].tolist()
+        firsts += first.tolist()
     lut = np.empty(len(names), dtype=np.int32)
     for u in np.argsort(firsts):
         lut[u] = keys.setdefault(names[u], len(keys))
-    return lut[local]
+    return np.take(lut, local, out=out)
 
 
-def _parse_block(block: bytes, cols, keys, where: str):
-    """(key ids, timestamps, values) of one block of whole LF-ended lines.
+def _row_ids(words: list):
+    """Ids of the rows of the uint64 columns, equal exactly when the rows
+    are, and the index of the first row with each id."""
+    h = words[0].copy()
+    for j, col in enumerate(words[1:], 1):
+        h += col * _U((0x9E3779B97F4A7C15 * j | 1) % 2 ** 64)
+    order = np.argsort(h)
+    new = np.empty(h.size, dtype=bool)
+    new[0] = True
+    h = h[order]
+    np.not_equal(h[1:], h[:-1], out=new[1:])
+    first = np.minimum.reduceat(order, np.flatnonzero(new))
+    ids = np.empty(h.size, dtype=np.int64)
+    ids[order] = np.cumsum(new) - 1
+    if all(np.array_equal(col[first][ids], col) for col in words):
+        return ids, first
+    _, first, ids = np.unique(np.column_stack(words), axis=0,   # a hash collision
+                              return_index=True, return_inverse=True)
+    return ids.ravel(), first
+
+
+def _parse_block(block: bytes, n_lines: int, cols, keys, where: str):
+    """(key ids, timestamps, values) of one block of n_lines whole
+    LF-ended lines.
 
     Key ids index ``keys``, which gains the block's new (cell, metric)
-    pairs in order of first appearance.
+    pairs in order of first appearance. Numbers of the plain form go
+    through _plain_numbers; the lines with any other number, or with a
+    bare CR, go through np.loadtxt, which decides what they mean.
     """
-    buf = np.frombuffer(block, dtype=np.uint8)
-    if np.any(buf == _QUOTE):
+    if b'"' in block:
         raise InputError(f"quoted KPI CSV fields are not supported ({where})")
+    # the results first: the scratch arrays after them are freed off the
+    # top of the heap, not from under rows that stay, so the memory returns
+    ids, num = np.empty(n_lines, dtype=np.int32), np.empty((n_lines, 2))
+    # 16 bytes before the block and 8 after it, for the word windows
+    buf = np.zeros(len(block) + 24, dtype=np.uint8)
+    buf[16:-8] = np.frombuffer(block, dtype=np.uint8)
     ends = np.flatnonzero(buf == _NL)
-    starts = np.concatenate(([0], ends[:-1] + 1))
+    starts = np.concatenate(([16], ends[:-1] + 1))
     filled = ends > starts                      # blank lines are skipped
     starts, ends = starts[filled], ends[filled]
     n = starts.size
@@ -351,18 +477,29 @@ def _parse_block(block: bytes, cols, keys, where: str):
     # field k of row i is buf[sep[i, k] + 1:sep[i, k + 1]]
     sep = np.column_stack((starts - 1, commas.reshape(n, 3), ends))
     t_col, cell_col, metric_col, v_col = cols
-    lo = sep[:, [cell_col, metric_col]] + 1
-    hi = sep[:, [cell_col + 1, metric_col + 1]]
-    if np.any(hi[:, 0] == lo[:, 0]):
+    fields = [(sep[:, k] + 1, sep[:, k + 1]) for k in (cell_col, metric_col)]
+    if np.any(fields[0][0] == fields[0][1]):
         raise InputError(f"empty KPI CSV cell_id ({where})")
-    ids = _key_ids(buf, lo, hi, keys, where)
-    try:
-        num = np.loadtxt(io.BytesIO(block), delimiter=",", usecols=(t_col, v_col),
-                         comments=None, ndmin=2)
-    except ValueError as exc:
-        raise InputError(f"bad KPI CSV number ({where}): {exc}") from exc
-    if num.shape[0] != n:
-        raise InputError(f"stray line break in KPI CSV ({where})")
+    ids = _key_ids(buf, fields, keys, where, ids[:n])
+    num = num[:n]
+    plain = np.ones(n, dtype=bool)
+    for k, col in enumerate((t_col, v_col)):
+        num[:, k], ok = _plain_numbers(buf, sep[:, col] + 1, sep[:, col + 1])
+        plain &= ok
+    if b"\r" in block:
+        plain[np.searchsorted(ends, np.flatnonzero(buf == _CR))] = False
+    other = np.flatnonzero(~plain)
+    if other.size:
+        lines = b"".join(block[a - 16:b - 15] for a, b in zip(starts[other].tolist(),
+                                                               ends[other].tolist()))
+        try:
+            got = _loadtxt(lines, (t_col, v_col), where)
+        except InputError:
+            _loadtxt(block, (t_col, v_col), where)  # the same error, its row counted in the block
+            raise
+        if got.shape[0] != other.size:
+            raise InputError(f"stray line break in KPI CSV ({where})")
+        num[other] = got
     return ids, num[:, 0], num[:, 1]
 
 

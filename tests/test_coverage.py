@@ -167,6 +167,36 @@ def test_grid_csv_matches_reference(tmp_path, demo_grid, which):
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+def edge_grid():
+    """%.2f near-ties, values that print as -0.00, coordinates of 10 km
+    and more, huge and non-finite values, and sector ids of three widths."""
+    x = np.array([0.125, 2.675, 10000.005, 12345.675, -0.001])
+    y = np.array([-0.001, 0.125, 99999.995])
+    values = np.array([0.125, 2.675, 1.005, -0.005, -0.001, -0.0, 1e17, -1e17,
+                       np.nan, np.inf, -np.inf, 12345.675, 0.015, -1234567.125,
+                       45035996273.70495])
+    rng = np.random.default_rng(5)
+    field = [rng.permutation(values).reshape(3, 5) for _ in range(3)]
+    return CoverageGrid(
+        x_m=x, y_m=y, resolution_m=25.0, sector_ids=["A", "Bb", "LONG_SECTOR_7"],
+        sector_band=["n78", "n78", "n1"], best_server=rng.integers(0, 3, (3, 5)),
+        rsrp_dbm=field[0], rssi_dbm=field[0], sinr_db=field[1],
+        throughput_mbps=field[2], covered=np.ones((3, 5), dtype=bool))
+
+
+@pytest.mark.parametrize("block", [1, 900, 1 << 20])
+def test_grid_csv_edges_match_reference(tmp_path, monkeypatch, block):
+    # one, two or all grid rows per block
+    monkeypatch.setattr(coverage, "_TEXT_BLOCK_BYTES", block)
+    grid = edge_grid()
+    write_grid_csv(grid, tmp_path / "got.csv")
+    reference_grid_csv(grid, tmp_path / "ref.csv")
+    ref = (tmp_path / "ref.csv").read_bytes()
+    assert (tmp_path / "got.csv").read_bytes() == ref
+    assert b",-0.00," in ref and b"\n12345.67,99999.99," in ref
+    assert b",nan" in ref and b",-inf" in ref
+
+
 def test_serving_mask_partition(demo_grid):
     total = np.zeros(demo_grid.shape, dtype=int)
     for sec in demo_grid.sector_ids:

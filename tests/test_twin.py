@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import io
 import math
 import tracemalloc
 import warnings
@@ -370,6 +371,127 @@ def test_kpi_csv_writer_matches_row_loop(tmp_path, demo_batch, which):
     assert_batches_identical(read_kpi_csv(new), reference_read_kpi_csv(ref))
 
 
+def test_kpi_csv_writer_edges_across_blocks(tmp_path, monkeypatch):
+    """%.4f near-ties, signed zeros, integer parts of 5 to 18 digits,
+    non-finite values and timestamps past 10**5 s, in blocks of one row,
+    of three and five rows (which split timesteps of four) and of all."""
+    values = {
+        ("RTWP", "A1"): [-101.23455, 999.99995, 0.00005, -0.0, -0.00004, np.nan],
+        ("RTWP", "B7"): [12345.6789, -99999.99995, 1e17, -1e17, np.inf, -np.inf],
+        ("RSSI", "A1"): [1e4, -1e4, 2.0 ** 52, 0.5, -2.5e-5, 4503599627.37049],
+        ("RSSI", "B7"): [123456789.0123, -0.00005, 5e-5, 1e-300, -7.77777, 1.0],
+    }
+    series = {}
+    for (metric, cell), v in values.items():
+        series.setdefault(metric, {})[cell] = KpiSeries(
+            cell, metric, 99_990.0, 2.5, np.array(v))
+    batch = KpiBatch(series=series)
+    ref = tmp_path / "ref.csv"
+    reference_write_kpi_csv(batch, ref)
+    for block in (1, 100, 170, 1 << 20):
+        monkeypatch.setattr(twin, "_TEXT_BLOCK_BYTES", block)
+        write_kpi_csv(batch, tmp_path / f"new_{block}.csv")
+        assert (tmp_path / f"new_{block}.csv").read_bytes() == ref.read_bytes()
+    text = ref.read_bytes()
+    for row in (b"99990.0,A1,RTWP,-101.2345\n", b"99992.5,A1,RTWP,1000.0000\n",
+                b"100002.5,A1,RTWP,nan\n", b"100000.0,A1,RTWP,-0.0000\n",
+                b"100002.5,B7,RTWP,-inf\n",
+                b"99990.0,B7,RTWP,12345.6789\n", b"99992.5,B7,RTWP,-99999.9999\n",
+                b"99995.0,B7,RTWP,100000000000000000.0000\n"):
+        assert row in text
+
+
+def test_kpi_csv_writer_memory_is_bounded_by_blocks(tmp_path):
+    # 200,000 rows: the writer holds the stacked values and one block of text
+    cells = [f"C{k:03d}" for k in range(50)]
+    rng = np.random.default_rng(11)
+    batch = KpiBatch(series={m: {c: KpiSeries(c, m, 0.0, 1.0, rng.normal(-100.0, 5.0, 2000))
+                                 for c in cells} for m in METRICS})
+    tracemalloc.start()
+    try:
+        write_kpi_csv(batch, tmp_path / "kpi.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000 * 8 + 3e6
+
+
+@pytest.mark.parametrize("block", [1 << 20, 60, 150])
+def test_kpi_csv_reader_number_forms(tmp_path, monkeypatch, block):
+    """Plain numbers next to every other form float() reads (exponents,
+    '+', no digit before or after the dot, no dot, leading zeros, more
+    than 15 digits), in one block and across block boundaries: each
+    parses bitwise as float() does."""
+    values = ["-101.2345", "1e2", "+3.5", ".5", "5.", "100", "-0", "007.5", "-0.0",
+              "-99.123456789012345678", "1.2345678901234567", "12345678901234.5",
+              "123456789012345.6", "0.000000000000001", "-5.25", "1.5E-3", "-7.0"]
+    stamps = {t: [f"{t:.1f}", f"{t:.2f}", f"{t:g}", f"{t:.1e}"] for t in (0.0, 60.0, 120.0, 180.0)}
+    rows = [f"{stamps[t][k % 4]},{c},{m},{values[k % len(values)]}"
+            for k, (t, m, c) in enumerate((t, m, c) for t in stamps for m in METRICS
+                                          for c in ("A", "B7", "C12"))]
+    p = tmp_path / "kpi.csv"
+    p.write_text(_shuffle_rows("timestamp_s,cell_id,metric,value_dbm\n" + "\n".join(rows)))
+    monkeypatch.setattr(twin, "_BLOCK_BYTES", block)
+    assert_batches_identical(read_kpi_csv(p), reference_read_kpi_csv(p))
+
+
+def test_kpi_csv_reader_plain_numbers_bitwise(tmp_path):
+    # 1 to 17 digits with the dot anywhere between them, signed or not
+    rng = np.random.default_rng(7)
+    digits = ["".join(rng.choice(list("0123456789"), n)) for n in rng.integers(2, 18, 4000)]
+    values = [("-" if rng.random() < 0.5 else "") + d[:k] + "." + d[k:]
+              for d, k in ((d, int(rng.integers(1, len(d)))) for d in digits)]
+    rows = [f"{60.0 * (i // 4):.1f},{'AB'[i % 2]},{METRICS[i // 2 % 2]},{v}"
+            for i, v in enumerate(values)]
+    p = tmp_path / "kpi.csv"
+    p.write_text("timestamp_s,cell_id,metric,value_dbm\n" + "\n".join(rows) + "\n")
+    assert_batches_identical(read_kpi_csv(p), reference_read_kpi_csv(p))
+
+
+def test_kpi_csv_ids_with_nul_round_trip(tmp_path):
+    # a NUL inside an id is written as is, and "A", "A\0" and "A\0\0" stay apart
+    cells = ["A", "A\0", "A\0\0", "AAAAAAA\0B", "\0"]
+    batch = KpiBatch(series={m: {c: KpiSeries(c, m, 0.0, 60.0, np.arange(3.0) + k)
+                                 for k, c in enumerate(cells)} for m in METRICS})
+    ref, new = tmp_path / "ref.csv", tmp_path / "new.csv"
+    reference_write_kpi_csv(batch, ref)
+    write_kpi_csv(batch, new)
+    assert new.read_bytes() == ref.read_bytes()
+    assert_batches_identical(read_kpi_csv(new), reference_read_kpi_csv(ref))
+
+
+def test_key_ids_survive_a_hash_collision():
+    # rows (0, 1) and (K, 0) hash alike when the second word is weighted by K
+    k = 0x9E3779B97F4A7C15          # the weight _row_ids gives the second word
+    ids, first = twin._row_ids([np.array([0, k, 0], dtype=np.uint64),
+                                np.array([1, 0, 1], dtype=np.uint64)])
+    assert ids[0] == ids[2] != ids[1]
+    assert sorted(first.tolist()) == [0, 1]
+
+
+def test_kpi_csv_metric_with_nul_is_unknown(tmp_path):
+    # "RTWP\0" is its own key, not a second RTWP row
+    p = tmp_path / "nul.csv"
+    p.write_text("timestamp_s,cell_id,metric,value_dbm\n0.0,A,RTWP,-1.0\n" + "".join(
+        r.replace(",A,RTWP,", ",A,RTWP\0,") + "\n" for r in GOOD_ROWS))
+    with pytest.raises(InputError, match="unknown metric 'RTWP\\\\x00'"):
+        read_kpi_csv(p)
+
+
+def test_kpi_csv_bad_number_message_counts_rows_in_block(tmp_path):
+    # the error names the row as np.loadtxt counts it in the whole block
+    rows = GOOD_ROWS[:5] + ["0.0,B,RSSI,-1e2x"] + GOOD_ROWS[6:]
+    body = "".join(r + "\n" for r in rows)
+    p = tmp_path / "bad.csv"
+    p.write_text("timestamp_s,cell_id,metric,value_dbm\n" + body)
+    with pytest.raises(ValueError) as want:
+        np.loadtxt(io.StringIO(body), delimiter=",", usecols=(0, 3), comments=None)
+    with pytest.raises(InputError, match="bad KPI CSV number") as got:
+        read_kpi_csv(p)
+    assert str(want.value) in str(got.value)
+    assert "row 5" in str(got.value)
+
+
 @pytest.mark.parametrize("tail", ["no_final_newline", "blank_blocks"])
 def test_kpi_csv_reader_across_blocks(tmp_path, demo_batch, monkeypatch, tail):
     # blocks far smaller than the file; the last ones may hold no row at all
@@ -464,6 +586,11 @@ MALFORMED = {
     "three_fields": _edit(GOOD_ROWS, "0.0,A,RSSI,-100.0", "0.0,A,RSSI"),
     "no_rows": ["", ""],
     "not_a_number": _edit(GOOD_ROWS, "0.0,B,RTWP,-100.0", "0.0,B,RTWP,-1OO"),
+    "two_dots": _edit(GOOD_ROWS, "0.0,B,RTWP,-100.0", "0.0,B,RTWP,-1.2.3"),
+    "two_minus": _edit(GOOD_ROWS, "0.0,B,RTWP,-100.0", "0.0,B,RTWP,--5.0"),
+    "minus_after_dot": _edit(GOOD_ROWS, "0.0,B,RTWP,-100.0", "0.0,B,RTWP,5.-1"),
+    "bare_cr": [r.replace(",A,", ",A\rB,") for r in GOOD_ROWS],
+    "minus_inside": _edit(GOOD_ROWS, "60.0,A,RSSI,-100.0", "1-2.0,A,RSSI,-100.0"),
 }
 
 
