@@ -21,7 +21,7 @@ folded once.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
@@ -44,14 +44,44 @@ class AntennaPattern:
     front_to_back_db: float
 
     def attenuation_db(self, delta_az_deg):
-        d = np.abs((np.asarray(delta_az_deg, dtype=float) + 180.0) % 360.0 - 180.0)
-        return np.minimum(12.0 * (d / self.beamwidth_3db_deg) ** 2,
-                          self.front_to_back_db)
+        d = np.broadcast_to(delta_az_deg, np.broadcast(
+            delta_az_deg, self.beamwidth_3db_deg, self.front_to_back_db).shape)
+        return self._attenuate(np.array(d, dtype=float))[()]
+
+    def _attenuate(self, d):
+        """attenuation_db of the float array d, computed in d itself: the
+        operations of min(12 (|(d + 180) % 360 - 180| / bw) ** 2, ftb), in
+        that order, and ** 2 is numpy's square."""
+        d += 180.0
+        _mod360(d)
+        d -= 180.0
+        np.abs(d, out=d)
+        d /= self.beamwidth_3db_deg
+        np.square(d, out=d)
+        d *= 12.0
+        return np.minimum(d, self.front_to_back_db, out=d)
+
+
+def _mod360(a):
+    """a % 360.0 bit for bit, computed in place in the float array a.
+
+    numpy's float remainder runs a full divmod per element, ~60x a subtract.
+    On [-360, 720) it is a - 360 from 360 up (exact), a + 360 below 0
+    (rounded as the remainder rounds it: a tiny negative gives 360.0), and
+    +0.0 for a zero. Other values, inf or NaN take the remainder itself.
+    """
+    if a.size and -360.0 <= a.min() and a.max() < 720.0:
+        np.subtract(a, 360.0, out=a, where=a >= 360.0)
+        np.add(a, 360.0, out=a, where=a < 0.0)
+        a += 0.0                                # -0.0 -> +0.0
+        return a
+    return np.remainder(a, 360.0, out=a)
 
 
 def bearing_deg(dx, dy):
     """Compass bearing of (dx, dy): degrees clockwise from +y."""
-    return np.degrees(np.arctan2(dx, dy)) % 360.0
+    bearing = np.asarray(np.arctan2(dx, dy))
+    return _mod360(np.degrees(bearing, out=bearing))[()]
 
 
 @dataclass
@@ -97,11 +127,12 @@ def _location_fields(scenario: Scenario, fading, x, y, position, height_m,
     transmitters holds (tx_id, fc_ghz, eirp_dbm, pattern, azimuth_deg);
     pattern None is an omni antenna. Distance, bearing and LOS probability
     are computed once for the location, pathloss once per frequency. Each
-    transmitter's LOS/NLOS condition is drawn once per pixel from the LOS
+    transmitter id's LOS/NLOS condition is drawn once per pixel from the LOS
     probability and frozen by the scenario seed; shadow fading comes from
-    the stream keyed by the transmitter id. Intermediate maps are dropped
-    or overwritten as soon as they are used, so a location holds few maps
-    besides the ones it returns.
+    the stream keyed by the id. Both are drawn once per location, so a
+    sector listed at two frequencies (moved band in a shared pass) reuses
+    them. Intermediate maps are dropped or overwritten as soon as they are
+    used, so a location holds few maps besides the ones it returns.
     """
     env = scenario.environment
     h_ut = scenario.ut_profile.height_m
@@ -115,24 +146,32 @@ def _location_fields(scenario: Scenario, fading, x, y, position, height_m,
     pathloss = {fc: propagation.pathloss_los_nlos_db_clamped(d2d, fc, h_bs, h_ut, env)
                 for fc in {tx[1] for tx in transmitters}}
     del d2d
-    sigma_los = propagation.DEFAULT_SIGMA_SF_DB[(env, "LOS")]
-    sigma_nlos = propagation.DEFAULT_SIGMA_SF_DB[(env, "NLOS")]
+    sigma = (propagation.DEFAULT_SIGMA_SF_DB[(env, "LOS")],
+             propagation.DEFAULT_SIGMA_SF_DB[(env, "NLOS")])
+    left = Counter(tx[0] for tx in transmitters)
+    draws = {}
     fields = []
     for tx_id, fc_ghz, eirp_dbm, pattern, azimuth_deg in transmitters:
-        # the pattern's temporaries come and go before the power map exists;
-        # x - 0.0 is x, bit for bit, so an omni antenna subtracts 0.0
-        att = 0.0 if pattern is None else pattern.attenuation_db(bearing - azimuth_deg)
+        # a sector moved to another band shares its id's draws, kept only
+        # while a later transmitter at this location still needs them
+        left[tx_id] -= 1
+        if tx_id not in draws:
+            los = propagation.los_condition_mask(scenario.seed, tx_id, p_los)
+            sf = fading.standard_samples(tx_id, p_los.size).reshape(p_los.shape)
+            sf *= np.where(los, *sigma)
+            draws[tx_id] = los, sf
+        los, sf = draws[tx_id] if left[tx_id] else draws.pop(tx_id)
         pl_los, pl_nlos = pathloss[fc_ghz]
-        los = propagation.los_condition_mask(scenario.seed, tx_id, p_los)
-        sf = fading.standard_samples(tx_id, p_los.size).reshape(p_los.shape)
-        sf *= np.where(los, sigma_los, sigma_nlos)
         power = np.where(los, pl_los, pl_nlos)
         np.subtract(eirp_dbm, power, out=power)          # eirp - pl - sf - att
         power -= sf
-        power -= att
+        del los, sf
+        lin = np.empty_like(power)      # the pattern's scratch map, then linear power
+        if pattern is not None:                          # an omni antenna has no att
+            power -= pattern._attenuate(np.subtract(bearing, azimuth_deg, out=lin))
         power -= scenario.ut_profile.body_loss_db
-        del sf, att
-        fields.append((power, 10.0 ** (power / 10.0)))
+        np.divide(power, 10.0, out=lin)
+        fields.append((power, np.power(10.0, lin, out=lin)))
     return fields
 
 
@@ -212,7 +251,7 @@ class _Sum:
             if s is not None:
                 better = power > self.rsrp
                 np.copyto(self.rsrp, power, where=better)
-                self.best[better] = s
+                np.copyto(self.best, s, where=better)
             used.append(key)
             self.done += 1
         return used

@@ -74,8 +74,9 @@ def breakpoint_distance_m(fc_ghz: float, h_bs_m, h_ut_m: float):
     return 4.0 * h_bs_eff * h_ut_eff * (fc_ghz * 1e9) / SPEED_OF_LIGHT
 
 
-def _los_pathloss(d2d, d3d, fc_ghz, h_bs_m, h_ut_m, environment):
-    """LOS dual-slope pathloss, vectorized over distance and BS height."""
+def _los_pathloss(d2d, log_d3d, fc_ghz, h_bs_m, h_ut_m, environment):
+    """LOS dual-slope pathloss, vectorized over distance and BS height;
+    log_d3d is log10 of the 3-D distance."""
     dbp = breakpoint_distance_m(fc_ghz, h_bs_m, h_ut_m)
     lf = 20.0 * np.log10(fc_ghz)
     # a zero breakpoint (an antenna at 1 m) has the first slope only: no
@@ -84,31 +85,31 @@ def _los_pathloss(d2d, d3d, fc_ghz, h_bs_m, h_ut_m, environment):
     one_slope = dbp <= 0
     bp2 = np.where(one_slope, 1.0, dbp ** 2 + (h_bs_m - h_ut_m) ** 2)
     if environment == "UMa":
-        pl1 = 28.0 + 22.0 * np.log10(d3d) + lf
-        pl2 = 28.0 + 40.0 * np.log10(d3d) + lf - 9.0 * np.log10(bp2)
+        pl1 = 28.0 + 22.0 * log_d3d + lf
+        pl2 = 28.0 + 40.0 * log_d3d + lf - 9.0 * np.log10(bp2)
     else:  # UMi street canyon
-        pl1 = 32.4 + 21.0 * np.log10(d3d) + lf
-        pl2 = 32.4 + 40.0 * np.log10(d3d) + lf - 9.5 * np.log10(bp2)
+        pl1 = 32.4 + 21.0 * log_d3d + lf
+        pl2 = 32.4 + 40.0 * log_d3d + lf - 9.5 * np.log10(bp2)
     return np.where(d2d <= np.where(one_slope, np.inf, dbp), pl1, pl2)
 
 
-def _nlos_pathloss(d3d, fc_ghz, h_ut_m, environment, los):
+def _nlos_pathloss(log_d3d, fc_ghz, h_ut_m, environment, los):
     """NLOS pathloss, lower-bounded by the LOS value los at the same geometry."""
     lf = 20.0 * np.log10(fc_ghz)
     if environment == "UMa":
-        nlos = 13.54 + 39.08 * np.log10(d3d) + lf - 0.6 * (h_ut_m - 1.5)
+        nlos = 13.54 + 39.08 * log_d3d + lf - 0.6 * (h_ut_m - 1.5)
     else:
-        nlos = 22.4 + 35.3 * np.log10(d3d) + 21.3 * np.log10(fc_ghz) - 0.3 * (h_ut_m - 1.5)
+        nlos = 22.4 + 35.3 * log_d3d + 21.3 * np.log10(fc_ghz) - 0.3 * (h_ut_m - 1.5)
     return np.maximum(los, nlos)
 
 
 def _pathloss(d2d, fc_ghz, h_bs_m, h_ut_m, environment, condition):
     """Unchecked pathloss over an array of ground distances."""
-    d3d = np.sqrt(d2d ** 2 + (h_bs_m - h_ut_m) ** 2)
-    los = _los_pathloss(d2d, d3d, fc_ghz, h_bs_m, h_ut_m, environment)
+    log_d3d = np.log10(np.sqrt(d2d ** 2 + (h_bs_m - h_ut_m) ** 2))
+    los = _los_pathloss(d2d, log_d3d, fc_ghz, h_bs_m, h_ut_m, environment)
     if condition == "LOS":
         return los
-    return _nlos_pathloss(d3d, fc_ghz, h_ut_m, environment, los)
+    return _nlos_pathloss(log_d3d, fc_ghz, h_ut_m, environment, los)
 
 
 def pathloss_db(query: PathlossQuery):
@@ -139,13 +140,13 @@ def pathloss_los_nlos_db_clamped(d2d_m, fc_ghz, h_bs_m, h_ut_m, environment):
     """(LOS, NLOS) pathloss_db_clamped pair from one geometry evaluation.
 
     The NLOS value is bounded by the LOS one, so the LOS pathloss and the
-    3-D distance are computed once for both; each array is bitwise what
-    pathloss_db_clamped gives for its condition.
+    log of the 3-D distance are computed once for both; each array is
+    bitwise what pathloss_db_clamped gives for its condition.
     """
     d2d = np.clip(np.asarray(d2d_m, dtype=float), D2D_MIN_M, D2D_MAX_M)
-    d3d = np.sqrt(d2d ** 2 + (h_bs_m - h_ut_m) ** 2)
-    los = _los_pathloss(d2d, d3d, fc_ghz, h_bs_m, h_ut_m, environment)
-    return los, _nlos_pathloss(d3d, fc_ghz, h_ut_m, environment, los)
+    log_d3d = np.log10(np.sqrt(d2d ** 2 + (h_bs_m - h_ut_m) ** 2))
+    los = _los_pathloss(d2d, log_d3d, fc_ghz, h_bs_m, h_ut_m, environment)
+    return los, _nlos_pathloss(log_d3d, fc_ghz, h_ut_m, environment, los)
 
 
 def free_space_pathloss_db(d_m, fc_ghz):

@@ -44,6 +44,48 @@ def test_pattern_back_lobe_capped():
     assert float(p.attenuation_db(540.0)) == 25.0     # wraps
 
 
+def test_mod360_is_the_float_remainder_bitwise():
+    """Uniform values in [-360, 720), their 1-ulp neighbours and the edges,
+    among them tiny negatives whose + 360 rounds to 360.0."""
+    u = np.random.default_rng(13).uniform(-360.0, 720.0, 1_000_000)
+    edges = np.array([-360.0, -0.0, 0.0, 360.0, np.nextafter(720.0, 0.0), -5e-324,
+                      -1e-300, -1e-14, -2.8e-14, -5.6e-14, np.nextafter(0.0, -1.0),
+                      np.nextafter(-360.0, 0.0), np.nextafter(360.0, 0.0),
+                      np.nextafter(360.0, 720.0), 180.0, -180.0])
+    for a in (u, np.nextafter(u, np.inf), np.nextafter(u, -np.inf), edges):
+        assert a.min() >= -360.0 and a.max() < 720.0
+        ref = np.remainder(a, 360.0)
+        assert coverage._mod360(a.copy()).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("value", [720.0, np.nextafter(-360.0, -np.inf), 1e6,
+                                   -1e6, np.inf, -np.inf, np.nan])
+def test_mod360_outside_its_range_takes_the_remainder(value):
+    # one such value sends the whole array through np.remainder
+    a = np.array([-0.0, 10.0, -1e-14, 400.0, value])
+    with np.errstate(invalid="ignore"):
+        ref = np.remainder(a, 360.0)
+        got = coverage._mod360(a.copy())
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_pattern_and_bearing_match_their_remainder_forms():
+    r = np.random.default_rng(17)
+    delta = np.concatenate([r.uniform(-900.0, 900.0, 5000), [540.0, -540.0, 0.0]])
+    bw, ftb = r.uniform(10.0, 120.0, delta.size), r.uniform(5.0, 30.0, delta.size)
+    for p in (AntennaPattern(65.0, 25.0), AntennaPattern(bw, ftb)):
+        ref = np.minimum(12.0 * (np.abs((delta + 180.0) % 360.0 - 180.0)
+                                 / p.beamwidth_3db_deg) ** 2, p.front_to_back_db)
+        assert p.attenuation_db(delta).tobytes() == ref.tobytes()
+    dx, dy = r.normal(0.0, 500.0, (2, 80, 60))
+    ref = np.degrees(np.arctan2(dx, dy)) % 360.0
+    assert bearing_deg(dx, dy).tobytes() == ref.tobytes()
+    assert isinstance(AntennaPattern(65.0, 25.0).attenuation_db(540.0), np.float64)
+    # a scalar offset broadcasts against a pattern per sector
+    ref = np.minimum(12.0 * (40.0 / bw) ** 2, ftb)
+    assert AntennaPattern(bw, ftb).attenuation_db(400.0).tobytes() == ref.tobytes()
+
+
 def test_bearing_convention():
     assert bearing_deg(0.0, 1.0) == 0.0        # due north
     assert bearing_deg(1.0, 0.0) == 90.0       # due east
@@ -238,7 +280,12 @@ def _reference_field(scenario, fading, X, Y, tx_id, position, height_m,
 
     power = tx_power_dbm + gain_dbi - pl - sf
     if pattern is not None:
-        power = power - pattern.attenuation_db(bearing_deg(dx, dy) - azimuth_deg)
+        # bearing_deg and attenuation_db as they were first written, with
+        # numpy's float remainder: the grid's own wrap must match it
+        bearing = np.degrees(np.arctan2(dx, dy)) % 360.0
+        d = np.abs((bearing - azimuth_deg + 180.0) % 360.0 - 180.0)
+        power = power - np.minimum(12.0 * (d / pattern.beamwidth_3db_deg) ** 2,
+                                   pattern.front_to_back_db)
     return power - scenario.ut_profile.body_loss_db
 
 
@@ -371,6 +418,29 @@ def test_grid_matches_reference_with_interferers(active):
         Interferer("J1", (600.0, 300.0), 1.5, 20.0, "n78", ((0.0, 1e9),)),
         Interferer("J2", (1100.0, 800.0), 1.5, 25.0, "n77", ((0.0, 1e9),))))
     assert_matches_reference(sc, active, 2)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_grid_matches_reference_with_azimuths_outside_a_turn(monkeypatch, workers):
+    """Azimuths a scenario file may not hold, built directly: at 600 and
+    -200 degrees the pattern's wrap input leaves [-360, 720) and takes
+    np.remainder inside the grid; 400 and -30 stay on the fast path."""
+    sc = interleaved_scenario(JAMMERS)
+    azimuths = {"a": 600.0, "b": -200.0, "c": 400.0, "d": -30.0}
+    sc = dataclasses.replace(sc, sites=tuple(
+        dataclasses.replace(site, sectors=tuple(
+            dataclasses.replace(sec, azimuth_deg=azimuths.get(sec.id, sec.azimuth_deg))
+            for sec in site.sectors))
+        for site in sc.sites))
+    wrapped, mod360 = [], coverage._mod360
+
+    def spy(a):
+        wrapped.append(-360.0 <= a.min() and a.max() < 720.0)
+        return mod360(a)
+
+    monkeypatch.setattr(coverage, "_mod360", spy)
+    assert_matches_reference(sc, True, workers)
+    assert True in wrapped and False in wrapped
 
 
 # --- shared passes: compute_grids against separate compute_grid calls -----

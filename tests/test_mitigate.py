@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from rfplan import propagation
 from rfplan.coverage import compute_grids
 from rfplan.detect import DetectionResult, run_detection
 from rfplan.errors import InputError
@@ -108,6 +109,24 @@ def test_verify_demo_loop(demo_scenario, demo_batch):
     assert v.improved
     assert v.delta_db > 3.0
     assert v.residual_affected == ()
+
+
+def test_verify_draws_each_id_once(monkeypatch, demo_scenario, demo_batch):
+    """A sector moved to another band keeps its id, so its LOS and shadow
+    streams are drawn once for both grids of verify's shared pass."""
+    det = run_detection(demo_batch, baseline_window=15)
+    rec = recommend(demo_scenario, det)
+    assert rec.changes
+    drawn, keyed_rng = [], propagation.keyed_rng
+
+    def counted(seed, name, stream):
+        drawn.append((name, stream))
+        return keyed_rng(seed, name, stream)
+
+    monkeypatch.setattr(propagation, "keyed_rng", counted)
+    verify(demo_scenario, apply(demo_scenario, rec), det.affected_cells)
+    ids = demo_scenario.sector_ids + [i.id for i in demo_scenario.interferers]
+    assert sorted(drawn) == sorted((i, s) for i in ids for s in (1, 2))
 
 
 def reference_verify(pre_scenario, post_scenario, affected_sectors):
