@@ -164,19 +164,31 @@ def los_probability(d2d_m, h_ut_m: float = 1.5, environment: str = "UMa"):
     d2d = np.asarray(d2d_m, dtype=float)
     if np.any(d2d < 0):
         raise DomainError("d2d_m must be >= 0")
+    scale = {"UMi": 36.0, "UMa": 63.0}.get(environment)
+    if scale is None:
+        raise DomainError(f"unknown environment {environment!r}")
+    # 18/d + exp(-d/scale) * (1 - 18/d), one map at a time in place: the
+    # same operations as the spelled-out expression, so the same bits
     with np.errstate(divide="ignore", invalid="ignore"):
-        if environment == "UMi":
-            p_far = 18.0 / d2d + np.exp(-d2d / 36.0) * (1.0 - 18.0 / d2d)
-        elif environment == "UMa":
-            p_far = 18.0 / d2d + np.exp(-d2d / 63.0) * (1.0 - 18.0 / d2d)
-            if h_ut_m > 13.0:
-                c = ((min(h_ut_m, 23.0) - 13.0) / 10.0) ** 1.5
-                p_far = p_far * (1.0 + c * 1.25 * (d2d / 100.0) ** 3
-                                 * np.exp(-d2d / 150.0))
-        else:
-            raise DomainError(f"unknown environment {environment!r}")
-    p = np.where(d2d <= 18.0, 1.0, p_far)
-    p = np.clip(p, 0.0, 1.0)
+        ratio = 18.0 / d2d
+        p = np.negative(d2d, out=np.empty(d2d.shape))
+        p /= scale
+        np.exp(p, out=p)
+        p *= 1.0 - ratio
+        p += ratio
+        if environment == "UMa" and h_ut_m > 13.0:
+            c = ((min(h_ut_m, 23.0) - 13.0) / 10.0) ** 1.5
+            # p * (1 + c * 1.25 * (d/100)**3 * exp(-d/150))
+            g = np.divide(d2d, 100.0, out=np.empty(d2d.shape))
+            g **= 3
+            g *= c * 1.25
+            e = np.negative(d2d, out=np.empty(d2d.shape))
+            e /= 150.0
+            g *= np.exp(e, out=e)
+            g += 1.0
+            p *= g
+    p[d2d <= 18.0] = 1.0
+    np.clip(p, 0.0, 1.0, out=p)
     return float(p) if np.isscalar(d2d_m) else p
 
 

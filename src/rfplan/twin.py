@@ -249,7 +249,18 @@ def read_kpi_csv(path) -> KpiBatch:
     duplicate (timestamp, cell, metric) row, and series that are
     unevenly spaced, do not share one time axis, or do not cover the
     same cells in every metric.
+
+    A file in write_kpi_csv's layout is read in one pass over its key
+    cycle (_read_cycles); any other file is read from the start again by
+    the general reader (_read_general). Both give the same batch, and
+    the same error text, for every file.
     """
+    batch = _read_cycles(path)
+    return _read_general(path) if batch is None else batch
+
+
+def _read_general(path) -> KpiBatch:
+    """read_kpi_csv for rows and columns in any order."""
     keys: dict[tuple[str, str], int] = {}     # (cell, metric) -> id, file order
     blocks = []                                # (key ids, timestamps, values)
     with open(path, "rb") as fh:
@@ -265,6 +276,91 @@ def read_kpi_csv(path) -> KpiBatch:
     if not keys:
         raise InputError(f"no KPI rows in {path}")
     return _assemble(list(keys), blocks, path)
+
+
+def _read_cycles(path) -> KpiBatch | None:
+    """read_kpi_csv for write_kpi_csv's layout, or None for a file that
+    does not fit it.
+
+    The layout: the header in _CSV_HEADER order, then LF-ended rows
+    without a CR, a quote or a blank line, timestep by timestep. The
+    first timestep's K rows give the K keys; row r holds key r mod K,
+    byte for byte, and the timestamp bytes of every other row of its
+    timestep. Every number has the plain form _plain_numbers reads, the
+    timestamps rise and the last timestep is whole. Each timestep's
+    timestamp is parsed once and the values fill a (T, K) array, so no
+    row is hashed or sorted. On such a file every check of the general
+    reader before its last ones passes, and those last ones are shared.
+    """
+    keys: list[bytes] = []      # ",cell,metric," of each row of the first timestep
+    cycle = None                # the keys' lengths, words and first words, once it ends
+    rows = 0
+    prev = None                 # the timestamp field of the row before the block
+    stamps, values = [], []
+    with open(path, "rb") as fh:
+        if _kpi_csv_columns(fh.readline(), path) != list(range(len(_CSV_HEADER))):
+            return None
+        for block in _line_blocks(fh):
+            if b"\r" in block or b'"' in block:
+                return None
+            buf, sep, blank = _separators(block)
+            if sep is None or blank:
+                return None
+            n = len(sep)
+            words8 = _words_at(buf)
+            stamp, key = (sep[:, 0] + 1, sep[:, 1]), (sep[:, 1], sep[:, 3] + 1)
+            n_words = -(-int((stamp[1] - stamp[0]).max()) // 8)
+            if n_words > 3:
+                return None         # a timestamp too long to be a plain number
+            # same[i]: row i repeats the timestamp field of the row before it
+            same = np.empty(n, dtype=bool)
+            same[0] = block[stamp[0][0] - 16:stamp[1][0] - 16] == prev
+            same[1:] = np.logical_and.reduce(
+                [c[1:] == c[:-1] for c in _field_words(words8, *stamp, n_words)])
+            if cycle is None:
+                # the first timestep runs up to the first row with a new timestamp
+                new = np.flatnonzero(~same)
+                new = new[new + rows > 0]
+                end = int(new[0]) if new.size else n
+                keys += [block[a - 16:b - 16] for a, b in zip(key[0][:end].tolist(),
+                                                               key[1][:end].tolist())]
+                if new.size:
+                    cycle = _key_words(keys)
+            if cycle is None:
+                starts = np.arange(int(rows == 0))      # the file's first row
+            else:
+                # row i of the block holds key (rows + i) mod K
+                if not _keys_in_cycle(words8, *key, cycle, rows % len(keys)):
+                    return None
+                starts = np.arange(-rows % len(keys), n, len(keys))
+                same[starts] = True
+                if not same.all():
+                    return None
+            if starts.size:
+                t, plain = _plain_numbers(buf, stamp[0][starts], stamp[1][starts])
+                if not plain.all():
+                    return None
+                stamps.append(t)
+            v, plain = _plain_numbers(buf, sep[:, 3] + 1, sep[:, 4])
+            if not plain.all():
+                return None
+            values.append(v)
+            prev = block[stamp[0][-1] - 16:stamp[1][-1] - 16]
+            rows += n
+    if not rows or rows % len(keys) or len(set(keys)) != len(keys):
+        return None
+    axis = np.concatenate(stamps)
+    if np.any(axis[1:] <= axis[:-1]):
+        return None
+    try:
+        names = [tuple(x.decode() for x in k[1:-1].split(b",")) for k in keys]
+    except UnicodeDecodeError:
+        return None
+    if not all(cell for cell, _ in names):
+        return None
+    _check_metrics(names, path)
+    values = np.concatenate(values).reshape(-1, len(keys))     # (T, K); frees the blocks
+    return _batch(names, axis, values.T.copy(), path)
 
 
 def _kpi_csv_columns(header: bytes, path) -> list[int]:
@@ -445,6 +541,65 @@ def _row_ids(words: list):
     return ids.ravel(), first
 
 
+def _separators(block: bytes):
+    """The block in a zero-padded array buf, with 16 bytes before it and
+    8 after it for the word windows, and sep, the positions in buf
+    around the fields of its non-blank lines: field k of line i is
+    buf[sep[i, k] + 1:sep[i, k + 1]]. sep is None if some line does not
+    have exactly four fields; blank is whether some line is blank."""
+    buf = np.zeros(len(block) + 24, dtype=np.uint8)
+    buf[16:-8] = np.frombuffer(block, dtype=np.uint8)
+    ends = np.flatnonzero(buf == _NL)
+    starts = np.concatenate(([16], ends[:-1] + 1))
+    filled = ends > starts                      # blank lines are skipped
+    starts, ends = starts[filled], ends[filled]
+    n = starts.size
+    commas = np.flatnonzero(buf == _COMMA)
+    # 3n commas in all, the i-th three inside line i: three on every line
+    if (commas.size != 3 * n or np.any(commas[0::3] < starts)
+            or np.any(commas[2::3] > ends)):
+        return buf, None, None
+    return (buf, np.column_stack((starts - 1, commas.reshape(n, 3), ends)),
+            n < filled.size)
+
+
+def _key_words(keys: list[bytes]):
+    """Each key's length, the keys as one run of 8-byte words, each key
+    NUL-padded to whole words, and the index of each key's first word."""
+    length = np.array([len(k) for k in keys])
+    n_words = (length + 7) // 8
+    text = b"".join(k.ljust(8 * w, b"\0") for k, w in zip(keys, n_words.tolist()))
+    return length, np.frombuffer(text, dtype=_WORD), np.cumsum(n_words) - n_words
+
+
+def _keys_in_cycle(words8: np.ndarray, lo: np.ndarray, hi: np.ndarray, cycle, first: int):
+    """Whether the fields buf[lo:hi] are, byte for byte, the keys of
+    cycle (_key_words) from key ``first`` on, in turn and round again."""
+    length, words, word0 = cycle
+    length = np.resize(np.roll(length, -first), lo.size)
+    if not np.array_equal(hi - lo, length):
+        return False
+    # the rows' keys as one run of words: word j of row i's key is word at[i] + j
+    n_words = (length + 7) // 8
+    at = np.cumsum(n_words) - n_words
+    offset = 8 * np.arange(at[-1] + n_words[-1])        # of each word in the run
+    got = words8[np.repeat(lo - 8 * at, n_words) + offset]
+    # keep the bytes of the key: all 8 but in its last word
+    got &= _LOW_BYTES[np.minimum(np.repeat(length + 8 * at, n_words) - offset, 8)]
+    return np.array_equal(got, np.resize(np.roll(words, -word0[first]), got.size))
+
+
+def _field_words(words8: np.ndarray, lo: np.ndarray, hi: np.ndarray, n_words: int):
+    """The fields buf[lo:hi] as columns: their lengths, then n_words
+    columns of the 8-byte words from each field's start, NUL past its
+    end. Two fields of at most 8 * n_words bytes are equal exactly when
+    every column is."""
+    width = hi - lo
+    last = words8.size - 1
+    return [width] + [words8[np.minimum(lo + 8 * j, last)]
+                      & _LOW_BYTES[np.clip(width - 8 * j, 0, 8)] for j in range(n_words)]
+
+
 def _parse_block(block: bytes, n_lines: int, cols, keys, where: str):
     """(key ids, timestamps, values) of one block of n_lines whole
     LF-ended lines.
@@ -459,23 +614,13 @@ def _parse_block(block: bytes, n_lines: int, cols, keys, where: str):
     # the results first: the scratch arrays after them are freed off the
     # top of the heap, not from under rows that stay, so the memory returns
     ids, num = np.empty(n_lines, dtype=np.int32), np.empty((n_lines, 2))
-    # 16 bytes before the block and 8 after it, for the word windows
-    buf = np.zeros(len(block) + 24, dtype=np.uint8)
-    buf[16:-8] = np.frombuffer(block, dtype=np.uint8)
-    ends = np.flatnonzero(buf == _NL)
-    starts = np.concatenate(([16], ends[:-1] + 1))
-    filled = ends > starts                      # blank lines are skipped
-    starts, ends = starts[filled], ends[filled]
-    n = starts.size
+    buf, sep, _ = _separators(block)
+    if sep is None:
+        raise InputError(f"KPI CSV rows must have exactly 4 fields ({where})")
+    n = len(sep)
     if n == 0:
         return np.empty(0, dtype=np.int32), np.empty(0), np.empty(0)
-    commas = np.flatnonzero(buf == _COMMA)
-    # 3n commas in all, the i-th three inside line i: three on every line
-    if (commas.size != 3 * n or np.any(commas[0::3] < starts)
-            or np.any(commas[2::3] > ends)):
-        raise InputError(f"KPI CSV rows must have exactly 4 fields ({where})")
-    # field k of row i is buf[sep[i, k] + 1:sep[i, k + 1]]
-    sep = np.column_stack((starts - 1, commas.reshape(n, 3), ends))
+    starts, ends = sep[:, 0] + 1, sep[:, 4]
     t_col, cell_col, metric_col, v_col = cols
     fields = [(sep[:, k] + 1, sep[:, k + 1]) for k in (cell_col, metric_col)]
     if np.any(fields[0][0] == fields[0][1]):
@@ -511,10 +656,7 @@ def _assemble(keys, blocks, path) -> KpiBatch:
     """
     ids, stamps, values = (np.concatenate(col) for col in zip(*blocks))
     blocks.clear()
-    for cell, metric in keys:
-        if metric not in METRICS:
-            raise InputError(f"unknown metric {metric!r} for cell {cell!r} in "
-                             f"{path}; expected one of {METRICS}")
+    _check_metrics(keys, path)
     bad = np.flatnonzero(~(np.isfinite(stamps) & np.isfinite(values)))
     if bad.size:
         i = bad[0]
@@ -544,7 +686,20 @@ def _assemble(keys, blocks, path) -> KpiBatch:
         raise InputError(f"KPI series do not share one time axis in {path}: "
                          f"sample {i} of {keys[k]} is at t={stamps[k, i]}, "
                          f"of {keys[0]} at t={stamps[0, i]}")
-    axis = stamps[0]
+    return _batch(keys, stamps[0], values.reshape(len(keys), -1), path)
+
+
+def _check_metrics(keys, path) -> None:
+    for cell, metric in keys:
+        if metric not in METRICS:
+            raise InputError(f"unknown metric {metric!r} for cell {cell!r} in "
+                             f"{path}; expected one of {METRICS}")
+
+
+def _batch(keys, axis, values, path) -> KpiBatch:
+    """The batch of series keys[k] = (cell, metric) with samples
+    values[k] at the rising timestamps axis. Raises InputError if the
+    axis is not evenly spaced or the metrics cover different cells."""
     dt = float(axis[1] - axis[0]) if axis.size > 1 else 1.0
     # decimal timestamps parse to within half an ulp, so a step of an even
     # grid matches dt to a few ulps of the largest timestamp
@@ -553,8 +708,6 @@ def _assemble(keys, blocks, path) -> KpiBatch:
     if uneven.size:
         raise InputError(f"KPI timestamps in {path} are not evenly spaced: step "
                          f"{dt:g} s, then t={axis[uneven[0]]} -> {axis[uneven[0] + 1]}")
-
-    values = values.reshape(len(keys), -1)
     series: dict[str, dict[str, KpiSeries]] = {}
     for (cell, metric), samples in zip(keys, values):
         series.setdefault(metric, {})[cell] = KpiSeries(

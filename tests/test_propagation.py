@@ -118,6 +118,40 @@ def test_los_probability_far_field():
     assert np.all(np.diff(p) < 0)        # decays with distance
 
 
+def reference_los_probability(d2d_m, h_ut_m, environment):
+    """The spelled-out TR 38.901 Table 7.4.2-1 expression los_probability
+    must match bit for bit."""
+    d2d = np.asarray(d2d_m, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if environment == "UMi":
+            p_far = 18.0 / d2d + np.exp(-d2d / 36.0) * (1.0 - 18.0 / d2d)
+        else:
+            p_far = 18.0 / d2d + np.exp(-d2d / 63.0) * (1.0 - 18.0 / d2d)
+            if h_ut_m > 13.0:
+                c = ((min(h_ut_m, 23.0) - 13.0) / 10.0) ** 1.5
+                p_far = p_far * (1.0 + c * 1.25 * (d2d / 100.0) ** 3
+                                 * np.exp(-d2d / 150.0))
+    p = np.clip(np.where(d2d <= 18.0, 1.0, p_far), 0.0, 1.0)
+    return float(p) if np.isscalar(d2d_m) else p
+
+
+@pytest.mark.parametrize("environment,h_ut", [("UMa", 1.5), ("UMa", 13.0), ("UMa", 17.5),
+                                              ("UMa", 30.0), ("UMi", 1.5), ("UMi", 22.5)])
+def test_los_probability_matches_the_spelled_out_expression(environment, h_ut):
+    rng = np.random.default_rng(5)
+    d2d = np.concatenate(([0.0, 1e-300, 10.0, 18.0, np.nextafter(18.0, 19.0), 18.5],
+                          rng.uniform(0.0, 18.0, 494), rng.uniform(18.0, 5000.0, 3000),
+                          10.0 ** rng.uniform(3.0, 6.0, 500))).reshape(40, -1)
+    got = los_probability(d2d, h_ut, environment)
+    ref = reference_los_probability(d2d, h_ut, environment)
+    assert (got.dtype, got.shape) == (ref.dtype, ref.shape)
+    assert got.tobytes() == ref.tobytes()
+    assert np.all(got[d2d <= 18.0] == 1.0)
+    for d in (0.0, 12.0, 18.0, 36.0, 250.0, 1234.5):
+        p = los_probability(d, h_ut, environment)
+        assert type(p) is float and p == reference_los_probability(d, h_ut, environment)
+
+
 def test_shadow_fading_deterministic():
     a = ShadowFadingField(seed=7).standard_samples("c1", 1000)
     b = ShadowFadingField(seed=7).standard_samples("c1", 1000)

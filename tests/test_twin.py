@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -609,6 +610,195 @@ def test_kpi_csv_reader_rejects(tmp_path, case):
                  + "".join(r + "\n" for r in MALFORMED[case]))
     with pytest.raises(InputError):
         read_kpi_csv(p)
+
+
+# --- the streaming path against the general reader ----------------------------
+
+
+def lattice_batch(steps, seed=19):
+    """A 19-site, three-sector feed with the benchmark lattice's cell ids."""
+    rng = np.random.default_rng(seed)
+    cells = [f"S{i:02d}_{k}" for i in range(19) for k in (1, 2, 3)]
+    return KpiBatch(series={m: {c: KpiSeries(c, m, 0.0, 1.0, rng.normal(-100.0, 3.0, steps))
+                                for c in cells} for m in METRICS})
+
+
+def id_batch(cells, steps=3):
+    return KpiBatch(series={m: {c: KpiSeries(c, m, 0.0, 60.0, np.arange(steps) - k / 3)
+                                for k, c in enumerate(cells)} for m in METRICS})
+
+
+MIXED_IDS = ["A", "A\0", "AAAAAAA\0B", "\0", "C12", "L" * 20]   # keys of 1, 2 and 4 words
+
+
+def _first_steps(batch, steps):
+    return KpiBatch(series={m: {c: dataclasses.replace(s, samples=s.samples[:steps])
+                                for c, s in by_cell.items()}
+                            for m, by_cell in batch.series.items()})
+
+
+def _read_both(path, monkeypatch):
+    """read_kpi_csv's outcome, the general reader's outcome on the same
+    file, and whether read_kpi_csv reached the general reader (then the
+    general reader's outcome is the one of that call)."""
+    general, calls = twin._read_general, []
+
+    def outcome(read):
+        try:
+            return read(path)
+        except InputError as exc:
+            return str(exc)
+
+    def spy(p):
+        calls.append(outcome(general))
+        if isinstance(calls[-1], str):
+            raise InputError(calls[-1])
+        return calls[-1]
+
+    monkeypatch.setattr(twin, "_read_general", spy)
+    got = outcome(read_kpi_csv)
+    monkeypatch.setattr(twin, "_read_general", general)
+    return got, calls[0] if calls else outcome(general), bool(calls)
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        assert_batches_identical(got, want)
+
+
+@pytest.mark.parametrize("which", ["demo", "lattice", "edge", "mixed_ids", "long_id",
+                                   "one_step", "one_key"])
+@pytest.mark.parametrize("block", [1 << 20, 50, 300])
+def test_kpi_csv_writer_files_take_the_streaming_path(tmp_path, monkeypatch, demo_batch,
+                                                      which, block):
+    batch = {"demo": lambda: demo_batch,
+             "lattice": lambda: lattice_batch(10),
+             "edge": edge_batch,
+             "mixed_ids": lambda: id_batch(MIXED_IDS),
+             "long_id": lambda: id_batch(["B", "A22", "L" * 3000, "A2", "C"]),
+             "one_step": lambda: _first_steps(demo_batch, 1),
+             "one_key": lambda: KpiBatch(series={"RTWP": {"A": KpiSeries(
+                 "A", "RTWP", 30.0, 0.5, np.arange(7.0))}})}[which]()
+    p = tmp_path / "kpi.csv"
+    write_kpi_csv(batch, p)
+    monkeypatch.setattr(twin, "_BLOCK_BYTES", block)
+    got, want, general = _read_both(p, monkeypatch)
+    assert not general
+    assert_same_outcome(got, want)
+    assert_batches_identical(got, reference_read_kpi_csv(p))
+
+
+_NUMBER_FORMS = [b"1e2", b"+3.5", b".5", b"5.", b"-100", b"1.5E-3", b"nan", b"-inf",
+                 b"-99.1234567890123456", b"1234567890123456.5", b"12345678901234.56"]
+_BYTES = b"0123456789.-+eEx ,\n\r\"\0\xff"
+_PLAIN = re.compile(rb"-?[0-9]+\.[0-9]+")
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED) + ["not_utf8", "other_cell",
+                                                     "other_metric"])
+def test_kpi_csv_errors_are_the_general_readers(tmp_path, monkeypatch, case):
+    # most cases keep the writer's layout in every row, as do the two added here
+    rows = MALFORMED.get(case, GOOD_ROWS)
+    text = "timestamp_s,cell_id,metric,value_dbm\n" + "".join(r + "\n" for r in rows)
+    text = text.encode()
+    if case == "not_utf8":
+        text = text.replace(b",A,", b",\xff,")
+    elif case == "other_cell":
+        text = text.replace(b",B,RSSI,", b",C,RSSI,")
+    elif case == "other_metric":
+        text = text.replace(b",RSSI,", b",SINR,")
+    p = tmp_path / "kpi.csv"
+    p.write_bytes(text)
+    got, want, _ = _read_both(p, monkeypatch)
+    assert isinstance(want, str)
+    assert got == want
+
+
+MUTATIONS = ["swap", "drop", "duplicate", "stamp_byte", "key_byte", "value_byte",
+             "number_form", "crlf", "cr_line", "blank", "columns", "truncate",
+             "step_swap", "step_duplicate", "key_twice", "none"]
+
+
+def _mutate(data: bytes, rng):
+    """One seeded edit of a KPI CSV in the writer's layout: its kind, the
+    edited file, and whether the file still has that layout."""
+    header, *rows = data.split(b"\n")[:-1]
+    cycle = sum(row.split(b",")[0] == rows[0].split(b",")[0] for row in rows)
+    i, j = (int(x) for x in rng.choice(len(rows), 2, replace=False))
+    steps = [rows[s:s + cycle] for s in range(0, len(rows), cycle)]
+    s, u = (int(x) for x in rng.choice(len(steps), 2, replace=False))
+    kind = str(rng.choice(MUTATIONS))
+    keeps = kind == "none"
+    if kind == "step_swap":
+        steps[s], steps[u] = steps[u], steps[s]
+        rows = sum(steps, [])
+    elif kind == "step_duplicate":
+        rows = sum(steps[:s + 1] + steps[s:], [])
+    elif kind == "key_twice":           # one key twice in every timestep
+        k = int(rng.integers(cycle))
+        rows = sum((step[:k + 1] + step[k:] for step in steps), [])
+    elif kind == "swap":
+        rows[i], rows[j] = rows[j], rows[i]
+    elif kind == "drop":
+        del rows[i]
+    elif kind == "duplicate":
+        rows.insert(j, rows[i])
+    elif kind.endswith("_byte"):
+        fields = rows[i].split(b",")
+        k = {"stamp_byte": 0, "key_byte": int(rng.integers(1, 3)), "value_byte": 3}[kind]
+        pos = int(rng.integers(len(fields[k])))
+        byte = bytes([rng.choice([b for b in _BYTES if b != fields[k][pos]])])
+        fields[k] = fields[k][:pos] + byte + fields[k][pos + 1:]
+        rows[i] = b",".join(fields)
+        keeps = (k == 3 and _PLAIN.fullmatch(fields[3]) is not None
+                 and len(fields[3].lstrip(b"-")) <= 16)
+    elif kind == "number_form":
+        fields = rows[i].split(b",")
+        rows[i] = b",".join(fields[:3] + [_NUMBER_FORMS[int(rng.integers(len(_NUMBER_FORMS)))]])
+    elif kind == "crlf":
+        header, rows = header + b"\r", [row + b"\r" for row in rows]
+    elif kind == "cr_line":
+        rows[i] += b"\r"
+    elif kind == "blank":
+        rows.insert(i, b"")
+    elif kind == "columns":
+        order = [int(x) for x in rng.permutation(4)]
+        if order == [0, 1, 2, 3]:
+            order = [3, 2, 1, 0]
+        header, *rows = (b",".join(line.split(b",")[c] for c in order)
+                         for line in [header, *rows])
+    elif kind == "truncate":
+        del rows[len(rows) - int(rng.integers(1, cycle)):]
+    return kind, b"".join(line + b"\n" for line in [header, *rows]), keeps
+
+
+@pytest.mark.parametrize("feed,part", [("demo", k) for k in range(6)]
+                         + [("lattice", k) for k in range(2)] + [("ids", 0)])
+def test_kpi_csv_streaming_path_equals_general_reader_on_mutations(
+        tmp_path, monkeypatch, demo_batch, feed, part):
+    """Seeded edits of the writer's files, read in blocks of 50 to 300
+    bytes, which split timesteps and key cycles: read_kpi_csv gives the
+    general reader's batch or its error text, and reaches the general
+    reader exactly when an edit breaks the writer's layout."""
+    batch = {"demo": lambda: _first_steps(demo_batch, 2), "lattice": lambda: lattice_batch(2),
+             "ids": lambda: id_batch(MIXED_IDS)}[feed]()
+    p = tmp_path / "kpi.csv"
+    write_kpi_csv(batch, p)
+    data = p.read_bytes()
+    rng = np.random.default_rng([part, ("demo", "lattice", "ids").index(feed)])
+    kinds = set()
+    for _ in range(250):
+        kind, text, keeps = _mutate(data, rng)
+        p.write_bytes(text)
+        monkeypatch.setattr(twin, "_BLOCK_BYTES", int(rng.integers(50, 301)))
+        got, want, general = _read_both(p, monkeypatch)
+        assert_same_outcome(got, want)
+        assert general != keeps, kind
+        kinds.add(kind)
+    assert kinds == set(MUTATIONS)
 
 
 def test_activity_mask_matches_active_at():
