@@ -13,9 +13,9 @@ never reads it unless validation is explicitly requested.
 
 from __future__ import annotations
 
-import io
 import json
 import math
+from array import array
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -201,8 +201,8 @@ def batch_excess(batch: KpiBatch, baseline_window: int,
 
 
 _CSV_HEADER = ("timestamp_s", "cell_id", "metric", "value_dbm")
-_BLOCK_BYTES = 1 << 20      # bounds the reader's per-block arrays to a few MB
-_NL, _CR, _COMMA, _QUOTE = ord("\n"), ord("\r"), ord(","), ord('"')
+_BLOCK_BYTES = 1 << 20      # bounds _read_cycles' per-block arrays to a few MB
+_NL, _COMMA = ord("\n"), ord(",")
 
 
 def write_kpi_csv(batch: KpiBatch, path) -> None:
@@ -242,40 +242,71 @@ def read_kpi_csv(path) -> KpiBatch:
     """Parse a KPI CSV back into a batch (no ground truth on this side).
 
     The columns may come in any order and the rows in any order; CRLF
-    line ends and blank lines are accepted. The file is parsed in blocks
-    of about _BLOCK_BYTES. Raises InputError for a bad header, a row
-    without exactly four fields, a quoted field, an empty cell_id, a
-    non-numeric or non-finite number, a metric outside METRICS, a
+    line ends and blank lines are accepted. Raises InputError for a bad
+    header, a row without exactly four fields, a quoted field, a bare
+    CR, an empty cell_id, a number float() does not read or that has an
+    underscore, a non-finite number, a metric outside METRICS, a
     duplicate (timestamp, cell, metric) row, and series that are
     unevenly spaced, do not share one time axis, or do not cover the
-    same cells in every metric.
+    same cells in every metric; an error in one row names its line.
 
     A file in write_kpi_csv's layout is read in one pass over its key
-    cycle (_read_cycles); any other file is read from the start again by
-    the general reader (_read_general). Both give the same batch, and
-    the same error text, for every file.
+    cycle (_read_cycles), in blocks of about _BLOCK_BYTES; any other
+    file is read from the start again by the general reader
+    (_read_general). Both give the same batch, and the same error text,
+    for every file.
     """
     batch = _read_cycles(path)
     return _read_general(path) if batch is None else batch
 
 
 def _read_general(path) -> KpiBatch:
-    """read_kpi_csv for rows and columns in any order."""
-    keys: dict[tuple[str, str], int] = {}     # (cell, metric) -> id, file order
-    blocks = []                                # (key ids, timestamps, values)
+    """read_kpi_csv for rows and columns in any order, one row at a time."""
+    ids_of: dict[tuple[bytes, bytes], int] = {}    # (cell, metric) -> id, file order
+    keys = []                                       # the decoded (cell, metric) of each id
+    ids, stamps, values = array("i"), array("d"), array("d")
+
+    def bad_row(what: str) -> InputError:
+        return InputError(f"{what} ({path}, line {line_no})")
+
     with open(path, "rb") as fh:
-        cols = _kpi_csv_columns(fh.readline(), path)
-        line_no = 2
-        for block in _line_blocks(fh):
-            n_lines = block.count(b"\n")
-            where = f"{path}, lines {line_no}-{line_no + n_lines - 1}"
-            if b"\r" in block:
-                block = block.replace(b"\r\n", b"\n")
-            blocks.append(_parse_block(block, n_lines, cols, keys, where))
-            line_no += n_lines
+        t_col, cell_col, metric_col, v_col = _kpi_csv_columns(fh.readline(), path)
+        for line_no, line in enumerate(fh, 2):
+            line = line.removesuffix(b"\n").removesuffix(b"\r")
+            if not line:
+                continue
+            if b'"' in line:
+                raise bad_row("quoted KPI CSV fields are not supported")
+            fields = line.split(b",")
+            if len(fields) != 4:
+                raise bad_row("KPI CSV rows must have exactly 4 fields")
+            if b"\r" in line:
+                raise bad_row("stray line break in KPI CSV")
+            key = fields[cell_col], fields[metric_col]
+            k = ids_of.get(key)
+            if k is None:
+                if not key[0]:
+                    raise bad_row("empty KPI CSV cell_id")
+                try:
+                    keys.append((key[0].decode(), key[1].decode()))
+                except UnicodeDecodeError:
+                    raise bad_row("KPI CSV cell or metric is not UTF-8") from None
+                k = ids_of[key] = len(ids_of)
+            t, v = fields[t_col], fields[v_col]
+            try:
+                if b"_" in t or b"_" in v:      # float() would read 1_0.5 as 10.5
+                    raise ValueError
+                t, v = float(t), float(v)
+            except ValueError:
+                raise bad_row(f"bad KPI CSV number in {line.decode(errors='replace')!r}") \
+                    from None
+            ids.append(k)
+            stamps.append(t)
+            values.append(v)
     if not keys:
         raise InputError(f"no KPI rows in {path}")
-    return _assemble(list(keys), blocks, path)
+    return _assemble(keys, np.frombuffer(ids, dtype=np.intc), np.frombuffer(stamps),
+                     np.frombuffer(values), path)
 
 
 def _read_cycles(path) -> KpiBatch | None:
@@ -303,8 +334,8 @@ def _read_cycles(path) -> KpiBatch | None:
         for block in _line_blocks(fh):
             if b"\r" in block or b'"' in block:
                 return None
-            buf, sep, blank = _separators(block)
-            if sep is None or blank:
+            buf, sep = _separators(block)
+            if sep is None:
                 return None
             n = len(sep)
             words8 = _words_at(buf)
@@ -431,8 +462,7 @@ def _eight_digits(words: np.ndarray) -> np.ndarray:
 
 def _plain_numbers(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """Values of the fields buf[lo:hi] of the plain form -?D+.D+ with at
-    most 15 digits, and the mask of those fields; the other entries are
-    left for np.loadtxt.
+    most 15 digits, and the mask of those fields.
 
     buf holds at least 16 bytes before the first field. A field is read
     as the one or two words that end where it ends. With m its digits as
@@ -469,98 +499,23 @@ def _plain_numbers(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     return np.where(neg, -value, value), plain
 
 
-def _loadtxt(text: bytes, usecols, where: str) -> np.ndarray:
-    try:
-        return np.loadtxt(io.BytesIO(text), delimiter=",", usecols=usecols,
-                          comments=None, ndmin=2)
-    except ValueError as exc:
-        raise InputError(f"bad KPI CSV number ({where}): {exc}") from exc
-
-
-def _key_ids(buf: np.ndarray, fields, keys, where: str, out: np.ndarray):
-    """Id in ``keys`` of each row's (cell, metric); ``fields`` holds the
-    (lo, hi) arrays of the two, row i's cell being buf[lo[i]:hi[i]].
-
-    buf holds at least 8 bytes after the last key. Rows whose two fields
-    take the same numbers of 8-byte words are compared as those words,
-    NUL past each field's end, and one more holding both lengths: no key
-    is padded to the longest one. ``keys`` gains the new pairs in order
-    of first appearance.
-    """
-    lengths = [hi - lo for lo, hi in fields]
-    n_words = [(length + 7) // 8 for length in lengths]
-    if all(w.min() == w.max() for w in n_words):
-        groups = [slice(None)]
-    else:
-        shape = n_words[0] * (int(n_words[1].max()) + 1) + n_words[1]
-        groups = [np.flatnonzero(shape == s) for s in np.unique(shape)]
-    words8 = _words_at(buf)
-    local = np.empty(lengths[0].size, dtype=np.int64)
-    names, firsts = [], []
-    for rows in groups:
-        length = [x[rows] for x in lengths]
-        words = [length[0].astype(_WORD) << _U(32) | length[1].astype(_WORD)]
-        for (lo, _), field_len, w in zip(fields, length, n_words):
-            n = int(w[rows][0])
-            words += [words8[lo[rows] + 8 * j] for j in range(n)]
-            if n:
-                words[-1] &= _LOW_BYTES[field_len - 8 * (n - 1)]
-        ids, first = _row_ids(words)
-        first = np.arange(lengths[0].size)[rows][first]
-        local[rows] = len(names) + ids
-        try:
-            names += [tuple(buf[lo[r]:hi[r]].tobytes().decode() for lo, hi in fields)
-                      for r in first.tolist()]
-        except UnicodeDecodeError as exc:
-            raise InputError(f"KPI CSV cell or metric is not UTF-8 ({where})") from exc
-        firsts += first.tolist()
-    lut = np.empty(len(names), dtype=np.int32)
-    for u in np.argsort(firsts):
-        lut[u] = keys.setdefault(names[u], len(keys))
-    return np.take(lut, local, out=out)
-
-
-def _row_ids(words: list):
-    """Ids of the rows of the uint64 columns, equal exactly when the rows
-    are, and the index of the first row with each id."""
-    h = words[0].copy()
-    for j, col in enumerate(words[1:], 1):
-        h += col * _U((0x9E3779B97F4A7C15 * j | 1) % 2 ** 64)
-    order = np.argsort(h)
-    new = np.empty(h.size, dtype=bool)
-    new[0] = True
-    h = h[order]
-    np.not_equal(h[1:], h[:-1], out=new[1:])
-    first = np.minimum.reduceat(order, np.flatnonzero(new))
-    ids = np.empty(h.size, dtype=np.int64)
-    ids[order] = np.cumsum(new) - 1
-    if all(np.array_equal(col[first][ids], col) for col in words):
-        return ids, first
-    _, first, ids = np.unique(np.column_stack(words), axis=0,   # a hash collision
-                              return_index=True, return_inverse=True)
-    return ids.ravel(), first
-
-
 def _separators(block: bytes):
     """The block in a zero-padded array buf, with 16 bytes before it and
     8 after it for the word windows, and sep, the positions in buf
-    around the fields of its non-blank lines: field k of line i is
-    buf[sep[i, k] + 1:sep[i, k + 1]]. sep is None if some line does not
-    have exactly four fields; blank is whether some line is blank."""
+    around the fields of its lines: field k of line i is
+    buf[sep[i, k] + 1:sep[i, k + 1]]. sep is None if some line, a blank
+    one too, does not have exactly four fields."""
     buf = np.zeros(len(block) + 24, dtype=np.uint8)
     buf[16:-8] = np.frombuffer(block, dtype=np.uint8)
     ends = np.flatnonzero(buf == _NL)
     starts = np.concatenate(([16], ends[:-1] + 1))
-    filled = ends > starts                      # blank lines are skipped
-    starts, ends = starts[filled], ends[filled]
     n = starts.size
     commas = np.flatnonzero(buf == _COMMA)
     # 3n commas in all, the i-th three inside line i: three on every line
     if (commas.size != 3 * n or np.any(commas[0::3] < starts)
             or np.any(commas[2::3] > ends)):
-        return buf, None, None
-    return (buf, np.column_stack((starts - 1, commas.reshape(n, 3), ends)),
-            n < filled.size)
+        return buf, None
+    return buf, np.column_stack((starts - 1, commas.reshape(n, 3), ends))
 
 
 def _key_words(keys: list[bytes]):
@@ -600,62 +555,9 @@ def _field_words(words8: np.ndarray, lo: np.ndarray, hi: np.ndarray, n_words: in
                       & _LOW_BYTES[np.clip(width - 8 * j, 0, 8)] for j in range(n_words)]
 
 
-def _parse_block(block: bytes, n_lines: int, cols, keys, where: str):
-    """(key ids, timestamps, values) of one block of n_lines whole
-    LF-ended lines.
-
-    Key ids index ``keys``, which gains the block's new (cell, metric)
-    pairs in order of first appearance. Numbers of the plain form go
-    through _plain_numbers; the lines with any other number, or with a
-    bare CR, go through np.loadtxt, which decides what they mean.
-    """
-    if b'"' in block:
-        raise InputError(f"quoted KPI CSV fields are not supported ({where})")
-    # the results first: the scratch arrays after them are freed off the
-    # top of the heap, not from under rows that stay, so the memory returns
-    ids, num = np.empty(n_lines, dtype=np.int32), np.empty((n_lines, 2))
-    buf, sep, _ = _separators(block)
-    if sep is None:
-        raise InputError(f"KPI CSV rows must have exactly 4 fields ({where})")
-    n = len(sep)
-    if n == 0:
-        return np.empty(0, dtype=np.int32), np.empty(0), np.empty(0)
-    starts, ends = sep[:, 0] + 1, sep[:, 4]
-    t_col, cell_col, metric_col, v_col = cols
-    fields = [(sep[:, k] + 1, sep[:, k + 1]) for k in (cell_col, metric_col)]
-    if np.any(fields[0][0] == fields[0][1]):
-        raise InputError(f"empty KPI CSV cell_id ({where})")
-    ids = _key_ids(buf, fields, keys, where, ids[:n])
-    num = num[:n]
-    plain = np.ones(n, dtype=bool)
-    for k, col in enumerate((t_col, v_col)):
-        num[:, k], ok = _plain_numbers(buf, sep[:, col] + 1, sep[:, col + 1])
-        plain &= ok
-    if b"\r" in block:
-        plain[np.searchsorted(ends, np.flatnonzero(buf == _CR))] = False
-    other = np.flatnonzero(~plain)
-    if other.size:
-        lines = b"".join(block[a - 16:b - 15] for a, b in zip(starts[other].tolist(),
-                                                               ends[other].tolist()))
-        try:
-            got = _loadtxt(lines, (t_col, v_col), where)
-        except InputError:
-            _loadtxt(block, (t_col, v_col), where)  # the same error, its row counted in the block
-            raise
-        if got.shape[0] != other.size:
-            raise InputError(f"stray line break in KPI CSV ({where})")
-        num[other] = got
-    return ids, num[:, 0], num[:, 1]
-
-
-def _assemble(keys, blocks, path) -> KpiBatch:
-    """Group the parsed rows into series and check that they form a batch.
-
-    Empties ``blocks`` once joined and replaces each column by its sorted
-    copy in turn, so the rows are held about once, not three times over.
-    """
-    ids, stamps, values = (np.concatenate(col) for col in zip(*blocks))
-    blocks.clear()
+def _assemble(keys, ids, stamps, values, path) -> KpiBatch:
+    """Group the parsed rows, row i being series keys[ids[i]] at stamps[i]
+    with value values[i], into series and check that they form a batch."""
     _check_metrics(keys, path)
     bad = np.flatnonzero(~(np.isfinite(stamps) & np.isfinite(values)))
     if bad.size:

@@ -2,7 +2,6 @@
 
 import csv
 import dataclasses
-import io
 import math
 import re
 import tracemalloc
@@ -425,7 +424,7 @@ def test_kpi_csv_reader_number_forms(tmp_path, monkeypatch, block):
     parses bitwise as float() does."""
     values = ["-101.2345", "1e2", "+3.5", ".5", "5.", "100", "-0", "007.5", "-0.0",
               "-99.123456789012345678", "1.2345678901234567", "12345678901234.5",
-              "123456789012345.6", "0.000000000000001", "-5.25", "1.5E-3", "-7.0"]
+              "123456789012345.6", "0.000000000000001", "-5.25", " -5.25", "1.5E-3", "-7.0"]
     stamps = {t: [f"{t:.1f}", f"{t:.2f}", f"{t:g}", f"{t:.1e}"] for t in (0.0, 60.0, 120.0, 180.0)}
     rows = [f"{stamps[t][k % 4]},{c},{m},{values[k % len(values)]}"
             for k, (t, m, c) in enumerate((t, m, c) for t in stamps for m in METRICS
@@ -461,15 +460,6 @@ def test_kpi_csv_ids_with_nul_round_trip(tmp_path):
     assert_batches_identical(read_kpi_csv(new), reference_read_kpi_csv(ref))
 
 
-def test_key_ids_survive_a_hash_collision():
-    # rows (0, 1) and (K, 0) hash alike when the second word is weighted by K
-    k = 0x9E3779B97F4A7C15          # the weight _row_ids gives the second word
-    ids, first = twin._row_ids([np.array([0, k, 0], dtype=np.uint64),
-                                np.array([1, 0, 1], dtype=np.uint64)])
-    assert ids[0] == ids[2] != ids[1]
-    assert sorted(first.tolist()) == [0, 1]
-
-
 def test_kpi_csv_metric_with_nul_is_unknown(tmp_path):
     # "RTWP\0" is its own key, not a second RTWP row
     p = tmp_path / "nul.csv"
@@ -479,18 +469,18 @@ def test_kpi_csv_metric_with_nul_is_unknown(tmp_path):
         read_kpi_csv(p)
 
 
-def test_kpi_csv_bad_number_message_counts_rows_in_block(tmp_path):
-    # the error names the row as np.loadtxt counts it in the whole block
-    rows = GOOD_ROWS[:5] + ["0.0,B,RSSI,-1e2x"] + GOOD_ROWS[6:]
-    body = "".join(r + "\n" for r in rows)
+@pytest.mark.parametrize("row,message", [
+    ("0.0,B,RSSI,-1e2x", "bad KPI CSV number"),
+    ("0.0,B,RSSI,-100.0,x", "exactly 4 fields"),
+    ('0.0,"B",RSSI,-100.0', "quoted KPI CSV fields")], ids=["number", "fields", "quoted"])
+def test_kpi_csv_row_error_names_its_line(tmp_path, row, message):
+    # row 6 of the body is line 8 of the file, after the header and a blank line
+    rows = GOOD_ROWS[:5] + ["", row] + GOOD_ROWS[6:]
     p = tmp_path / "bad.csv"
-    p.write_text("timestamp_s,cell_id,metric,value_dbm\n" + body)
-    with pytest.raises(ValueError) as want:
-        np.loadtxt(io.StringIO(body), delimiter=",", usecols=(0, 3), comments=None)
-    with pytest.raises(InputError, match="bad KPI CSV number") as got:
+    p.write_text("timestamp_s,cell_id,metric,value_dbm\n" + "".join(r + "\n" for r in rows))
+    with pytest.raises(InputError, match=message) as got:
         read_kpi_csv(p)
-    assert str(want.value) in str(got.value)
-    assert "row 5" in str(got.value)
+    assert f"{p}, line 8)" in str(got.value)
 
 
 @pytest.mark.parametrize("tail", ["no_final_newline", "blank_blocks"])
@@ -592,6 +582,7 @@ MALFORMED = {
     "minus_after_dot": _edit(GOOD_ROWS, "0.0,B,RTWP,-100.0", "0.0,B,RTWP,5.-1"),
     "bare_cr": [r.replace(",A,", ",A\rB,") for r in GOOD_ROWS],
     "minus_inside": _edit(GOOD_ROWS, "60.0,A,RSSI,-100.0", "1-2.0,A,RSSI,-100.0"),
+    "underscore": _edit(GOOD_ROWS, "0.0,B,RTWP,-100.0", "0.0,B,RTWP,-1_00.0"),
 }
 
 
