@@ -300,8 +300,7 @@ def cmd_demo(args) -> int:
     scenarios = [dataclasses.replace(scenario, interferers=()), scenario]
     if rec.changes:
         scenarios.append(mitigate.apply(scenario, rec))
-    grids = coverage.compute_grids(scenarios, interferers_active=True,
-                                   n_workers=ns.workers)
+    grids = coverage.compute_grids(scenarios, n_workers=ns.workers)
 
     print("== simulate (interference off / on) ==")
     for mode, grid in zip(("off", "on"), grids):

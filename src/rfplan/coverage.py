@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice
 
 import numpy as np
@@ -190,15 +190,17 @@ def compute_grid(scenario: Scenario, interferers_active: bool = True,
                  n_workers: int = 1) -> CoverageGrid:
     """Evaluate the full coverage grid for a scenario.
 
-    interferers_active toggles the external interferers' contribution to
-    RSSI and SINR; the serving-signal side is unaffected, which isolates
-    interference effects in before/after comparisons.
+    interferers_active=False gives the grid of the scenario without its
+    interferers: RSSI and SINR lose their contribution while the
+    serving-signal side is unaffected, which isolates interference effects
+    in before/after comparisons.
     """
-    return compute_grids((scenario,), interferers_active, n_workers)[0]
+    if not interferers_active:
+        scenario = replace(scenario, interferers=())
+    return compute_grids((scenario,), n_workers)[0]
 
 
-def compute_grids(scenarios, interferers_active: bool = True,
-                  n_workers: int = 1) -> list[CoverageGrid]:
+def compute_grids(scenarios, n_workers: int = 1) -> list[CoverageGrid]:
     """Coverage grids of several scenarios, in order, from shared field passes.
 
     Scenarios with the same area, resolution, seed, environment and UT
@@ -218,7 +220,7 @@ def compute_grids(scenarios, interferers_active: bool = True,
     grids = [None] * len(scenarios)
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         for members in passes.values():
-            folds = [_Fold(scenarios[k], interferers_active) for k in members]
+            folds = [_Fold(scenarios[k]) for k in members]
             _field_pass(folds, pool, 2 * n_workers)
             for k, fold in zip(members, folds):
                 grids[k] = fold.grid()              # frees sums no later fold needs
@@ -260,7 +262,7 @@ class _Sum:
 class _Fold:
     """One scenario's reduction, fed transmitter maps in a fixed order.
 
-    The order is the sectors by sorted id into one _Sum, then the active
+    The order is the sectors by sorted id into one _Sum, then the
     interferers, as the scenario lists them, into another. Scenarios of a
     pass whose entries are equal share that _Sum: an interference-free copy
     of a scenario shares its sector sum, best server and RSRP, and a
@@ -268,7 +270,7 @@ class _Fold:
     independent of worker count.
     """
 
-    def __init__(self, scenario: Scenario, interferers_active: bool):
+    def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.x, self.y = _pixel_centers(scenario.area, scenario.grid_resolution_m)
         self.band_index = {b.id: i for i, b in enumerate(scenario.bands)}
@@ -291,7 +293,7 @@ class _Fold:
             (((tuple(intf.position), intf.height_m),
               (intf.id, freq(intf.band_ref), intf.tx_power_dbm, None, 0.0)),
              self.band_index[intf.band_ref], None)
-            for intf in (scenario.interferers if interferers_active else ()))
+            for intf in scenario.interferers)
         self.signal = self.external = None      # the _Sums, set by _field_pass
 
     def grid(self) -> CoverageGrid:
@@ -428,12 +430,12 @@ def write_grid_csv(grid: CoverageGrid, path) -> None:
         fh.write(b"x_m,y_m,best_server,rssi_dbm,sinr_db,throughput_mbps\n")
         for i in range(0, ny, grid_rows):
             rows = slice(i, i + grid_rows)
-            _write_lines(fh, (
+            fh.write(_lines((
                 np.tile(x, len(y[rows])), _COMMA, np.repeat(y[rows], nx),
                 servers[grid.best_server[rows].ravel()],
                 _fixed_text(grid.rssi_dbm[rows].ravel(), 2), _COMMA,
                 _fixed_text(grid.sinr_db[rows].ravel(), 2), _COMMA,
-                _fixed_text(grid.throughput_mbps[rows].ravel(), 2)))
+                _fixed_text(grid.throughput_mbps[rows].ravel(), 2))))
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +462,7 @@ def _digit_table() -> np.ndarray:
 _DIGITS = _digit_table()
 _COMMA, _NEWLINE = np.array([b","], dtype="V1"), np.array([b"\n"], dtype="V1")
 # a NUL inside a table text is held as 0xFF, a byte UTF-8 never uses, so
-# that NUL can pad the items; _write_lines drops the pads and restores it
+# that NUL can pad the items; _lines drops the pads and restores it
 _RESTORE_NUL = bytes.maketrans(b"\xff", b"\0")
 
 
@@ -529,12 +531,12 @@ def _text_table(texts, width: int = 1) -> np.ndarray:
     return np.array(raw, dtype=f"S{width}").view(f"V{width}")
 
 
-def _write_lines(fh, columns) -> None:
-    """Write the text columns side by side, one line per item, without
-    their NUL padding. A one-item column is repeated down every line."""
+def _lines(columns) -> bytes:
+    """The text columns side by side, one line per item, without their
+    NUL padding. A one-item column is repeated down every line."""
     columns = (*columns, _NEWLINE)
     lines = np.empty(max(map(len, columns)),
                      dtype=[(f"c{k}", c.dtype) for k, c in enumerate(columns)])
     for k, c in enumerate(columns):
         lines[f"c{k}"] = c
-    fh.write(lines.tobytes().translate(_RESTORE_NUL, b"\0"))
+    return lines.tobytes().translate(_RESTORE_NUL, b"\0")

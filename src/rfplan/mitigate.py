@@ -127,7 +127,6 @@ def verify(pre_scenario: Scenario, post_scenario: Scenario,
     changed, plus a second fold; every other field is computed once.
     """
     grid_pre, grid_post = compute_grids((pre_scenario, post_scenario),
-                                        interferers_active=True,
                                         n_workers=n_workers)
     return compare(grid_pre, grid_post, affected_sectors)
 

@@ -21,8 +21,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import propagation
-from .coverage import (_TEXT_BLOCK_BYTES, AntennaPattern, _fixed_text, _text_table,
-                       _write_lines, bearing_deg)
+from .coverage import (_TEXT_BLOCK_BYTES, AntennaPattern, _fixed_text, _lines,
+                       _text_table, bearing_deg)
 from .errors import InputError
 from .planning import noise_floor_dbm
 from .scenario import Scenario, from_json, read_json_object
@@ -201,7 +201,8 @@ def batch_excess(batch: KpiBatch, baseline_window: int,
 
 
 _CSV_HEADER = ("timestamp_s", "cell_id", "metric", "value_dbm")
-_BLOCK_BYTES = 1 << 20      # bounds _read_cycles' per-block arrays to a few MB
+_HEADER_LINE = ",".join(_CSV_HEADER).encode() + b"\n"
+_BLOCK_BYTES = 1 << 20      # bounds _read_own's per-block arrays to a few MB
 _NL, _COMMA = ord("\n"), ord(",")
 
 
@@ -221,43 +222,55 @@ def write_kpi_csv(batch: KpiBatch, path) -> None:
     if off.size:
         raise InputError(f"KPI timestamps are written to 0.1 s; t={timestamps[off[0]]:g} s "
                          f"is not a multiple of 0.1 s (check the step)")
-    values = np.stack([batch.get(m, c).samples for m in metrics for c in cells],
-                      axis=1).ravel()
-    stamps = _fixed_text(timestamps, 1)
-    keys = _text_table([f",{c},{m}," for m in metrics for c in cells])
-    step = max(1, _TEXT_BLOCK_BYTES // (stamps.itemsize + keys.itemsize + 10))
+    keys = [(c, m) for m in metrics for c in cells]
+    values = np.stack([batch.get(m, c).samples for c, m in keys], axis=1)
     with open(path, "wb") as fh:
-        fh.write(",".join(_CSV_HEADER).encode() + b"\n")
-        for i in range(0, values.size, step):
-            # rows i, i + 1, ... are (timestep t, key off), (t, off + 1), ...
-            t, off = divmod(i, len(keys))
-            rows = slice(off, off + min(step, values.size - i))
-            span = -(-rows.stop // len(keys))       # timesteps the block touches
-            _write_lines(fh, (np.repeat(stamps[t:t + span], len(keys))[rows],
-                              np.tile(keys, span)[rows],
-                              _fixed_text(values[i:i + step], 4)))
+        for text in _kpi_text(timestamps, keys, values):
+            fh.write(text)
+
+
+def _kpi_text(axis, keys, values):
+    """The KPI CSV of the series keys[k] = (cell, metric) with samples
+    values[:, k] at the timestamps axis, as chunks of about
+    _TEXT_BLOCK_BYTES: the header, then the rows timestep by timestep,
+    each timestep's in keys order."""
+    values = values.ravel()
+    stamps = _fixed_text(axis, 1)
+    keys = _text_table([f",{cell},{metric}," for cell, metric in keys])
+    step = max(1, _TEXT_BLOCK_BYTES // (stamps.itemsize + keys.itemsize + 10))
+    yield _HEADER_LINE
+    for i in range(0, values.size, step):
+        # rows i, i + 1, ... are (timestep t, key off), (t, off + 1), ...
+        t, off = divmod(i, len(keys))
+        rows = slice(off, off + min(step, values.size - i))
+        span = -(-rows.stop // len(keys))       # timesteps the block touches
+        yield _lines((np.repeat(stamps[t:t + span], len(keys))[rows],
+                      np.tile(keys, span)[rows], _fixed_text(values[i:i + step], 4)))
 
 
 def read_kpi_csv(path) -> KpiBatch:
     """Parse a KPI CSV back into a batch (no ground truth on this side).
 
     The columns may come in any order and the rows in any order; CRLF
-    line ends and blank lines are accepted. Raises InputError for a bad
-    header, a row without exactly four fields, a quoted field, a bare
-    CR, an empty cell_id, a number float() does not read or that has an
-    underscore, a non-finite number, a metric outside METRICS, a
-    duplicate (timestamp, cell, metric) row, and series that are
-    unevenly spaced, do not share one time axis, or do not cover the
-    same cells in every metric; an error in one row names its line.
+    line ends and blank lines are accepted. Raises InputError for a file
+    that cannot be read, a bad header, a row without exactly four
+    fields, a quoted field, a bare CR, an empty cell_id, a number
+    float() does not read or that has an underscore, a non-finite
+    number, a metric outside METRICS, a duplicate (timestamp, cell,
+    metric) row, and series that are unevenly spaced, do not share one
+    time axis, or do not cover the same cells in every metric; an error
+    in one row names its line.
 
-    A file in write_kpi_csv's layout is read in one pass over its key
-    cycle (_read_cycles), in blocks of about _BLOCK_BYTES; any other
-    file is read from the start again by the general reader
-    (_read_general). Both give the same batch, and the same error text,
-    for every file.
+    A file that is, byte for byte, what write_kpi_csv writes for the
+    batch it holds is read by _read_own; any other file is read from the
+    start again by the general reader (_read_general). Both give the
+    same batch, and the same error text, for every file.
     """
-    batch = _read_cycles(path)
-    return _read_general(path) if batch is None else batch
+    try:
+        batch = _read_own(path)
+        return _read_general(path) if batch is None else batch
+    except OSError as exc:
+        raise InputError(f"cannot read KPI CSV file {path}: {exc}") from exc
 
 
 def _read_general(path) -> KpiBatch:
@@ -309,89 +322,77 @@ def _read_general(path) -> KpiBatch:
                      np.frombuffer(values), path)
 
 
-def _read_cycles(path) -> KpiBatch | None:
-    """read_kpi_csv for write_kpi_csv's layout, or None for a file that
-    does not fit it.
+def _read_own(path) -> KpiBatch | None:
+    """read_kpi_csv for a file that is _kpi_text of the batch it holds,
+    or None for any other file.
 
-    The layout: the header in _CSV_HEADER order, then LF-ended rows
-    without a CR, a quote or a blank line, timestep by timestep. The
-    first timestep's K rows give the K keys; row r holds key r mod K,
-    byte for byte, and the timestamp bytes of every other row of its
-    timestep. Every number has the plain form _plain_numbers reads, the
-    timestamps rise and the last timestep is whole. Each timestep's
-    timestamp is parsed once and the values fill a (T, K) array, so no
-    row is hashed or sorted. On such a file every check of the general
-    reader before its last ones passes, and those last ones are shared.
+    The rows of the first timestep give the keys, which must be ones the
+    general reader takes: distinct, UTF-8, with a cell, and without a CR
+    or a quote. One pass in blocks of about _BLOCK_BYTES then parses
+    each row's value, after its last comma, and each timestep's
+    timestamp, before the first comma of its first row. Every number
+    must have the plain form _plain_numbers reads bitwise as float()
+    does. Last, the file is compared with _kpi_text of what was parsed.
+    When they are equal, the general reader would parse the same numbers
+    from the same rows and pass every check before _check_metrics and
+    _batch, which both share.
     """
-    keys: list[bytes] = []      # ",cell,metric," of each row of the first timestep
-    cycle = None                # the keys' lengths, words and first words, once it ends
-    rows = 0
-    prev = None                 # the timestamp field of the row before the block
-    stamps, values = [], []
     with open(path, "rb") as fh:
-        if _kpi_csv_columns(fh.readline(), path) != list(range(len(_CSV_HEADER))):
+        if fh.readline() != _HEADER_LINE:
             return None
+        body = fh.tell()
+        head = []           # the fields of the first timestep's rows
+        for line in fh:
+            fields = line.split(b",")
+            if len(fields) != 4 or b"\r" in line or b'"' in line:
+                return None
+            if head and fields[0] != head[0][0]:
+                break
+            head.append(fields)
+        try:
+            keys = [(cell.decode(), metric.decode()) for _, cell, metric, _ in head]
+        except UnicodeDecodeError:
+            return None
+        if not keys or len(set(keys)) != len(keys) or not all(cell for cell, _ in keys):
+            return None
+        fh.seek(body)
+        stamps, values, rows = [], [], 0
         for block in _line_blocks(fh):
-            if b"\r" in block or b'"' in block:
+            # 16 bytes before the block and 8 after it for _plain_numbers' word reads
+            buf = np.zeros(len(block) + 24, dtype=np.uint8)
+            buf[16:-8] = np.frombuffer(block, dtype=np.uint8)
+            ends = np.flatnonzero(buf == _NL)
+            commas = np.flatnonzero(buf == _COMMA)
+            # commas 3i to 3i + 2 lie on line i
+            if (commas.size != 3 * ends.size or np.any(commas[2::3] > ends)
+                    or np.any(commas[3::3] < ends[:-1])):
                 return None
-            buf, sep = _separators(block)
-            if sep is None:
-                return None
-            n = len(sep)
-            words8 = _words_at(buf)
-            stamp, key = (sep[:, 0] + 1, sep[:, 1]), (sep[:, 1], sep[:, 3] + 1)
-            n_words = -(-int((stamp[1] - stamp[0]).max()) // 8)
-            if n_words > 3:
-                return None         # a timestamp too long to be a plain number
-            # same[i]: row i repeats the timestamp field of the row before it
-            same = np.empty(n, dtype=bool)
-            same[0] = block[stamp[0][0] - 16:stamp[1][0] - 16] == prev
-            same[1:] = np.logical_and.reduce(
-                [c[1:] == c[:-1] for c in _field_words(words8, *stamp, n_words)])
-            if cycle is None:
-                # the first timestep runs up to the first row with a new timestamp
-                new = np.flatnonzero(~same)
-                new = new[new + rows > 0]
-                end = int(new[0]) if new.size else n
-                keys += [block[a - 16:b - 16] for a, b in zip(key[0][:end].tolist(),
-                                                               key[1][:end].tolist())]
-                if new.size:
-                    cycle = _key_words(keys)
-            if cycle is None:
-                starts = np.arange(int(rows == 0))      # the file's first row
-            else:
-                # row i of the block holds key (rows + i) mod K
-                if not _keys_in_cycle(words8, *key, cycle, rows % len(keys)):
-                    return None
-                starts = np.arange(-rows % len(keys), n, len(keys))
-                same[starts] = True
-                if not same.all():
-                    return None
-            if starts.size:
-                t, plain = _plain_numbers(buf, stamp[0][starts], stamp[1][starts])
+            first = np.arange(-rows % len(keys), ends.size, len(keys))    # open a timestep
+            if first.size:
+                t, plain = _plain_numbers(buf, np.append(15, ends)[first] + 1,
+                                          commas[3 * first])
                 if not plain.all():
                     return None
                 stamps.append(t)
-            v, plain = _plain_numbers(buf, sep[:, 3] + 1, sep[:, 4])
+            v, plain = _plain_numbers(buf, commas[2::3] + 1, ends)
             if not plain.all():
                 return None
             values.append(v)
-            prev = block[stamp[0][-1] - 16:stamp[1][-1] - 16]
-            rows += n
-    if not rows or rows % len(keys) or len(set(keys)) != len(keys):
-        return None
-    axis = np.concatenate(stamps)
-    if np.any(axis[1:] <= axis[:-1]):
-        return None
-    try:
-        names = [tuple(x.decode() for x in k[1:-1].split(b",")) for k in keys]
-    except UnicodeDecodeError:
-        return None
-    if not all(cell for cell, _ in names):
-        return None
-    _check_metrics(names, path)
-    values = np.concatenate(values).reshape(-1, len(keys))     # (T, K); frees the blocks
-    return _batch(names, axis, values.T.copy(), path)
+            rows += ends.size
+        if rows % len(keys):
+            return None
+        axis = np.concatenate(stamps)
+        if np.any(axis[1:] <= axis[:-1]):
+            return None
+        values = np.concatenate(values).reshape(-1, len(keys))     # (T, K); frees the blocks
+        fh.seek(0)
+        # every line of the file is a parsed row, so a file that starts
+        # with their rendering ends with it
+        for text in _kpi_text(axis, keys, values):
+            if fh.read(len(text)) != text:
+                return None
+    _check_metrics(keys, path)
+    return _batch(keys, axis, values.T.copy(), path)
 
 
 def _kpi_csv_columns(header: bytes, path) -> list[int]:
@@ -497,62 +498,6 @@ def _plain_numbers(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     frac = v % _POW10[f]
     value = ((v - frac) // _U(10) + frac).astype(float) / _SCALE[f]
     return np.where(neg, -value, value), plain
-
-
-def _separators(block: bytes):
-    """The block in a zero-padded array buf, with 16 bytes before it and
-    8 after it for the word windows, and sep, the positions in buf
-    around the fields of its lines: field k of line i is
-    buf[sep[i, k] + 1:sep[i, k + 1]]. sep is None if some line, a blank
-    one too, does not have exactly four fields."""
-    buf = np.zeros(len(block) + 24, dtype=np.uint8)
-    buf[16:-8] = np.frombuffer(block, dtype=np.uint8)
-    ends = np.flatnonzero(buf == _NL)
-    starts = np.concatenate(([16], ends[:-1] + 1))
-    n = starts.size
-    commas = np.flatnonzero(buf == _COMMA)
-    # 3n commas in all, the i-th three inside line i: three on every line
-    if (commas.size != 3 * n or np.any(commas[0::3] < starts)
-            or np.any(commas[2::3] > ends)):
-        return buf, None
-    return buf, np.column_stack((starts - 1, commas.reshape(n, 3), ends))
-
-
-def _key_words(keys: list[bytes]):
-    """Each key's length, the keys as one run of 8-byte words, each key
-    NUL-padded to whole words, and the index of each key's first word."""
-    length = np.array([len(k) for k in keys])
-    n_words = (length + 7) // 8
-    text = b"".join(k.ljust(8 * w, b"\0") for k, w in zip(keys, n_words.tolist()))
-    return length, np.frombuffer(text, dtype=_WORD), np.cumsum(n_words) - n_words
-
-
-def _keys_in_cycle(words8: np.ndarray, lo: np.ndarray, hi: np.ndarray, cycle, first: int):
-    """Whether the fields buf[lo:hi] are, byte for byte, the keys of
-    cycle (_key_words) from key ``first`` on, in turn and round again."""
-    length, words, word0 = cycle
-    length = np.resize(np.roll(length, -first), lo.size)
-    if not np.array_equal(hi - lo, length):
-        return False
-    # the rows' keys as one run of words: word j of row i's key is word at[i] + j
-    n_words = (length + 7) // 8
-    at = np.cumsum(n_words) - n_words
-    offset = 8 * np.arange(at[-1] + n_words[-1])        # of each word in the run
-    got = words8[np.repeat(lo - 8 * at, n_words) + offset]
-    # keep the bytes of the key: all 8 but in its last word
-    got &= _LOW_BYTES[np.minimum(np.repeat(length + 8 * at, n_words) - offset, 8)]
-    return np.array_equal(got, np.resize(np.roll(words, -word0[first]), got.size))
-
-
-def _field_words(words8: np.ndarray, lo: np.ndarray, hi: np.ndarray, n_words: int):
-    """The fields buf[lo:hi] as columns: their lengths, then n_words
-    columns of the 8-byte words from each field's start, NUL past its
-    end. Two fields of at most 8 * n_words bytes are equal exactly when
-    every column is."""
-    width = hi - lo
-    last = words8.size - 1
-    return [width] + [words8[np.minimum(lo + 8 * j, last)]
-                      & _LOW_BYTES[np.clip(width - 8 * j, 0, 8)] for j in range(n_words)]
 
 
 def _assemble(keys, ids, stamps, values, path) -> KpiBatch:

@@ -51,6 +51,15 @@ def test_missing_file_exits_one(capsys, tmp_path):
     assert "nope.json" in err
 
 
+@pytest.mark.parametrize("which", ["missing", "directory"])
+def test_unreadable_kpi_csv_exits_one(capsys, tmp_path, which):
+    kpi = tmp_path / "nope.csv" if which == "missing" else tmp_path
+    code, _, err = run(capsys, "--out-dir", str(tmp_path / "out"), "detect",
+                       str(kpi), DEMO)
+    assert code == 1
+    assert f"cannot read KPI CSV file {kpi}" in err
+
+
 def test_invalid_scenario_names_violation(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({

@@ -479,7 +479,8 @@ def test_compute_grids_matches_separate_calls(monkeypatch, demo_scenario,
         return field_pass(folds, *args)
 
     monkeypatch.setattr(coverage, "_field_pass", counted)
-    got = compute_grids([pre, post], active, n_workers=workers)
+    got = compute_grids([sc if active else dataclasses.replace(sc, interferers=())
+                         for sc in (pre, post)], n_workers=workers)
     assert passes == PAIR_PASSES[case]
     assert len(got) == 2
     for g, ref in zip(got, separate):
@@ -496,14 +497,14 @@ def test_shared_pass_computes_each_transmitter_once(monkeypatch):
                                transmitters)
 
     monkeypatch.setattr(coverage, "_location_fields", counted)
-    compute_grids([pre, post, pre], True, n_workers=2)
+    compute_grids([pre, post, pre], n_workers=2)
     # five sectors, sector c once more at its new band, two jammers
     assert sorted(computed) == ["J1", "J2", "a", "b", "c", "c", "d", "e"]
 
 
 def test_compute_grids_keeps_input_order_across_passes(demo_scenario):
     other = dataclasses.replace(demo_scenario, seed=demo_scenario.seed + 1)
-    got = compute_grids([demo_scenario, other, demo_scenario], True)
+    got = compute_grids([demo_scenario, other, demo_scenario])
     assert_same_grid(got[0], got[2])
     assert_same_grid(got[1], compute_grid(other, True))
 
@@ -559,7 +560,7 @@ def test_off_on_and_post_grids_from_one_pass(monkeypatch, demo_scenario,
         return field_pass(folds, *args)
 
     monkeypatch.setattr(coverage, "_field_pass", counted)
-    got = compute_grids((off, pre, post), True, n_workers=workers)
+    got = compute_grids((off, pre, post), n_workers=workers)
     assert passes == ([3] if case != "other_seed" else [2, 1])
     for g, ref in zip(got, separate):
         assert_same_grid(g, ref)

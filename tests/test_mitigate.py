@@ -165,5 +165,5 @@ def test_verify_matches_two_grid_reference(demo_scenario, demo_batch, case,
     assert got.affected_pixel_count > 0
     assert got == reference_verify(pre, post, affected)
     # compare on grids the caller built gives verify's verdict
-    grids = compute_grids((pre, post), True, n_workers=workers)
+    grids = compute_grids((pre, post), n_workers=workers)
     assert compare(*grids, affected) == got

@@ -691,10 +691,11 @@ _PLAIN = re.compile(rb"-?[0-9]+\.[0-9]+")
 @pytest.mark.parametrize("case", sorted(MALFORMED) + ["not_utf8", "other_cell",
                                                      "other_metric"])
 def test_kpi_csv_errors_are_the_general_readers(tmp_path, monkeypatch, case):
-    # most cases keep the writer's layout in every row, as do the two added here
+    # most cases keep the writer's layout in every row, as do the two added
+    # here, once each value is printed as the writer prints it
     rows = MALFORMED.get(case, GOOD_ROWS)
     text = "timestamp_s,cell_id,metric,value_dbm\n" + "".join(r + "\n" for r in rows)
-    text = text.encode()
+    text = text.replace(".0\n", ".0000\n").encode()
     if case == "not_utf8":
         text = text.replace(b",A,", b",\xff,")
     elif case == "other_cell":
@@ -709,8 +710,8 @@ def test_kpi_csv_errors_are_the_general_readers(tmp_path, monkeypatch, case):
 
 
 MUTATIONS = ["swap", "drop", "duplicate", "stamp_byte", "key_byte", "value_byte",
-             "number_form", "crlf", "cr_line", "blank", "columns", "truncate",
-             "step_swap", "step_duplicate", "key_twice", "none"]
+             "number_form", "value_zero", "crlf", "cr_line", "blank", "columns",
+             "truncate", "step_swap", "step_duplicate", "key_twice", "none"]
 
 
 def _mutate(data: bytes, rng):
@@ -744,11 +745,18 @@ def _mutate(data: bytes, rng):
         byte = bytes([rng.choice([b for b in _BYTES if b != fields[k][pos]])])
         fields[k] = fields[k][:pos] + byte + fields[k][pos + 1:]
         rows[i] = b",".join(fields)
+        # the writer's %.4f of a value of at most 15 digits
         keeps = (k == 3 and _PLAIN.fullmatch(fields[3]) is not None
-                 and len(fields[3].lstrip(b"-")) <= 16)
+                 and len(fields[3].lstrip(b"-")) <= 16
+                 and fields[3] == b"%.4f" % float(fields[3]))
     elif kind == "number_form":
         fields = rows[i].split(b",")
         rows[i] = b",".join(fields[:3] + [_NUMBER_FORMS[int(rng.integers(len(_NUMBER_FORMS)))]])
+    elif kind == "value_zero":          # a plain number the writer does not print
+        stamp, cell, metric, value = rows[i].split(b",")
+        sign, digits = value[:value.startswith(b"-")], value.lstrip(b"-")
+        value = value + b"0" if rng.random() < 0.5 else sign + b"0" + digits
+        rows[i] = b",".join((stamp, cell, metric, value))
     elif kind == "crlf":
         header, rows = header + b"\r", [row + b"\r" for row in rows]
     elif kind == "cr_line":
