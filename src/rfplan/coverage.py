@@ -444,7 +444,8 @@ def write_grid_csv(grid: CoverageGrid, path) -> None:
 # line is its columns' items side by side, with every NUL dropped.
 
 
-_TEXT_BLOCK_BYTES = 1 << 17     # text per block of a CSV writer; its arrays take a few times that
+# text per block of a CSV writer or of the KPI reader; their arrays take a few times that
+_TEXT_BLOCK_BYTES = 1 << 17
 _U4 = np.dtype("<u4")
 
 

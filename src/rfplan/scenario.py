@@ -215,6 +215,12 @@ def validate(scenario: Scenario) -> list[Violation]:
                 "site position lies outside area plus margin")
         for j, sector in enumerate(site.sectors):
             spath = f"{path}.sectors[{j}]"
+            # a lone surrogate, which JSON can hold, has no UTF-8 encoding
+            if not sector.id or any(c in ',"\r\n' or "\ud800" <= c <= "\udfff"
+                                    for c in sector.id):
+                bad("SECTOR_ID", f"{spath}.id", "sector id must be non-empty, without a "
+                    "comma, quote, CR, LF or lone surrogate, which the CSV outputs "
+                    "cannot carry")
             if sector.band_ref not in band_ids:
                 bad("UNKNOWN_BAND", f"{spath}.band_ref",
                     f"sector references undeclared band {sector.band_ref!r}")

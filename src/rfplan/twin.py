@@ -202,7 +202,6 @@ def batch_excess(batch: KpiBatch, baseline_window: int,
 
 _CSV_HEADER = ("timestamp_s", "cell_id", "metric", "value_dbm")
 _HEADER_LINE = ",".join(_CSV_HEADER).encode() + b"\n"
-_BLOCK_BYTES = 1 << 20      # bounds _read_own's per-block arrays to a few MB
 _NL, _COMMA = ord("\n"), ord(",")
 
 
@@ -223,29 +222,27 @@ def write_kpi_csv(batch: KpiBatch, path) -> None:
         raise InputError(f"KPI timestamps are written to 0.1 s; t={timestamps[off[0]]:g} s "
                          f"is not a multiple of 0.1 s (check the step)")
     keys = [(c, m) for m in metrics for c in cells]
-    values = np.stack([batch.get(m, c).samples for c, m in keys], axis=1)
-    with open(path, "wb") as fh:
-        for text in _kpi_text(timestamps, keys, values):
-            fh.write(text)
-
-
-def _kpi_text(axis, keys, values):
-    """The KPI CSV of the series keys[k] = (cell, metric) with samples
-    values[:, k] at the timestamps axis, as chunks of about
-    _TEXT_BLOCK_BYTES: the header, then the rows timestep by timestep,
-    each timestep's in keys order."""
-    values = values.ravel()
-    stamps = _fixed_text(axis, 1)
+    values = np.stack([batch.get(m, c).samples for c, m in keys], axis=1).ravel()
     keys = _text_table([f",{cell},{metric}," for cell, metric in keys])
-    step = max(1, _TEXT_BLOCK_BYTES // (stamps.itemsize + keys.itemsize + 10))
-    yield _HEADER_LINE
-    for i in range(0, values.size, step):
-        # rows i, i + 1, ... are (timestep t, key off), (t, off + 1), ...
-        t, off = divmod(i, len(keys))
-        rows = slice(off, off + min(step, values.size - i))
-        span = -(-rows.stop // len(keys))       # timesteps the block touches
-        yield _lines((np.repeat(stamps[t:t + span], len(keys))[rows],
-                      np.tile(keys, span)[rows], _fixed_text(values[i:i + step], 4)))
+    # a row is its key text and about 20 bytes of stamp, value and LF; the
+    # step only sizes the blocks, not what they hold
+    step = max(1, _TEXT_BLOCK_BYTES // (keys.itemsize + 20))
+    with open(path, "wb") as fh:
+        fh.write(_HEADER_LINE)
+        for i in range(0, values.size, step):
+            fh.write(_kpi_rows(timestamps[i // len(keys):], keys, values[i:i + step], i))
+
+
+def _kpi_rows(axis, keys, values, row) -> bytes:
+    """The KPI CSV lines of rows row, row + 1, ... of a file whose rows run
+    timestep by timestep, each timestep's in keys order: row i is the
+    sample values[i - row], at the timestamp axis[i // K - row // K], of
+    the series whose text ",cell,metric," is keys[i % K], K = len(keys)."""
+    off = row % len(keys)
+    span = -(-(off + values.size) // len(keys))     # timesteps the rows touch
+    rows = slice(off, off + values.size)
+    return _lines((np.repeat(_fixed_text(axis[:span], 1), len(keys))[rows],
+                   np.tile(keys, span)[rows], _fixed_text(values, 4)))
 
 
 def read_kpi_csv(path) -> KpiBatch:
@@ -323,26 +320,25 @@ def _read_general(path) -> KpiBatch:
 
 
 def _read_own(path) -> KpiBatch | None:
-    """read_kpi_csv for a file that is _kpi_text of the batch it holds,
-    or None for any other file.
+    """read_kpi_csv for a file that write_kpi_csv writes for the batch it
+    holds, or None for any other file.
 
     The rows of the first timestep give the keys, which must be ones the
     general reader takes: distinct, UTF-8, with a cell, and without a CR
-    or a quote. One pass in blocks of about _BLOCK_BYTES then parses
-    each row's value, after its last comma, and each timestep's
-    timestamp, before the first comma of its first row. Every number
-    must have the plain form _plain_numbers reads bitwise as float()
-    does. Last, the file is compared with _kpi_text of what was parsed.
-    When they are equal, the general reader would parse the same numbers
-    from the same rows and pass every check before _check_metrics and
-    _batch, which both share.
+    or a quote. Then, block by block, each row's value and the timestamp
+    of each timestep that starts in the block are parsed in the writer's
+    forms (_fixed_numbers), and the block must equal _kpi_rows of them:
+    the first block that differs ends the read. When every block is
+    equal, the general reader would parse the same numbers from the same
+    rows and pass every check before _check_metrics and _batch, which
+    both share.
     """
     with open(path, "rb") as fh:
         if fh.readline() != _HEADER_LINE:
             return None
-        body = fh.tell()
-        head = []           # the fields of the first timestep's rows
+        lines, head = [], []    # the lines read, the fields of the first timestep's rows
         for line in fh:
+            lines.append(line)
             fields = line.split(b",")
             if len(fields) != 4 or b"\r" in line or b'"' in line:
                 return None
@@ -355,44 +351,30 @@ def _read_own(path) -> KpiBatch | None:
             return None
         if not keys or len(set(keys)) != len(keys) or not all(cell for cell, _ in keys):
             return None
-        fh.seek(body)
-        stamps, values, rows = [], [], 0
-        for block in _line_blocks(fh):
-            # 16 bytes before the block and 8 after it for _plain_numbers' word reads
+        key_text = _text_table([f",{cell},{metric}," for cell, metric in keys])
+        axis, values, rows = [], [], 0
+        for block in _line_blocks(fh, b"".join(lines)):
+            # 16 bytes before the block and 8 after it for _fixed_numbers' word reads
             buf = np.zeros(len(block) + 24, dtype=np.uint8)
             buf[16:-8] = np.frombuffer(block, dtype=np.uint8)
             ends = np.flatnonzero(buf == _NL)
             commas = np.flatnonzero(buf == _COMMA)
-            # commas 3i to 3i + 2 lie on line i
-            if (commas.size != 3 * ends.size or np.any(commas[2::3] > ends)
-                    or np.any(commas[3::3] < ends[:-1])):
+            if commas.size != 3 * ends.size or not block.endswith(b"\n"):
                 return None
             first = np.arange(-rows % len(keys), ends.size, len(keys))    # open a timestep
-            if first.size:
-                t, plain = _plain_numbers(buf, np.append(15, ends)[first] + 1,
-                                          commas[3 * first])
-                if not plain.all():
-                    return None
-                stamps.append(t)
-            v, plain = _plain_numbers(buf, commas[2::3] + 1, ends)
-            if not plain.all():
+            axis += _fixed_numbers(buf, np.append(15, ends)[first] + 1, commas[3 * first],
+                                   1).tolist()
+            v = _fixed_numbers(buf, commas[2::3] + 1, ends, 4)
+            if _kpi_rows(axis[rows // len(keys):], key_text, v, rows) != block:
                 return None
             values.append(v)
             rows += ends.size
-        if rows % len(keys):
+        axis = np.array(axis)
+        if rows % len(keys) or np.any(axis[1:] <= axis[:-1]):
             return None
-        axis = np.concatenate(stamps)
-        if np.any(axis[1:] <= axis[:-1]):
-            return None
-        values = np.concatenate(values).reshape(-1, len(keys))     # (T, K); frees the blocks
-        fh.seek(0)
-        # every line of the file is a parsed row, so a file that starts
-        # with their rendering ends with it
-        for text in _kpi_text(axis, keys, values):
-            if fh.read(len(text)) != text:
-                return None
+        values = np.concatenate(values)     # drops the blocks before the transposed copy
     _check_metrics(keys, path)
-    return _batch(keys, axis, values.T.copy(), path)
+    return _batch(keys, axis, values.reshape(-1, len(keys)).T.copy(), path)
 
 
 def _kpi_csv_columns(header: bytes, path) -> list[int]:
@@ -403,25 +385,20 @@ def _kpi_csv_columns(header: bytes, path) -> list[int]:
     return [names.index(n) for n in _CSV_HEADER]
 
 
-def _line_blocks(fh):
-    """The rest of a binary file in blocks of about _BLOCK_BYTES, each
-    ending at a line end."""
-    tail = b""
-    while chunk := fh.read(_BLOCK_BYTES):
+def _line_blocks(fh, tail: bytes):
+    """tail, then the rest of a binary file, in blocks of about
+    _TEXT_BLOCK_BYTES, each ending at a line end but for a last one
+    without it."""
+    while chunk := fh.read(_TEXT_BLOCK_BYTES):
         head, nl, tail = (tail + chunk).rpartition(b"\n")
         if nl:
             yield head + nl
     if tail:
-        yield tail + b"\n"
+        yield tail
 
 
 _WORD = np.dtype("<u8")
 _U = np.uint64      # shift counts and constants: numpy 1.x would not mix uint64 and int
-
-
-def _each_byte(b: int) -> np.uint64:
-    """The word with every byte equal to b."""
-    return _U(b * 0x0101010101010101)
 
 
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=_WORD)
@@ -430,24 +407,11 @@ _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=_WORD)
 _IN_FIELD = (~_LOW_BYTES[8 - np.minimum(np.arange(17), 8)],
              ~_LOW_BYTES[16 - np.clip(np.arange(17), 8, 16)])
 _POW10 = 10 ** np.arange(17, dtype=_WORD)
-_SCALE = 10.0 ** np.arange(16)
 
 
 def _words_at(buf: np.ndarray) -> np.ndarray:
     """The little-endian uint64 of the 8 bytes from each position of buf."""
     return np.ndarray((buf.size - 7,), dtype=_WORD, buffer=buf, strides=(1,))
-
-
-def _bytes_equal(words: np.ndarray, byte: int) -> np.ndarray:
-    """0x80 in each byte of the words that equals ``byte``, 0 elsewhere."""
-    x = words ^ _each_byte(byte)
-    low7 = _each_byte(0x7F)
-    return ~((x & low7) + low7 | x | low7)
-
-
-def _count_bytes(words: np.ndarray) -> np.ndarray:
-    """How many bytes of each word have their top bit set."""
-    return (words >> _U(7) & _each_byte(1)) * _each_byte(1) >> _U(56)
 
 
 def _eight_digits(words: np.ndarray) -> np.ndarray:
@@ -461,43 +425,37 @@ def _eight_digits(words: np.ndarray) -> np.ndarray:
             + ((v >> _U(16)) & low) * _U(1 + (10_000 << 32))) >> _U(32)
 
 
-def _plain_numbers(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Values of the fields buf[lo:hi] of the plain form -?D+.D+ with at
-    most 15 digits, and the mask of those fields.
+def _fixed_numbers(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                   decimals: int) -> np.ndarray:
+    """Values of the fields buf[lo:hi] read as '%.{decimals}f' prints
+    them, -?D+.D{decimals}, from the last 16 bytes of each at most. No
+    byte is checked: the caller compares the fields with the rendering
+    of their values, which a field can equal only if it has that form
+    and at most 15 digits, and then its value was read exactly.
 
     buf holds at least 16 bytes before the first field. A field is read
-    as the one or two words that end where it ends. With m its digits as
-    an integer and f the count after the dot, the value is m / 10**f: one
+    as the one or two words that end where it ends, its dot as a 0 digit.
+    With m its digits as an integer, the value is m / 10**decimals: one
     correctly rounded division of two exact doubles, as m < 10**15, so
     bitwise what float() returns (Clinger, PLDI 1990).
     """
     neg = buf[lo] == ord("-")
-    width = hi - lo - neg
-    plain = (width >= 3) & (width <= 16)
-    width = np.minimum(width, 16)
-    zeros, high = _each_byte(ord("0")), _each_byte(0xF0)
+    width = np.clip(hi - lo - neg, 0, 16)
+    zeros = _U(ord("0") * 0x0101010101010101)     # '0' in every byte
     words8 = _words_at(buf)
-    v = f = n_dots = 0
+    v = 0
     # the last word, and the one before only if some field reaches into it
-    for k in range(2 if width.max() > 8 else 1):
+    for k in range(2 if width.max(initial=0) > 8 else 1):
         keep = _IN_FIELD[k][width]
-        w = words8[hi - 8 * (k + 1)]
-        dot = _bytes_equal(w, ord(".")) & keep
+        if k == 0:
+            keep &= ~_U(0xFF << 8 * (7 - decimals))       # the dot
         # the bytes before the field and the dot become '0'
-        w = (w & keep | zeros & ~keep) + (dot >> _U(7)) * _U(2)
-        # every byte '0'-'9' (Lemire's check)
-        plain &= (w & high | (w + _each_byte(6) & high) >> _U(4)) == _each_byte(0x33)
+        w = words8[hi - 8 * (k + 1)] & keep | zeros & ~keep
         v = v + _eight_digits(w - zeros) * _POW10[8 * k]
-        # the digits after the dot are the field's bytes above it
-        count = _count_bytes(dot)
-        n_dots = n_dots + count
-        f = f + np.where(count != 0, _count_bytes(~((dot << _U(1)) - _U(1))) + 8 * k, 0)
-    plain &= (n_dots == 1) & (f >= 1) & (f <= width - 2)
-    f = np.where(plain, f, 0)
-    # the dot spelled a 0 digit: v = int * 10**(f + 1) + frac
-    frac = v % _POW10[f]
-    value = ((v - frac) // _U(10) + frac).astype(float) / _SCALE[f]
-    return np.where(neg, -value, value), plain
+    # the dot spelled a 0 digit: v = int * 10**(decimals + 1) + frac
+    frac = v % _POW10[decimals]
+    value = ((v - frac) // _U(10) + frac).astype(float) / 10.0 ** decimals
+    return np.where(neg, -value, value)
 
 
 def _assemble(keys, ids, stamps, values, path) -> KpiBatch:

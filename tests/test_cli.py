@@ -341,6 +341,11 @@ SCENARIO_EDITS = {     # id: (command, keys to the edited field, new value, fiel
                        "bands[0].bandwidth_mhz"),
     "numeric-id": ("simulate", ("sites", 0, "sectors", 1, "id"), 5,
                    "sites[0].sectors[1].id"),
+    # sector ids the grid and KPI CSVs cannot carry
+    **{f"sector-id-{name}": ("twin", ("sites", 0, "sectors", 0, "id"), sector_id,
+                             "sites[0].sectors[0].id")
+       for name, sector_id in [("comma", "A,1"), ("quote", 'A"1'), ("newline", "A\n1"),
+                               ("empty", ""), ("surrogate", "A\ud800")]},
     "interferer-typo": ("simulate", ("interferers", 0, "power_dbm"), 18.0,
                        "interferers[0].power_dbm"),
     "cap-negative": ("simulate", ("bands", 0, "throughput_cap_mbps"), -5.0,

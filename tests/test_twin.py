@@ -431,7 +431,7 @@ def test_kpi_csv_reader_number_forms(tmp_path, monkeypatch, block):
                                           for c in ("A", "B7", "C12"))]
     p = tmp_path / "kpi.csv"
     p.write_text(_shuffle_rows("timestamp_s,cell_id,metric,value_dbm\n" + "\n".join(rows)))
-    monkeypatch.setattr(twin, "_BLOCK_BYTES", block)
+    monkeypatch.setattr(twin, "_TEXT_BLOCK_BYTES", block)
     assert_batches_identical(read_kpi_csv(p), reference_read_kpi_csv(p))
 
 
@@ -483,16 +483,26 @@ def test_kpi_csv_row_error_names_its_line(tmp_path, row, message):
     assert f"{p}, line 8)" in str(got.value)
 
 
-@pytest.mark.parametrize("tail", ["no_final_newline", "blank_blocks"])
+@pytest.mark.parametrize("tail", ["no_final_newline", "blank_blocks", "cut_in_stamp",
+                                  "trailing_x", "trailing_spaces"])
 def test_kpi_csv_reader_across_blocks(tmp_path, demo_batch, monkeypatch, tail):
-    # blocks far smaller than the file; the last ones may hold no row at all
+    # blocks far smaller than the file; the last ones may hold no row at all,
+    # or a fragment with no line end, comma or number of the writer's
     p = tmp_path / "kpi.csv"
     write_kpi_csv(demo_batch, p)
     data = p.read_bytes()
-    p.write_bytes(data.rstrip(b"\n") if tail == "no_final_newline"
-                  else data + b"\n" * 250)
-    monkeypatch.setattr(twin, "_BLOCK_BYTES", 100)
-    assert_batches_identical(read_kpi_csv(p), reference_read_kpi_csv(p))
+    last_row = data.rindex(b"\n", 0, -1) + 1
+    p.write_bytes({"no_final_newline": data.rstrip(b"\n"),
+                   "blank_blocks": data + b"\n" * 250,
+                   "cut_in_stamp": data[:last_row + 2],
+                   "trailing_x": data + b"x",
+                   "trailing_spaces": data + b"  "}[tail])
+    monkeypatch.setattr(twin, "_TEXT_BLOCK_BYTES", 100)
+    if tail in ("no_final_newline", "blank_blocks"):
+        assert_batches_identical(read_kpi_csv(p), reference_read_kpi_csv(p))
+    else:
+        with pytest.raises(InputError, match="exactly 4 fields"):
+            read_kpi_csv(p)
 
 
 def test_kpi_csv_reader_mixed_cell_id_lengths(tmp_path, monkeypatch):
@@ -503,7 +513,7 @@ def test_kpi_csv_reader_mixed_cell_id_lengths(tmp_path, monkeypatch):
     p = tmp_path / "kpi.csv"
     write_kpi_csv(batch, p)
     p.write_text(_shuffle_rows(p.read_text()))
-    monkeypatch.setattr(twin, "_BLOCK_BYTES", 2000)
+    monkeypatch.setattr(twin, "_TEXT_BLOCK_BYTES", 2000)
     assert_batches_identical(read_kpi_csv(p), reference_read_kpi_csv(p))
 
 
@@ -622,6 +632,17 @@ def id_batch(cells, steps=3):
 MIXED_IDS = ["A", "A\0", "AAAAAAA\0B", "\0", "C12", "L" * 20]   # keys of 1, 2 and 4 words
 
 
+def width_batch(extra=()):
+    """Values from 1e-4 to 1e11 in magnitude, both signs and -0.0, with
+    integer parts of 1 to 11 digits (fields of one and of two words), and
+    the extra values."""
+    magnitudes = np.concatenate((10.0 ** np.linspace(-4, 10, 40), 10.0 ** np.arange(1, 12) - 0.5))
+    values = np.concatenate((magnitudes, -magnitudes, [-0.0, 0.0], extra))
+    return KpiBatch(series={m: {c: KpiSeries(c, m, 0.0, 1.0, np.roll(values, 7 * k + j))
+                                for j, c in enumerate("AB")}
+                            for k, m in enumerate(METRICS)})
+
+
 def _first_steps(batch, steps):
     return KpiBatch(series={m: {c: dataclasses.replace(s, samples=s.samples[:steps])
                                 for c, s in by_cell.items()}
@@ -661,7 +682,7 @@ def assert_same_outcome(got, want):
 
 
 @pytest.mark.parametrize("which", ["demo", "lattice", "edge", "mixed_ids", "long_id",
-                                   "one_step", "one_key"])
+                                   "one_step", "one_key", "widths"])
 @pytest.mark.parametrize("block", [1 << 20, 50, 300])
 def test_kpi_csv_writer_files_take_the_streaming_path(tmp_path, monkeypatch, demo_batch,
                                                       which, block):
@@ -672,14 +693,46 @@ def test_kpi_csv_writer_files_take_the_streaming_path(tmp_path, monkeypatch, dem
              "long_id": lambda: id_batch(["B", "A22", "L" * 3000, "A2", "C"]),
              "one_step": lambda: _first_steps(demo_batch, 1),
              "one_key": lambda: KpiBatch(series={"RTWP": {"A": KpiSeries(
-                 "A", "RTWP", 30.0, 0.5, np.arange(7.0))}})}[which]()
+                 "A", "RTWP", 30.0, 0.5, np.arange(7.0))}}),
+             "widths": width_batch}[which]()
     p = tmp_path / "kpi.csv"
     write_kpi_csv(batch, p)
-    monkeypatch.setattr(twin, "_BLOCK_BYTES", block)
+    monkeypatch.setattr(twin, "_TEXT_BLOCK_BYTES", block)
     got, want, general = _read_both(p, monkeypatch)
     assert not general
     assert_same_outcome(got, want)
     assert_batches_identical(got, reference_read_kpi_csv(p))
+
+
+def test_kpi_csv_values_of_16_digits_take_the_general_reader(tmp_path, monkeypatch):
+    # from 1e11 on, '%.4f' prints 16 digits or more, which the streaming path leaves alone
+    p = tmp_path / "kpi.csv"
+    write_kpi_csv(width_batch(extra=[1e11, -123456789012.3456]), p)
+    assert b",100000000000.0000\n" in p.read_bytes()
+    got, want, general = _read_both(p, monkeypatch)
+    assert general
+    assert_batches_identical(got, reference_read_kpi_csv(p))
+
+
+def test_kpi_csv_streaming_path_stops_at_the_first_foreign_block(tmp_path, monkeypatch):
+    # a row-shuffled copy with the writer's header: the first block already
+    # differs from the rendering, so no later block is read
+    p = tmp_path / "kpi.csv"
+    write_kpi_csv(lattice_batch(400), p)
+    p.write_text(_shuffle_rows(p.read_text()))
+    monkeypatch.setattr(twin, "_TEXT_BLOCK_BYTES", 1000)
+    assert p.stat().st_size > 1 << 20
+    line_blocks, taken = twin._line_blocks, []
+
+    def spy(*args):
+        for block in line_blocks(*args):
+            taken.append(block)
+            yield block
+
+    monkeypatch.setattr(twin, "_line_blocks", spy)
+    got, want, general = _read_both(p, monkeypatch)
+    assert general and len(taken) == 1
+    assert_same_outcome(got, want)
 
 
 _NUMBER_FORMS = [b"1e2", b"+3.5", b".5", b"5.", b"-100", b"1.5E-3", b"nan", b"-inf",
@@ -792,7 +845,7 @@ def test_kpi_csv_streaming_path_equals_general_reader_on_mutations(
     for _ in range(250):
         kind, text, keeps = _mutate(data, rng)
         p.write_bytes(text)
-        monkeypatch.setattr(twin, "_BLOCK_BYTES", int(rng.integers(50, 301)))
+        monkeypatch.setattr(twin, "_TEXT_BLOCK_BYTES", int(rng.integers(50, 301)))
         got, want, general = _read_both(p, monkeypatch)
         assert_same_outcome(got, want)
         assert general != keeps, kind
