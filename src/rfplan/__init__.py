@@ -18,11 +18,8 @@ from .coverage import (AntennaPattern, CoverageGrid, compute_grid,
                        compute_grids, grid_summary, throughput_mbps,
                        write_grid_csv)
 from .twin import (KpiBatch, KpiSeries, cell_baseline_dbm, coupling_dbm,
-                   excess_over_baseline_db, read_kpi_csv, synthesize_kpi,
-                   write_kpi_csv)
-from .detect import (ClusterResult, DetectionResult, FeatureVector,
-                     detect_affected, kmeans, normalize_features,
-                     run_detection)
+                   excess_matrix, read_kpi_csv, synthesize_kpi, write_kpi_csv)
+from .detect import ClusterResult, DetectionResult, kmeans, run_detection
 from .localize import (LocalizationEstimate, pathloss_lsq,
                        validate_localization, weighted_centroid)
 from .mitigate import (Recommendation, VerificationVerdict, apply, compare,

@@ -135,15 +135,15 @@ def cmd_simulate(args, scenario) -> int:
     grid = coverage.compute_grid(scenario,
                                  interferers_active=args.interference == "on",
                                  n_workers=args.workers)
-    _write_simulation(args, scenario, grid, args.interference,
-                      _out(args, "grid.csv"))
+    _write_simulation(args, scenario, grid, args.interference, "grid.csv")
     return 0
 
 
-def _write_simulation(args, scenario, grid, interference, path) -> None:
+def _write_simulation(args, scenario, grid, interference, default_name) -> None:
     """simulate's outputs: the grid CSV, its summary file and one line."""
+    summary = coverage.grid_summary(grid)       # fails before any file is written
+    path = _out(args, default_name)
     coverage.write_grid_csv(grid, path)
-    summary = coverage.grid_summary(grid)
     summary_doc = {
         "scenario": scenario.name,
         "interference": interference,
@@ -303,8 +303,9 @@ def cmd_demo(args) -> int:
     grids = coverage.compute_grids(scenarios, n_workers=ns.workers)
 
     print("== simulate (interference off / on) ==")
+    ns.out = None
     for mode, grid in zip(("off", "on"), grids):
-        _write_simulation(ns, scenario, grid, mode, out_dir / f"grid_{mode}.csv")
+        _write_simulation(ns, scenario, grid, mode, f"grid_{mode}.csv")
     sys.stdout.write(held.getvalue())
 
     print("== recommend ==")

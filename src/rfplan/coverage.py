@@ -403,7 +403,7 @@ def grid_summary(grid: CoverageGrid) -> dict:
         raise ValueError("empty grid")
     mask = grid.covered
     if not np.any(mask):
-        raise ValueError("no covered pixels to summarize")
+        raise InputError("no covered pixels to summarize")
     out = {
         "pixel_count": int(grid.best_server.size),
         "covered_fraction": float(np.mean(mask)),

@@ -1,10 +1,11 @@
-"""KPI anomaly detection: clean/normalize, cluster, flag affected cells.
+"""KPI anomaly detection: cluster the cells on their excess over baseline.
 
-Pipeline: excess-over-baseline series per cell -> summary features
-(level statistics plus correlation with the strongest cell) -> z-score
--> K-means (Lloyd with k-means++ seeding, fully deterministic given a
-seed) -> the high-excess cluster, gated by an absolute dB threshold so
-a quiet network never alarms.
+Pipeline: the excess series, one row per cell of a (cells x T) matrix
+-> four features per cell: mean, std and max excess and the Pearson r
+with the seed cell, the one with the highest mean excess (ties to the
+smaller id) -> z-score -> K-means (Lloyd with k-means++ seeding, fully
+deterministic given a seed) -> the high-excess cluster, gated by an
+absolute dB threshold so a quiet network never alarms.
 """
 
 from __future__ import annotations
@@ -14,30 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .twin import KpiBatch, batch_excess
+from .twin import KpiBatch, excess_matrix
 
 KMEANS_MAX_ITER = 100
 KMEANS_TOL = 1e-6               # centroid shift, z-score units
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    cell_id: str
-    mean_excess_db: float
-    std_excess_db: float
-    max_excess_db: float
-    corr_with_seed: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.mean_excess_db, self.std_excess_db,
-                         self.max_excess_db, self.corr_with_seed])
-
-
 @dataclass
 class ClusterResult:
     k: int
-    assignments: dict[str, int]
-    labels: np.ndarray
     centroids: np.ndarray
     inertia: float
     iterations: int
@@ -61,44 +47,6 @@ def pearson(a: np.ndarray, b: np.ndarray) -> float:
     if sa == 0 or sb == 0:
         return 0.0
     return float(np.mean((a - np.mean(a)) * (b - np.mean(b))) / (sa * sb))
-
-
-def normalize_features(batch: KpiBatch, baseline_window: int,
-                       metric: str = "RTWP") -> list[FeatureVector]:
-    """Per-cell summary features on the excess series (raw, not z-scored).
-
-    The correlation reference ("seed cell") is the cell with the highest
-    mean excess, ties to the lexicographically smaller id.
-    """
-    cells = batch.cells()
-    if len(cells) < 2:
-        raise InputError("need at least 2 cells to build features")
-    excess = batch_excess(batch, baseline_window, metric)
-    means = {c: float(np.mean(excess[c])) for c in cells}
-    seed_cell = min(cells, key=lambda c: (-means[c], c))
-    features = []
-    for cell in cells:
-        e = excess[cell]
-        features.append(FeatureVector(
-            cell_id=cell,
-            mean_excess_db=means[cell],
-            std_excess_db=float(np.std(e)),
-            max_excess_db=float(np.max(e)),
-            # the seed cell correlates 1.0 with itself unless its series is
-            # constant, in which case every cell gets the same 0
-            corr_with_seed=pearson(e, excess[seed_cell])))
-    return features
-
-
-def feature_matrix(features: list[FeatureVector]) -> np.ndarray:
-    """Z-score each feature dimension across cells; zero-variance -> zeros."""
-    x = np.stack([f.as_array() for f in features])
-    mu = x.mean(axis=0)
-    sd = x.std(axis=0)
-    z = np.zeros_like(x)
-    nz = sd > 0
-    z[:, nz] = (x[:, nz] - mu[nz]) / sd[nz]
-    return z
 
 
 def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -157,43 +105,45 @@ def kmeans(x: np.ndarray, k: int, seed: int = 0):
     return labels, centroids, inertia, it, converged, history
 
 
-def cluster_cells(features: list[FeatureVector], k: int = 2,
-                  seed: int = 0) -> ClusterResult:
-    z = feature_matrix(features)
-    labels, centroids, inertia, it, converged, _ = kmeans(z, k, seed=seed)
-    return ClusterResult(
-        k=k,
-        assignments={f.cell_id: int(l) for f, l in zip(features, labels)},
-        labels=labels, centroids=centroids, inertia=inertia,
-        iterations=it, converged=converged)
-
-
-def detect_affected(features: list[FeatureVector], clusters: ClusterResult,
-                    threshold_db: float = 3.0) -> DetectionResult:
-    """Affected set = high-excess cluster members above the dB threshold.
-
-    The high cluster is the one whose centroid has the largest
-    mean-excess coordinate; the absolute threshold on the raw mean excess
-    keeps a quiet network from alarming on normalization artifacts.
-    """
-    high = int(np.argmax(clusters.centroids[:, 0]))
-    affected = tuple(sorted(
-        f.cell_id for f in features
-        if clusters.assignments[f.cell_id] == high
-        and f.mean_excess_db > threshold_db))
-    evidence = {f.cell_id: {"mean_excess_db": f.mean_excess_db,
-                            "corr_with_seed": f.corr_with_seed,
-                            "cluster": clusters.assignments[f.cell_id]}
-                for f in features}
-    return DetectionResult(affected_cells=affected, anomaly_flag=bool(affected),
-                           evidence=evidence, threshold_db=threshold_db,
-                           cluster=clusters)
+def _zscore(x: np.ndarray) -> np.ndarray:
+    """Z-score each column across rows; a zero-variance column -> zeros."""
+    mu = x.mean(axis=0)
+    sd = x.std(axis=0)
+    z = np.zeros_like(x)
+    nz = sd > 0
+    z[:, nz] = (x[:, nz] - mu[nz]) / sd[nz]
+    return z
 
 
 def run_detection(batch: KpiBatch, baseline_window: int, k: int = 2,
                   seed: int = 0, threshold_db: float = 3.0,
                   metric: str = "RTWP") -> DetectionResult:
-    """The full pipeline: features -> K-means -> affected set."""
-    features = normalize_features(batch, baseline_window, metric)
-    clusters = cluster_cells(features, k=k, seed=seed)
-    return detect_affected(features, clusters, threshold_db)
+    """The module's pipeline on the batch's metric. The affected cells are
+    the members of the cluster whose centroid has the largest mean-excess
+    coordinate with a raw mean excess above threshold_db."""
+    cells = batch.cells()
+    if len(cells) < 2:
+        raise InputError("need at least 2 cells to build features")
+    x = excess_matrix(batch, baseline_window, metric)
+    mean, std, peak = x.mean(axis=1), x.std(axis=1), x.max(axis=1)
+    top = int(np.argmax(mean))                  # cells are sorted by id
+    x -= mean[:, None]                          # in place: two (cells x T) arrays at most
+    # pearson's rule: r is 0 where either series is constant, so a
+    # constant seed cell gives every cell the same 0
+    corr = np.zeros_like(mean)
+    np.divide((x * x[top]).mean(axis=1), std * std[top], out=corr,
+              where=(std != 0) & (std[top] != 0))
+    labels, centroids, inertia, it, converged, _ = kmeans(
+        _zscore(np.stack([mean, std, peak, corr], axis=1)), k, seed=seed)
+
+    high = int(np.argmax(centroids[:, 0]))
+    affected = tuple(c for c, l, m in zip(cells, labels, mean)
+                     if l == high and m > threshold_db)
+    evidence = {c: {"mean_excess_db": m, "corr_with_seed": r, "cluster": l}
+                for c, m, r, l in zip(cells, mean.tolist(), corr.tolist(),
+                                      labels.tolist())}
+    return DetectionResult(
+        affected_cells=affected, anomaly_flag=bool(affected), evidence=evidence,
+        threshold_db=threshold_db,
+        cluster=ClusterResult(k=k, centroids=centroids, inertia=inertia,
+                              iterations=it, converged=converged))

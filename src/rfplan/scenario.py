@@ -171,6 +171,11 @@ def validate(scenario: Scenario) -> list[Violation]:
     def bad(code, path, message):
         v.append(Violation(code, path, message))
 
+    def in_range(code, path, value, lo, hi, unit):
+        # None is an unset optional field
+        if value is not None and not (lo <= value <= hi):
+            bad(code, path, f"{path.rsplit('.', 1)[1]} must lie in [{lo:g}, {hi:g}] {unit}")
+
     if scenario.area.width <= 0 or scenario.area.height <= 0:
         bad("AREA_EMPTY", "area", "area must have positive width and height")
     if scenario.grid_resolution_m <= 0:
@@ -187,9 +192,8 @@ def validate(scenario: Scenario) -> list[Violation]:
         bad("DUPLICATE_ID", "bands", "band ids must be unique")
     for i, band in enumerate(scenario.bands):
         path = f"bands[{i}]"
-        if not (0.5 <= band.center_freq_ghz <= 100.0):
-            bad("FREQ_RANGE", f"{path}.center_freq_ghz",
-                "center_freq_ghz must lie in [0.5, 100] GHz")
+        in_range("FREQ_RANGE", f"{path}.center_freq_ghz", band.center_freq_ghz,
+                 0.5, 100.0, "GHz")
         if band.bandwidth_mhz <= 0:
             bad("BANDWIDTH_RANGE", f"{path}.bandwidth_mhz", "bandwidth_mhz must be > 0")
         if band.duplex not in DUPLEX_MODES:
@@ -208,8 +212,7 @@ def validate(scenario: Scenario) -> list[Violation]:
 
     for i, site in enumerate(scenario.sites):
         path = f"sites[{i}]"
-        if not (1.0 <= site.height_m <= 150.0):
-            bad("HEIGHT_RANGE", f"{path}.height_m", "site height_m must lie in [1, 150] m")
+        in_range("HEIGHT_RANGE", f"{path}.height_m", site.height_m, 1.0, 150.0, "m")
         if not scenario.area.contains(*site.position, margin=margin):
             bad("OUT_OF_AREA", f"{path}.position",
                 "site position lies outside area plus margin")
@@ -226,9 +229,10 @@ def validate(scenario: Scenario) -> list[Violation]:
                     f"sector references undeclared band {sector.band_ref!r}")
             if not (0.0 <= sector.azimuth_deg < 360.0):
                 bad("AZIMUTH_RANGE", f"{spath}.azimuth_deg", "azimuth_deg must lie in [0, 360)")
-            if not (-30.0 <= sector.tx_power_dbm <= 60.0):
-                bad("TX_POWER_RANGE", f"{spath}.tx_power_dbm",
-                    "tx_power_dbm must lie in [-30, 60] dBm")
+            in_range("TX_POWER_RANGE", f"{spath}.tx_power_dbm", sector.tx_power_dbm,
+                     -30.0, 60.0, "dBm")
+            in_range("GAIN_RANGE", f"{spath}.antenna_gain_dbi", sector.antenna_gain_dbi,
+                     -30.0, 60.0, "dBi")
             if not (0.0 < sector.beamwidth_3db_deg <= 360.0):
                 bad("BEAMWIDTH_RANGE", f"{spath}.beamwidth_3db_deg",
                     "beamwidth_3db_deg must lie in (0, 360]")
@@ -246,9 +250,8 @@ def validate(scenario: Scenario) -> list[Violation]:
                 f"interferer references undeclared band {intf.band_ref!r}")
         if intf.height_m <= 0:
             bad("HEIGHT_RANGE", f"{path}.height_m", "interferer height_m must be > 0")
-        if not (-30.0 <= intf.tx_power_dbm <= 60.0):
-            bad("TX_POWER_RANGE", f"{path}.tx_power_dbm",
-                "tx_power_dbm must lie in [-30, 60] dBm")
+        in_range("TX_POWER_RANGE", f"{path}.tx_power_dbm", intf.tx_power_dbm,
+                 -30.0, 60.0, "dBm")
         if not scenario.area.contains(*intf.position, margin=margin):
             bad("OUT_OF_AREA", f"{path}.position",
                 "interferer position lies outside area plus margin")
@@ -260,11 +263,18 @@ def validate(scenario: Scenario) -> list[Violation]:
                 break
             prev_end = b
 
-    if not (1.0 <= scenario.ut_profile.height_m <= 22.5):
-        bad("UT_HEIGHT_RANGE", "ut_profile.height_m",
-            "UT height_m must lie in [1, 22.5] m")
-    if scenario.ut_profile.body_loss_db < 0:
-        bad("BODY_LOSS", "ut_profile.body_loss_db", "body_loss_db must be >= 0")
+    # the level bounds keep every dB sum, and the JSON written from it, finite
+    ut, tw = scenario.ut_profile, scenario.twin
+    in_range("UT_HEIGHT_RANGE", "ut_profile.height_m", ut.height_m, 1.0, 22.5, "m")
+    in_range("LEVEL_RANGE", "ut_profile.noise_figure_db", ut.noise_figure_db, 0, 30, "dB")
+    in_range("LEVEL_RANGE", "ut_profile.body_loss_db", ut.body_loss_db, 0, 30, "dB")
+    in_range("LEVEL_RANGE", "twin.bts_noise_figure_db", tw.bts_noise_figure_db, 0, 30, "dB")
+    in_range("LEVEL_RANGE", "twin.load_amplitude_db", tw.load_amplitude_db, 0, 30, "dB")
+    in_range("LEVEL_RANGE", "twin.load_jitter_db", tw.load_jitter_db, 0, 30, "dB")
+    in_range("LEVEL_RANGE", "twin.measurement_noise_db", tw.measurement_noise_db, 0, 30, "dB")
+    in_range("LEVEL_RANGE", "twin.load_offset_db", tw.load_offset_db, -60, 60, "dB")
+    in_range("LEVEL_RANGE", "twin.rtwp_baseline_dbm", tw.rtwp_baseline_dbm, -200, 0, "dBm")
+    in_range("LEVEL_RANGE", "twin.serving_traffic_dbm", tw.serving_traffic_dbm, -200, 0, "dBm")
     try:            # 1 MHz stands in for the bands' bandwidths, checked above
         budget_from_config(scenario.link_budget, 1.0, scenario.ut_profile.noise_figure_db)
     except (TypeError, ValueError) as exc:

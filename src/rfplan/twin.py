@@ -178,22 +178,29 @@ def synthesize_kpi(scenario: Scenario, duration_s: float, dt_s: float,
     return KpiBatch(series=series, ground_truth=truth)
 
 
-def excess_over_baseline_db(series: KpiSeries, baseline_window: int) -> np.ndarray:
-    """Samples relative to the median of the leading baseline window."""
-    n = series.samples.size
+def excess_matrix(batch: KpiBatch, baseline_window: int,
+                  metric: str = "RTWP") -> np.ndarray:
+    """The metric's series as one (cells x T) array in batch.cells() order,
+    each row relative to the median of its leading baseline window."""
+    if metric not in batch.series:
+        raise InputError(f"no {metric} series in the KPI batch "
+                         f"(it has {', '.join(batch.series)})")
+    series = [batch.get(metric, cell).samples for cell in batch.cells()]
+    if len({s.size for s in series}) > 1:
+        raise InputError("series length mismatch")
+    x = np.array(series, dtype=float)
+    n = x.shape[1]
     if not (0 < baseline_window < n):
         raise InputError(
             f"baseline_window {baseline_window} must lie in (0, {n})")
-    return series.samples - float(np.median(series.samples[:baseline_window]))
+    x -= np.median(x[:, :baseline_window], axis=1, keepdims=True)
+    return x
 
 
 def batch_excess(batch: KpiBatch, baseline_window: int,
                  metric: str = "RTWP") -> dict[str, np.ndarray]:
-    if metric not in batch.series:
-        raise InputError(f"no {metric} series in the KPI batch "
-                         f"(it has {', '.join(batch.series)})")
-    return {cell: excess_over_baseline_db(batch.get(metric, cell), baseline_window)
-            for cell in batch.cells()}
+    """excess_matrix's rows by cell id."""
+    return dict(zip(batch.cells(), excess_matrix(batch, baseline_window, metric)))
 
 
 # ---------------------------------------------------------------------------

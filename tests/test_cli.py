@@ -358,6 +358,17 @@ SCENARIO_EDITS = {     # id: (command, keys to the edited field, new value, fiel
                               "link_budget"),
     "cable-loss-negative": ("plan", ("link_budget", "cable_loss_db"), -1.0,
                             "link_budget"),
+    # dB fields so large that the grid or KPI sums overflow
+    "gain-huge-twin": ("twin", ("sites", 0, "sectors", 0, "antenna_gain_dbi"), 1e300,
+                       "sites[0].sectors[0].antenna_gain_dbi"),
+    "gain-huge-simulate": ("simulate", ("sites", 0, "sectors", 0, "antenna_gain_dbi"),
+                           1e300, "sites[0].sectors[0].antenna_gain_dbi"),
+    "ut-noise-figure-huge": ("simulate", ("ut_profile", "noise_figure_db"), 1e300,
+                             "ut_profile.noise_figure_db"),
+    "body-loss-huge": ("simulate", ("ut_profile", "body_loss_db"), 1e300,
+                       "ut_profile.body_loss_db"),
+    "load-amplitude-huge": ("twin", ("twin", "load_amplitude_db"), 1e300,
+                            "twin.load_amplitude_db"),
 }
 
 
@@ -375,6 +386,20 @@ def test_bad_scenario_field_exits_one(capsys, tmp_path, command, keys, value, fi
     code, _, err = run(capsys, "--out-dir", str(out_dir), command, str(bad))
     assert code == 1
     assert str(bad) in err and field in err
+    assert not out_dir.exists()
+
+
+def test_simulate_without_coverage_exits_one(capsys, tmp_path):
+    doc = json.loads(Path(DEMO).read_text())
+    for site in doc["sites"]:
+        for sector in site["sectors"]:
+            sector["tx_power_dbm"], sector["antenna_gain_dbi"] = -30.0, -20.0
+    dark = tmp_path / "scenario.json"
+    dark.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    code, _, err = run(capsys, "--out-dir", str(out_dir), "simulate", str(dark))
+    assert code == 1
+    assert "no covered pixels" in err
     assert not out_dir.exists()
 
 

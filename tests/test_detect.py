@@ -6,8 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from rfplan.detect import (cluster_cells, detect_affected, feature_matrix,
-                           kmeans, normalize_features, pearson, run_detection)
+from rfplan.detect import kmeans, pearson, run_detection
 from rfplan.errors import InputError
 from rfplan.twin import KpiBatch, KpiSeries, batch_excess, synthesize_kpi
 
@@ -53,25 +52,21 @@ def test_pearson_constant_series_defined_zero():
 # --- features --------------------------------------------------------------
 
 def test_features_identical_series_zscore_zero():
-    feats = normalize_features(flat_batch(), baseline_window=10)
-    z = feature_matrix(feats)
-    assert np.all(z == 0.0)
+    # every z-scored feature is 0, so both centroids sit at the origin
+    result = run_detection(flat_batch(), baseline_window=10)
+    assert np.all(result.cluster.centroids == 0.0)
 
 
 def test_step_cell_dominates_features():
-    feats = normalize_features(step_batch(), baseline_window=10)
-    z = feature_matrix(feats)
-    cells = [f.cell_id for f in feats]
-    assert cells[int(np.argmax(z[:, 0]))] == "c0"
+    evidence = run_detection(step_batch(), baseline_window=10).evidence
+    assert max(evidence, key=lambda c: evidence[c]["mean_excess_db"]) == "c0"
 
 
 def test_seed_cell_is_nearest_to_interferer(demo_scenario, demo_batch):
-    feats = normalize_features(demo_batch, baseline_window=15)
-    means = {f.cell_id: f.mean_excess_db for f in feats}
-    seed_cell = max(means, key=means.get)
+    evidence = run_detection(demo_batch, baseline_window=15).evidence
+    seed_cell = max(evidence, key=lambda c: evidence[c]["mean_excess_db"])
     # the seed cell carries corr 1.0 by construction
-    by_id = {f.cell_id: f for f in feats}
-    assert by_id[seed_cell].corr_with_seed == 1.0
+    assert evidence[seed_cell]["corr_with_seed"] == 1.0
     intf = demo_scenario.interferers[0]
     site, _ = demo_scenario.sector_by_id(seed_cell)
     dmin = min(math.dist(s.position, intf.position)
@@ -135,9 +130,7 @@ def test_kmeans_k_out_of_range():
 # --- affected gate ---------------------------------------------------------
 
 def test_flat_batch_never_alarms():
-    batch = flat_batch()
-    feats = normalize_features(batch, baseline_window=10)
-    result = detect_affected(feats, cluster_cells(feats), threshold_db=3.0)
+    result = run_detection(flat_batch(), baseline_window=10, threshold_db=3.0)
     assert result.affected_cells == ()
     assert result.anomaly_flag is False
 
@@ -177,3 +170,67 @@ def test_affected_correlate_more(demo_scenario, demo_batch):
                   if a < b])
     au = np.mean([pearson(excess[a], excess[u]) for a in affected for u in others])
     assert aa > au
+
+
+# --- reference -------------------------------------------------------------
+
+def reference_detection(batch, baseline_window, k=2, seed=0, threshold_db=3.0):
+    """The per-cell feature loop run_detection must match bit for bit:
+    (affected cells, evidence, inertia)."""
+    cells = batch.cells()
+    excess = {}
+    for cell in cells:
+        s = batch.get("RTWP", cell).samples
+        excess[cell] = s - float(np.median(s[:baseline_window]))
+    means = {c: float(np.mean(excess[c])) for c in cells}
+    seed_cell = min(cells, key=lambda c: (-means[c], c))
+    corr = {c: pearson(excess[c], excess[seed_cell]) for c in cells}
+    feats = np.array([[means[c], float(np.std(excess[c])), float(np.max(excess[c])),
+                       corr[c]] for c in cells])
+    mu, sd = feats.mean(axis=0), feats.std(axis=0)
+    z = np.zeros_like(feats)
+    nz = sd > 0
+    z[:, nz] = (feats[:, nz] - mu[nz]) / sd[nz]
+    labels, centroids, inertia, *_ = kmeans(z, k, seed=seed)
+    high = int(np.argmax(centroids[:, 0]))
+    affected = tuple(sorted(c for c, l in zip(cells, labels)
+                            if l == high and means[c] > threshold_db))
+    evidence = {c: {"mean_excess_db": means[c], "corr_with_seed": corr[c],
+                    "cluster": int(labels[i])} for i, c in enumerate(cells)}
+    return affected, evidence, inertia
+
+
+def constant_seed_batch():
+    """The top cell's series is constant, so every correlation with it is 0;
+    the other cells fall 3 dB after their baseline window."""
+    rng = np.random.default_rng(3)
+    arrays = {}
+    for i in range(1, 6):
+        v = -102.0 + rng.normal(0.0, 0.5, 40)
+        v[10:] -= 3.0
+        arrays[f"c{i}"] = v
+    arrays["c0"] = np.full(40, -96.0)
+    return batch_from_arrays(arrays)
+
+
+def assert_matches_reference(batch, window, seed=0):
+    result = run_detection(batch, window, seed=seed)
+    # repr tells apart every float bit pattern and Python from NumPy scalars
+    assert repr((result.affected_cells, result.evidence, result.cluster.inertia)) \
+        == repr(reference_detection(batch, window, seed=seed))
+    return result
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42])
+def test_demo_detection_matches_per_cell_reference(demo_scenario, seed):
+    batch = synthesize_kpi(dataclasses.replace(demo_scenario, seed=seed), 3600.0, 60.0)
+    assert assert_matches_reference(batch, 15, seed).anomaly_flag
+
+
+@pytest.mark.parametrize("make", [flat_batch, step_batch, constant_seed_batch])
+def test_detection_matches_per_cell_reference(make):
+    result = assert_matches_reference(make(), 10)
+    if make is constant_seed_batch:
+        evidence = result.evidence
+        assert max(evidence, key=lambda c: evidence[c]["mean_excess_db"]) == "c0"
+        assert all(e["corr_with_seed"] == 0.0 for e in evidence.values())

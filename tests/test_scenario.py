@@ -69,6 +69,18 @@ def test_out_of_area_violation(demo_scenario):
     assert "interferers[1]" in violations[0].path
 
 
+@pytest.mark.parametrize("part, field, value", [
+    ("ut_profile", "noise_figure_db", -0.5), ("ut_profile", "body_loss_db", 30.5),
+    ("twin", "bts_noise_figure_db", 31.0), ("twin", "load_amplitude_db", -1.0),
+    ("twin", "load_jitter_db", 31.0), ("twin", "measurement_noise_db", 1e300),
+    ("twin", "load_offset_db", -61.0), ("twin", "rtwp_baseline_dbm", 1.0),
+    ("twin", "serving_traffic_dbm", -201.0)])
+def test_level_out_of_range_violation(demo_scenario, part, field, value):
+    section = dataclasses.replace(getattr(demo_scenario, part), **{field: value})
+    bad = dataclasses.replace(demo_scenario, **{part: section})
+    assert [(v.code, v.path) for v in validate(bad)] == [("LEVEL_RANGE", f"{part}.{field}")]
+
+
 def test_duplicate_sector_ids():
     sec = Sector(id="dup", azimuth_deg=0.0, band_ref="b", tx_power_dbm=43.0)
     sc = Scenario(

@@ -16,9 +16,8 @@ from rfplan.errors import InputError
 from rfplan.scenario import (Band, Interferer, Rect, Scenario, Sector, Site,
                              TwinConfig)
 from rfplan.twin import (METRICS, KpiBatch, KpiSeries, batch_excess,
-                         coupling_dbm, excess_over_baseline_db,
-                         read_ground_truth, read_kpi_csv, synthesize_kpi,
-                         write_ground_truth, write_kpi_csv)
+                         coupling_dbm, read_ground_truth, read_kpi_csv,
+                         synthesize_kpi, write_ground_truth, write_kpi_csv)
 
 
 def small_scenario(interferers=(), twin=None):
@@ -256,15 +255,15 @@ def test_excess_ordering_follows_distance(demo_scenario, demo_batch):
 
 def test_excess_flat_and_step():
     batch = synthesize_kpi(small_scenario(), 600.0, 60.0)
-    e = excess_over_baseline_db(batch.get("RTWP", "S1a"), 5)
+    e = batch_excess(batch, 5)["S1a"]
     assert np.allclose(e, 0.0)
 
     series = batch.get("RTWP", "S1a")
     series.samples = series.samples + np.where(np.arange(10) >= 5, 5.0, 0.0)
-    e = excess_over_baseline_db(series, 5)
+    e = batch_excess(batch, 5)["S1a"]
     assert np.allclose(e[5:], 5.0)
     with pytest.raises(InputError):
-        excess_over_baseline_db(series, 10)
+        batch_excess(batch, 10)
 
 
 def test_kpi_csv_round_trip(tmp_path, demo_batch):
