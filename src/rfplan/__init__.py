@@ -9,8 +9,7 @@ frequency-reassignment recommendations.
 from .scenario import (Band, Interferer, Rect, Scenario, Sector, Site,
                        UserTerminalProfile, load_scenario, save_scenario,
                        validate)
-from .propagation import (PathlossQuery, ShadowFadingField, los_probability,
-                          pathloss_db)
+from .propagation import PathlossQuery, los_probability, pathloss_db
 from .planning import (LinkBudget, PlanResult, cell_radius_m,
                        max_allowed_pathloss_db, receiver_sensitivity_dbm,
                        required_site_count)

@@ -21,7 +21,7 @@ folded once.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import islice
@@ -102,9 +102,6 @@ class CoverageGrid:
     def shape(self):
         return self.best_server.shape
 
-    def best_server_ids(self) -> np.ndarray:
-        return np.asarray(self.sector_ids, dtype=object)[self.best_server]
-
     def serving_mask(self, sector_ids) -> np.ndarray:
         """Pixels whose best server is one of the given sectors."""
         wanted = {self.sector_ids.index(s) for s in sector_ids}
@@ -119,20 +116,18 @@ def _pixel_centers(area, resolution_m):
     return x, y
 
 
-def _location_fields(scenario: Scenario, fading, x, y, position, height_m,
-                     transmitters):
+def _location_fields(scenario: Scenario, x, y, position, height_m, transmitters):
     """Received power maps of the transmitters at one location, as
     (dBm, linear mW) pairs.
 
     transmitters holds (tx_id, fc_ghz, eirp_dbm, pattern, azimuth_deg);
     pattern None is an omni antenna. Distance, bearing and LOS probability
-    are computed once for the location, pathloss once per frequency. Each
-    transmitter id's LOS/NLOS condition is drawn once per pixel from the LOS
-    probability and frozen by the scenario seed; shadow fading comes from
-    the stream keyed by the id. Both are drawn once per location, so a
-    sector listed at two frequencies (moved band in a shared pass) reuses
-    them. Intermediate maps are dropped or overwritten as soon as they are
-    used, so a location holds few maps besides the ones it returns.
+    are computed once for the location, pathloss once per frequency, and
+    the LOS condition and shadow fading once per transmitter id: a sector
+    listed at two frequencies (moved band in a shared pass) builds both
+    maps from one draw, which is dropped before the next id is drawn.
+    Intermediate maps are dropped or overwritten as soon as they are used,
+    so a location holds few maps besides the ones it returns.
     """
     env = scenario.environment
     h_ut = scenario.ut_profile.height_m
@@ -146,32 +141,24 @@ def _location_fields(scenario: Scenario, fading, x, y, position, height_m,
     pathloss = {fc: propagation.pathloss_los_nlos_db_clamped(d2d, fc, h_bs, h_ut, env)
                 for fc in {tx[1] for tx in transmitters}}
     del d2d
-    sigma = (propagation.DEFAULT_SIGMA_SF_DB[(env, "LOS")],
-             propagation.DEFAULT_SIGMA_SF_DB[(env, "NLOS")])
-    left = Counter(tx[0] for tx in transmitters)
-    draws = {}
-    fields = []
-    for tx_id, fc_ghz, eirp_dbm, pattern, azimuth_deg in transmitters:
-        # a sector moved to another band shares its id's draws, kept only
-        # while a later transmitter at this location still needs them
-        left[tx_id] -= 1
-        if tx_id not in draws:
-            los = propagation.los_condition_mask(scenario.seed, tx_id, p_los)
-            sf = fading.standard_samples(tx_id, p_los.size).reshape(p_los.shape)
-            sf *= np.where(los, *sigma)
-            draws[tx_id] = los, sf
-        los, sf = draws[tx_id] if left[tx_id] else draws.pop(tx_id)
-        pl_los, pl_nlos = pathloss[fc_ghz]
-        power = np.where(los, pl_los, pl_nlos)
-        np.subtract(eirp_dbm, power, out=power)          # eirp - pl - sf - att
-        power -= sf
+    by_id: dict[str, list[int]] = {}
+    for k, tx in enumerate(transmitters):
+        by_id.setdefault(tx[0], []).append(k)
+    fields = [None] * len(transmitters)
+    for tx_id, ks in by_id.items():
+        los, sf = propagation.link_draws(scenario.seed, tx_id, p_los, env)
+        for k in ks:
+            _, fc_ghz, eirp_dbm, pattern, azimuth_deg = transmitters[k]
+            power = np.where(los, *pathloss[fc_ghz])
+            np.subtract(eirp_dbm, power, out=power)      # eirp - pl - sf - att
+            power -= sf
+            lin = np.empty_like(power)  # the pattern's scratch map, then linear power
+            if pattern is not None:                      # an omni antenna has no att
+                power -= pattern._attenuate(np.subtract(bearing, azimuth_deg, out=lin))
+            power -= scenario.ut_profile.body_loss_db
+            np.divide(power, 10.0, out=lin)
+            fields[k] = power, np.power(10.0, lin, out=lin)
         del los, sf
-        lin = np.empty_like(power)      # the pattern's scratch map, then linear power
-        if pattern is not None:                          # an omni antenna has no att
-            power -= pattern._attenuate(np.subtract(bearing, azimuth_deg, out=lin))
-        power -= scenario.ut_profile.body_loss_db
-        np.divide(power, 10.0, out=lin)
-        fields.append((power, np.power(10.0, lin, out=lin)))
     return fields
 
 
@@ -345,8 +332,6 @@ def _field_pass(folds: list[_Fold], pool, depth: int) -> None:
     a time; a map is dropped once every sum that needs it has folded it.
     """
     first, x, y = folds[0].scenario, folds[0].x, folds[0].y
-    fading = propagation.ShadowFadingField(seed=first.seed)
-
     sums: dict[tuple, _Sum] = {}
 
     def shared(entries, n_bands, serving):
@@ -371,7 +356,7 @@ def _field_pass(folds: list[_Fold], pool, depth: int) -> None:
         locations.setdefault(loc, []).append(tx)
 
     def fields(loc, transmitters):
-        maps = _location_fields(first, fading, x, y, *loc, transmitters)
+        maps = _location_fields(first, x, y, *loc, transmitters)
         return [((loc, tx), m) for tx, m in zip(transmitters, maps)]
 
     ready: dict[tuple, tuple] = {}

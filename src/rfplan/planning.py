@@ -111,12 +111,15 @@ def required_site_count(area_m2: float, radius_m: float) -> int:
 
 
 def budget_from_config(config: dict | None, bandwidth_mhz: float,
-                       noise_figure_db: float) -> LinkBudget:
-    """Build a LinkBudget from the scenario's optional link_budget section;
-    TypeError for an unknown key or a bandwidth_mhz, which is the band's."""
-    config = {"tx_power_dbm": 43.0, "noise_figure_db": noise_figure_db,
-              **(config or {})}
-    return LinkBudget(**config, bandwidth_mhz=bandwidth_mhz)
+                       ut_profile) -> LinkBudget:
+    """Build a LinkBudget from the scenario's optional link_budget section,
+    the band's bandwidth and the UT profile's noise figure and body loss;
+    TypeError for an unknown key or one of those three, which the section
+    does not set."""
+    return LinkBudget(**{"tx_power_dbm": 43.0, **(config or {})},
+                      bandwidth_mhz=bandwidth_mhz,
+                      noise_figure_db=ut_profile.noise_figure_db,
+                      body_loss_db=ut_profile.body_loss_db)
 
 
 def plan_scenario(scenario, condition: str = "NLOS",
@@ -133,7 +136,7 @@ def plan_scenario(scenario, condition: str = "NLOS",
         if band_ids is not None and band.id not in band_ids:
             continue
         budget = budget_from_config(scenario.link_budget, band.bandwidth_mhz,
-                                    scenario.ut_profile.noise_figure_db)
+                                    scenario.ut_profile)
         mapl = max_allowed_pathloss_db(budget)
         radius = cell_radius_m(mapl, scenario.environment, condition,
                                band.center_freq_ghz, h_bs,

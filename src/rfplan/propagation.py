@@ -74,9 +74,11 @@ def breakpoint_distance_m(fc_ghz: float, h_bs_m, h_ut_m: float):
     return 4.0 * h_bs_eff * h_ut_eff * (fc_ghz * 1e9) / SPEED_OF_LIGHT
 
 
-def _los_pathloss(d2d, log_d3d, fc_ghz, h_bs_m, h_ut_m, environment):
-    """LOS dual-slope pathloss, vectorized over distance and BS height;
-    log_d3d is log10 of the 3-D distance."""
+def _pathloss_pair(d2d, fc_ghz, h_bs_m, h_ut_m, environment):
+    """Unchecked (LOS, NLOS) pathloss over an array of ground distances,
+    vectorized over BS height too. The LOS model is dual-slope; the NLOS
+    value is lower-bounded by the LOS one at the same geometry."""
+    log_d3d = np.log10(np.sqrt(d2d ** 2 + (h_bs_m - h_ut_m) ** 2))
     dbp = breakpoint_distance_m(fc_ghz, h_bs_m, h_ut_m)
     lf = 20.0 * np.log10(fc_ghz)
     # a zero breakpoint (an antenna at 1 m) has the first slope only: no
@@ -90,26 +92,13 @@ def _los_pathloss(d2d, log_d3d, fc_ghz, h_bs_m, h_ut_m, environment):
     else:  # UMi street canyon
         pl1 = 32.4 + 21.0 * log_d3d + lf
         pl2 = 32.4 + 40.0 * log_d3d + lf - 9.5 * np.log10(bp2)
-    return np.where(d2d <= np.where(one_slope, np.inf, dbp), pl1, pl2)
-
-
-def _nlos_pathloss(log_d3d, fc_ghz, h_ut_m, environment, los):
-    """NLOS pathloss, lower-bounded by the LOS value los at the same geometry."""
-    lf = 20.0 * np.log10(fc_ghz)
+    los = np.where(d2d <= np.where(one_slope, np.inf, dbp), pl1, pl2)
+    del pl1, pl2
     if environment == "UMa":
         nlos = 13.54 + 39.08 * log_d3d + lf - 0.6 * (h_ut_m - 1.5)
     else:
         nlos = 22.4 + 35.3 * log_d3d + 21.3 * np.log10(fc_ghz) - 0.3 * (h_ut_m - 1.5)
-    return np.maximum(los, nlos)
-
-
-def _pathloss(d2d, fc_ghz, h_bs_m, h_ut_m, environment, condition):
-    """Unchecked pathloss over an array of ground distances."""
-    log_d3d = np.log10(np.sqrt(d2d ** 2 + (h_bs_m - h_ut_m) ** 2))
-    los = _los_pathloss(d2d, log_d3d, fc_ghz, h_bs_m, h_ut_m, environment)
-    if condition == "LOS":
-        return los
-    return _nlos_pathloss(log_d3d, fc_ghz, h_ut_m, environment, los)
+    return los, np.maximum(los, nlos)
 
 
 def pathloss_db(query: PathlossQuery):
@@ -120,8 +109,8 @@ def pathloss_db(query: PathlossQuery):
 def pathloss_db_array(d2d_m, fc_ghz, h_bs_m, h_ut_m, environment, condition):
     """Vectorized pathloss over an array of ground distances."""
     _check_envelope(d2d_m, fc_ghz, h_bs_m, h_ut_m, environment, condition)
-    return _pathloss(np.asarray(d2d_m, dtype=float), fc_ghz, h_bs_m, h_ut_m,
-                     environment, condition)
+    return _pathloss_pair(np.asarray(d2d_m, dtype=float), fc_ghz, h_bs_m, h_ut_m,
+                          environment)[condition == "NLOS"]
 
 
 def pathloss_db_clamped(d2d_m, fc_ghz, h_bs_m, h_ut_m, environment, condition):
@@ -132,21 +121,16 @@ def pathloss_db_clamped(d2d_m, fc_ghz, h_bs_m, h_ut_m, environment, condition):
     through pathloss_db which reports instead of clamping. h_bs_m may be
     an array, one height per receiver, broadcast against d2d_m.
     """
-    d2d = np.clip(np.asarray(d2d_m, dtype=float), D2D_MIN_M, D2D_MAX_M)
-    return _pathloss(d2d, fc_ghz, h_bs_m, h_ut_m, environment, condition)
+    if condition not in ("LOS", "NLOS"):
+        raise DomainError(f"unknown condition {condition!r}")
+    return pathloss_los_nlos_db_clamped(d2d_m, fc_ghz, h_bs_m, h_ut_m,
+                                        environment)[condition == "NLOS"]
 
 
 def pathloss_los_nlos_db_clamped(d2d_m, fc_ghz, h_bs_m, h_ut_m, environment):
-    """(LOS, NLOS) pathloss_db_clamped pair from one geometry evaluation.
-
-    The NLOS value is bounded by the LOS one, so the LOS pathloss and the
-    log of the 3-D distance are computed once for both; each array is
-    bitwise what pathloss_db_clamped gives for its condition.
-    """
+    """(LOS, NLOS) pathloss_db_clamped pair from one geometry evaluation."""
     d2d = np.clip(np.asarray(d2d_m, dtype=float), D2D_MIN_M, D2D_MAX_M)
-    log_d3d = np.log10(np.sqrt(d2d ** 2 + (h_bs_m - h_ut_m) ** 2))
-    los = _los_pathloss(d2d, log_d3d, fc_ghz, h_bs_m, h_ut_m, environment)
-    return los, _nlos_pathloss(log_d3d, fc_ghz, h_ut_m, environment, los)
+    return _pathloss_pair(d2d, fc_ghz, h_bs_m, h_ut_m, environment)
 
 
 def free_space_pathloss_db(d_m, fc_ghz):
@@ -210,25 +194,19 @@ def keyed_rng(seed: int, name: str, stream: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), _key64(name), int(stream)])
 
 
-@dataclass(frozen=True)
-class ShadowFadingField:
-    """Reproducible log-normal shadow fading, independent per pixel.
+def link_draws(seed: int, tx_id: str, p_los, environment: str):
+    """One transmitter's per-pixel (LOS mask, shadow fading in dB).
 
-    Samples are deterministic given (seed, cell id, pixel index); callers
-    scale them by DEFAULT_SIGMA_SF_DB for the pixel's condition.
+    The condition is a uniform draw against the LOS probability p_los, and
+    the shadow fading a unit normal scaled by DEFAULT_SIGMA_SF_DB for each
+    pixel's condition, from streams keyed by (seed, tx_id): coverage maps
+    are stable and reproducible whatever order transmitters are drawn in.
     """
-    seed: int
-
-    def standard_samples(self, cell_id: str, n: int) -> np.ndarray:
-        """Unit-variance stream for one cell."""
-        return keyed_rng(self.seed, cell_id, _STREAM_SHADOW).standard_normal(n)
-
-
-def los_condition_mask(seed: int, cell_id: str, p_los: np.ndarray) -> np.ndarray:
-    """Freeze the per-pixel LOS/NLOS condition for one transmitter.
-
-    Drawn once against the LOS probability with a stream keyed by
-    (seed, cell id), so coverage maps are stable and reproducible.
-    """
-    u = keyed_rng(seed, cell_id, _STREAM_LOS).random(np.asarray(p_los).size)
-    return u.reshape(np.asarray(p_los).shape) < p_los
+    p_los = np.asarray(p_los)
+    los = keyed_rng(seed, tx_id, _STREAM_LOS).random(p_los.size)
+    los = los.reshape(p_los.shape) < p_los
+    shadow = keyed_rng(seed, tx_id, _STREAM_SHADOW).standard_normal(p_los.size)
+    shadow = shadow.reshape(p_los.shape)
+    shadow *= np.where(los, DEFAULT_SIGMA_SF_DB[(environment, "LOS")],
+                       DEFAULT_SIGMA_SF_DB[(environment, "NLOS")])
+    return los, shadow

@@ -275,10 +275,19 @@ def validate(scenario: Scenario) -> list[Violation]:
     in_range("LEVEL_RANGE", "twin.load_offset_db", tw.load_offset_db, -60, 60, "dB")
     in_range("LEVEL_RANGE", "twin.rtwp_baseline_dbm", tw.rtwp_baseline_dbm, -200, 0, "dBm")
     in_range("LEVEL_RANGE", "twin.serving_traffic_dbm", tw.serving_traffic_dbm, -200, 0, "dBm")
+    budget = scenario.link_budget or {}
+    for key, lo, hi, unit in (
+            ("tx_power_dbm", -30, 60, "dBm"), ("tx_antenna_gain_dbi", -30, 60, "dBi"),
+            ("rx_antenna_gain_dbi", -30, 60, "dBi"), ("cable_loss_db", 0, 60, "dB"),
+            ("penetration_loss_db", 0, 60, "dB"), ("interference_margin_db", 0, 60, "dB"),
+            ("shadow_margin_db", 0, 60, "dB"), ("required_sinr_db", -30, 60, "dB")):
+        in_range("LINK_BUDGET", f"link_budget.{key}", budget.get(key), lo, hi, unit)
     try:            # 1 MHz stands in for the bands' bandwidths, checked above
-        budget_from_config(scenario.link_budget, 1.0, scenario.ut_profile.noise_figure_db)
-    except (TypeError, ValueError) as exc:
+        budget_from_config(scenario.link_budget, 1.0, scenario.ut_profile)
+    except TypeError as exc:
         bad("LINK_BUDGET", "link_budget", str(exc))
+    except ValueError:          # a negative loss, already named by its range above
+        pass
 
     return v
 

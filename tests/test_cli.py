@@ -84,6 +84,22 @@ def test_plan_demo(capsys, tmp_path):
     assert "n78:" in stdout
 
 
+def test_plan_takes_noise_figure_and_body_loss_from_ut_profile(capsys, tmp_path):
+    doc = json.loads(Path(DEMO).read_text())
+    mapl = {}
+    for nf, body_loss in ((7.0, 0.0), (20.0, 0.0), (7.0, 2.5)):
+        doc["ut_profile"].update(noise_figure_db=nf, body_loss_db=body_loss)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc))
+        out = tmp_path / "plan.json"
+        assert run(capsys, "plan", str(scenario), "--out", str(out))[0] == 0
+        bands = json.loads(out.read_text())["bands"]
+        mapl[nf, body_loss] = {b["band_id"]: b["mapl_db"] for b in bands}
+    for band, base in mapl[7.0, 0.0].items():
+        assert mapl[20.0, 0.0][band] == pytest.approx(base - 13.0)
+        assert mapl[7.0, 2.5][band] == pytest.approx(base - 2.5)
+
+
 def test_plan_band_filter(capsys, tmp_path):
     out = tmp_path / "plan.json"
     code, _, _ = run(capsys, "plan", DEMO, "--band", "n78", "--out", str(out))
@@ -358,6 +374,16 @@ SCENARIO_EDITS = {     # id: (command, keys to the edited field, new value, fiel
                               "link_budget"),
     "cable-loss-negative": ("plan", ("link_budget", "cable_loss_db"), -1.0,
                             "link_budget"),
+    # the UT profile alone sets the planner's noise figure and body loss
+    "link-budget-noise-figure": ("plan", ("link_budget", "noise_figure_db"), 7.0,
+                                 "link_budget"),
+    "link-budget-body-loss": ("plan", ("link_budget", "body_loss_db"), 0.0,
+                              "link_budget"),
+    # link-budget levels that would plan a 10 km cell from a 300-digit MAPL
+    "link-budget-tx-power-huge": ("plan", ("link_budget", "tx_power_dbm"), 1e300,
+                                  "link_budget.tx_power_dbm"),
+    "link-budget-rx-gain-huge": ("plan", ("link_budget", "rx_antenna_gain_dbi"), 1e300,
+                                 "link_budget.rx_antenna_gain_dbi"),
     # dB fields so large that the grid or KPI sums overflow
     "gain-huge-twin": ("twin", ("sites", 0, "sectors", 0, "antenna_gain_dbi"), 1e300,
                        "sites[0].sectors[0].antenna_gain_dbi"),

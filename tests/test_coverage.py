@@ -191,7 +191,7 @@ def test_grid_csv_shape(tmp_path, demo_grid):
 
 def reference_grid_csv(grid, path):
     """The per-pixel f-string writer that write_grid_csv must match byte for byte."""
-    ids = grid.best_server_ids()
+    ids = np.asarray(grid.sector_ids, dtype=object)[grid.best_server]
     with open(path, "w", newline="") as fh:
         fh.write("x_m,y_m,best_server,rssi_dbm,sinr_db,throughput_mbps\n")
         for iy in range(grid.y_m.size):
@@ -257,7 +257,7 @@ def test_grid_rejects_worker_count_below_one(demo_scenario):
 # are the implementation it replaced, which stacked every sector's power map
 # into an (S, ny, nx) array. The grid must match them bit for bit.
 
-def _reference_field(scenario, fading, X, Y, tx_id, position, height_m,
+def _reference_field(scenario, X, Y, tx_id, position, height_m,
                      tx_power_dbm, fc_ghz, gain_dbi=0.0, pattern=None,
                      azimuth_deg=0.0):
     env = scenario.environment
@@ -267,13 +267,16 @@ def _reference_field(scenario, fading, X, Y, tx_id, position, height_m,
     d2d = np.maximum(np.hypot(dx, dy), propagation.D2D_MIN_M)
 
     p_los = propagation.los_probability(d2d, h_ut, env)
-    los = propagation.los_condition_mask(scenario.seed, tx_id, p_los)
+    # the LOS draw (stream 2) and the shadow draw (stream 1) of the id
+    u = propagation.keyed_rng(scenario.seed, tx_id, 2).random(d2d.size)
+    los = u.reshape(d2d.shape) < p_los
     h_bs = max(height_m, 1.0)
     pl_los = propagation.pathloss_db_clamped(d2d, fc_ghz, h_bs, h_ut, env, "LOS")
     pl_nlos = propagation.pathloss_db_clamped(d2d, fc_ghz, h_bs, h_ut, env, "NLOS")
     pl = np.where(los, pl_los, pl_nlos)
 
-    sf_std = fading.standard_samples(tx_id, d2d.size).reshape(d2d.shape)
+    sf_std = propagation.keyed_rng(scenario.seed, tx_id, 1).standard_normal(d2d.size)
+    sf_std = sf_std.reshape(d2d.shape)
     sigma_los = propagation.DEFAULT_SIGMA_SF_DB[(env, "LOS")]
     sigma_nlos = propagation.DEFAULT_SIGMA_SF_DB[(env, "NLOS")]
     sf = sf_std * np.where(los, sigma_los, sigma_nlos)
@@ -292,7 +295,6 @@ def _reference_field(scenario, fading, X, Y, tx_id, position, height_m,
 def reference_grid(scenario, interferers_active):
     x, y = _pixel_centers(scenario.area, scenario.grid_resolution_m)
     X, Y = np.meshgrid(x, y)
-    fading = propagation.ShadowFadingField(seed=scenario.seed)
 
     sectors = sorted(((site, sec) for site, sec in scenario.sectors()),
                      key=lambda p: p[1].id)
@@ -306,11 +308,11 @@ def reference_grid(scenario, interferers_active):
         band = scenario.band_by_id(sec.band_ref)
         pattern = AntennaPattern(sec.beamwidth_3db_deg, sec.front_to_back_db)
         fields.append(_reference_field(
-            scenario, fading, X, Y, sec.id, site.position, site.height_m,
+            scenario, X, Y, sec.id, site.position, site.height_m,
             sec.tx_power_dbm, band.center_freq_ghz, gain_dbi=sec.antenna_gain_dbi,
             pattern=pattern, azimuth_deg=sec.azimuth_deg))
     ext_fields = [_reference_field(
-        scenario, fading, X, Y, intf.id, intf.position, intf.height_m,
+        scenario, X, Y, intf.id, intf.position, intf.height_m,
         intf.tx_power_dbm, scenario.band_by_id(intf.band_ref).center_freq_ghz)
         for intf in scenario.interferers]
 
@@ -491,10 +493,9 @@ def test_shared_pass_computes_each_transmitter_once(monkeypatch):
     pre, post = scenario_pair("interleaved_moved", None, None)
     computed, location_fields = [], coverage._location_fields
 
-    def counted(scenario, fading, x, y, position, height_m, transmitters):
+    def counted(scenario, x, y, position, height_m, transmitters):
         computed.extend(tx[0] for tx in transmitters)
-        return location_fields(scenario, fading, x, y, position, height_m,
-                               transmitters)
+        return location_fields(scenario, x, y, position, height_m, transmitters)
 
     monkeypatch.setattr(coverage, "_location_fields", counted)
     compute_grids([pre, post, pre], n_workers=2)

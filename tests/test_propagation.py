@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from rfplan.errors import DomainError
-from rfplan.propagation import (PathlossQuery, ShadowFadingField,
+from rfplan.propagation import (DEFAULT_SIGMA_SF_DB, PathlossQuery,
                                 breakpoint_distance_m, free_space_pathloss_db,
-                                keyed_rng, los_probability, pathloss_db,
-                                pathloss_db_array, pathloss_db_clamped,
-                                pathloss_los_nlos_db_clamped)
+                                keyed_rng, link_draws, los_probability,
+                                pathloss_db, pathloss_db_array,
+                                pathloss_db_clamped, pathloss_los_nlos_db_clamped)
 
 
 def test_uma_los_oracle():
@@ -87,6 +87,31 @@ def test_clamped_variant_does_not_error():
     assert v == float(pathloss_db_clamped(1.0, 3.5, 25.0, 1.5, "UMa", "NLOS"))
 
 
+def test_clamped_variant_rejects_unknown_condition():
+    with pytest.raises(DomainError):
+        pathloss_db_clamped(100.0, 3.5, 25.0, 1.5, "UMa", "XLOS")
+
+
+def reference_pathloss(d2d_m, fc, h_bs, h_ut, env):
+    """The spelled-out TR 38.901 Table 7.4.1-1 (LOS, NLOS) formulas, with
+    distances clamped to [1 m, 10 km], that the pair must match bit for bit."""
+    d2d = np.clip(d2d_m, 1.0, 10_000.0)
+    log_d3d = np.log10(np.sqrt(d2d ** 2 + (h_bs - h_ut) ** 2))
+    # breakpoint with 1 m effective-height offsets; 0 m means one slope
+    dbp = 4.0 * (h_bs - 1.0) * (h_ut - 1.0) * (fc * 1e9) / 299_792_458.0
+    bp2 = dbp ** 2 + (h_bs - h_ut) ** 2 if dbp > 0 else 1.0
+    if env == "UMa":
+        pl1 = 28.0 + 22.0 * log_d3d + 20.0 * np.log10(fc)
+        pl2 = 28.0 + 40.0 * log_d3d + 20.0 * np.log10(fc) - 9.0 * np.log10(bp2)
+        nlos = 13.54 + 39.08 * log_d3d + 20.0 * np.log10(fc) - 0.6 * (h_ut - 1.5)
+    else:
+        pl1 = 32.4 + 21.0 * log_d3d + 20.0 * np.log10(fc)
+        pl2 = 32.4 + 40.0 * log_d3d + 20.0 * np.log10(fc) - 9.5 * np.log10(bp2)
+        nlos = 22.4 + 35.3 * log_d3d + 21.3 * np.log10(fc) - 0.3 * (h_ut - 1.5)
+    los = np.where((d2d <= dbp) | (dbp <= 0), pl1, pl2)
+    return los, np.maximum(los, nlos)
+
+
 @pytest.mark.parametrize("env, h_bs, h_ut", [("UMa", 25.0, 1.5), ("UMi", 10.0, 1.5),
                                           ("UMa", 25.0, 1.0), ("UMi", 1.0, 22.5)])
 @pytest.mark.parametrize("fc", [0.7, 3.5, 28.0])
@@ -95,11 +120,14 @@ def test_los_nlos_pair_matches_per_condition_calls(env, h_bs, h_ut, fc):
     # breakpoint at 0 m, so the LOS model is single-slope there
     d2d = np.concatenate([[0.01, 1.0, 17.9, 18.0], np.geomspace(2.0, 9999.0, 994),
                           [10_000.0, 12_500.0]]).reshape(20, 50)
-    los, nlos = pathloss_los_nlos_db_clamped(d2d, fc, h_bs, h_ut, env)
-    for got, cond in ((los, "LOS"), (nlos, "NLOS")):
-        ref = pathloss_db_clamped(d2d, fc, h_bs, h_ut, env, cond)
-        assert (got.dtype, got.shape) == (ref.dtype, ref.shape)
-        assert got.tobytes() == ref.tobytes(), cond
+    pair = pathloss_los_nlos_db_clamped(d2d, fc, h_bs, h_ut, env)
+    inside = np.clip(d2d, 1.0, 10_000.0)
+    for got, ref, cond in zip(pair, reference_pathloss(d2d, fc, h_bs, h_ut, env),
+                              ("LOS", "NLOS")):
+        for calls in (got, pathloss_db_clamped(d2d, fc, h_bs, h_ut, env, cond),
+                      pathloss_db_array(inside, fc, h_bs, h_ut, env, cond)):
+            assert (calls.dtype, calls.shape) == (ref.dtype, ref.shape)
+            assert calls.tobytes() == ref.tobytes(), cond
 
 
 def test_los_probability_near_field():
@@ -152,17 +180,39 @@ def test_los_probability_matches_the_spelled_out_expression(environment, h_ut):
         assert type(p) is float and p == reference_los_probability(d, h_ut, environment)
 
 
+P_LOS = np.linspace(0.0, 1.0, 1200).reshape(30, 40)
+
+
+@pytest.mark.parametrize("env", ["UMa", "UMi"])
+def test_link_draws_are_the_keyed_streams(env):
+    los, shadow = link_draws(7, "c1", P_LOS, env)
+    ref_los = keyed_rng(7, "c1", 2).random(P_LOS.size).reshape(P_LOS.shape) < P_LOS
+    ref_shadow = keyed_rng(7, "c1", 1).standard_normal(P_LOS.size).reshape(P_LOS.shape)
+    ref_shadow = ref_shadow * np.where(ref_los, DEFAULT_SIGMA_SF_DB[(env, "LOS")],
+                                       DEFAULT_SIGMA_SF_DB[(env, "NLOS")])
+    assert (los.dtype, los.shape) == (np.bool_, P_LOS.shape)
+    assert los.tobytes() == ref_los.tobytes()
+    assert (shadow.dtype, shadow.shape) == (ref_shadow.dtype, ref_shadow.shape)
+    assert shadow.tobytes() == ref_shadow.tobytes()
+    assert 0 < np.count_nonzero(los) < los.size
+
+
 def test_shadow_fading_deterministic():
-    a = ShadowFadingField(seed=7).standard_samples("c1", 1000)
-    b = ShadowFadingField(seed=7).standard_samples("c1", 1000)
-    assert np.array_equal(a, b)
-    c = ShadowFadingField(seed=8).standard_samples("c1", 1000)
-    assert not np.array_equal(a, c)
+    a = link_draws(7, "c1", P_LOS, "UMa")
+    b = link_draws(7, "c1", P_LOS, "UMa")
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+    for other in (link_draws(8, "c1", P_LOS, "UMa"), link_draws(7, "c2", P_LOS, "UMa")):
+        assert not np.array_equal(a[0], other[0])
+        assert not np.array_equal(a[1], other[1])
 
 
 def test_shadow_fading_sample_std():
-    s = ShadowFadingField(seed=3).standard_samples("cell", 10_000)
-    assert 0.95 < float(np.std(s)) < 1.05
+    # all NLOS, then all LOS: the shadow map's std is its condition's sigma
+    for p_los, cond in ((0.0, "NLOS"), (1.0, "LOS")):
+        los, shadow = link_draws(3, "cell", np.full(10_000, p_los), "UMi")
+        assert np.all(los == (cond == "LOS"))
+        sigma = DEFAULT_SIGMA_SF_DB[("UMi", cond)]
+        assert 0.95 < float(np.std(shadow)) / sigma < 1.05
 
 
 def test_keyed_rng_streams_independent():

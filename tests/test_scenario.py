@@ -81,6 +81,17 @@ def test_level_out_of_range_violation(demo_scenario, part, field, value):
     assert [(v.code, v.path) for v in validate(bad)] == [("LEVEL_RANGE", f"{part}.{field}")]
 
 
+@pytest.mark.parametrize("field, value", [
+    ("tx_power_dbm", 60.5), ("tx_antenna_gain_dbi", -31.0), ("rx_antenna_gain_dbi", 1e300),
+    ("cable_loss_db", -1.0), ("penetration_loss_db", 61.0),
+    ("interference_margin_db", -0.5), ("shadow_margin_db", 1e300),
+    ("required_sinr_db", -30.5)])
+def test_link_budget_out_of_range_violation(demo_scenario, field, value):
+    bad = dataclasses.replace(demo_scenario,
+                              link_budget={**demo_scenario.link_budget, field: value})
+    assert [(v.code, v.path) for v in validate(bad)] == [("LINK_BUDGET", f"link_budget.{field}")]
+
+
 def test_duplicate_sector_ids():
     sec = Sector(id="dup", azimuth_deg=0.0, band_ref="b", tx_power_dbm=43.0)
     sc = Scenario(
