@@ -28,60 +28,14 @@ from itertools import islice
 
 import numpy as np
 
-from . import propagation
+from . import _csvtext, propagation
+from ._csvtext import _COMMA, _fixed_text, _lines, _text_table
 from .errors import InputError
 from .planning import noise_floor_dbm
 from .scenario import Scenario
 
 COVERAGE_FLOOR_DBM = -110.0    # serving RSRP below this counts as uncovered
 SINR_FLOOR_DB = -10.0          # no usable throughput below this SINR
-
-
-@dataclass(frozen=True)
-class AntennaPattern:
-    """3GPP-style parabolic sector pattern, capped at the front-to-back ratio."""
-    beamwidth_3db_deg: float
-    front_to_back_db: float
-
-    def attenuation_db(self, delta_az_deg):
-        d = np.broadcast_to(delta_az_deg, np.broadcast(
-            delta_az_deg, self.beamwidth_3db_deg, self.front_to_back_db).shape)
-        return self._attenuate(np.array(d, dtype=float))[()]
-
-    def _attenuate(self, d):
-        """attenuation_db of the float array d, computed in d itself: the
-        operations of min(12 (|(d + 180) % 360 - 180| / bw) ** 2, ftb), in
-        that order, and ** 2 is numpy's square."""
-        d += 180.0
-        _mod360(d)
-        d -= 180.0
-        np.abs(d, out=d)
-        d /= self.beamwidth_3db_deg
-        np.square(d, out=d)
-        d *= 12.0
-        return np.minimum(d, self.front_to_back_db, out=d)
-
-
-def _mod360(a):
-    """a % 360.0 bit for bit, computed in place in the float array a.
-
-    numpy's float remainder runs a full divmod per element, ~60x a subtract.
-    On [-360, 720) it is a - 360 from 360 up (exact), a + 360 below 0
-    (rounded as the remainder rounds it: a tiny negative gives 360.0), and
-    +0.0 for a zero. Other values, inf or NaN take the remainder itself.
-    """
-    if a.size and -360.0 <= a.min() and a.max() < 720.0:
-        np.subtract(a, 360.0, out=a, where=a >= 360.0)
-        np.add(a, 360.0, out=a, where=a < 0.0)
-        a += 0.0                                # -0.0 -> +0.0
-        return a
-    return np.remainder(a, 360.0, out=a)
-
-
-def bearing_deg(dx, dy):
-    """Compass bearing of (dx, dy): degrees clockwise from +y."""
-    bearing = np.asarray(np.arctan2(dx, dy))
-    return _mod360(np.degrees(bearing, out=bearing))[()]
 
 
 @dataclass
@@ -134,7 +88,7 @@ def _location_fields(scenario: Scenario, x, y, position, height_m, transmitters)
     h_bs = max(height_m, 1.0)
     dx, dy = np.meshgrid(x - position[0], y - position[1])
     d2d = np.maximum(np.hypot(dx, dy), propagation.D2D_MIN_M)
-    bearing = (bearing_deg(dx, dy) if any(tx[3] is not None for tx in transmitters)
+    bearing = (propagation.bearing_deg(dx, dy) if any(tx[3] is not None for tx in transmitters)
                else None)
     del dx, dy
     p_los = propagation.los_probability(d2d, h_ut, env)
@@ -273,7 +227,7 @@ class _Fold:
         self.signal_entries = tuple(
             (((tuple(site.position), site.height_m),
               (sec.id, freq(sec.band_ref), sec.tx_power_dbm + sec.antenna_gain_dbi,
-               AntennaPattern(sec.beamwidth_3db_deg, sec.front_to_back_db),
+               propagation.AntennaPattern(sec.beamwidth_3db_deg, sec.front_to_back_db),
                sec.azimuth_deg)), self.band_index[sec.band_ref], s)
             for s, (site, sec) in enumerate(sectors))
         self.external_entries = tuple(
@@ -410,7 +364,7 @@ def write_grid_csv(grid: CoverageGrid, path) -> None:
     x, y = _fixed_text(grid.x_m, 2), _fixed_text(grid.y_m, 2)
     servers = _text_table([f",{s}," for s in grid.sector_ids])
     row_bytes = x.itemsize + y.itemsize + servers.itemsize + 40   # 40: three values
-    grid_rows = max(1, _TEXT_BLOCK_BYTES // (nx * row_bytes))
+    grid_rows = max(1, _csvtext._TEXT_BLOCK_BYTES // (nx * row_bytes))
     with open(path, "wb") as fh:
         fh.write(b"x_m,y_m,best_server,rssi_dbm,sinr_db,throughput_mbps\n")
         for i in range(0, ny, grid_rows):
@@ -421,108 +375,3 @@ def write_grid_csv(grid: CoverageGrid, path) -> None:
                 _fixed_text(grid.rssi_dbm[rows].ravel(), 2), _COMMA,
                 _fixed_text(grid.sinr_db[rows].ravel(), 2), _COMMA,
                 _fixed_text(grid.throughput_mbps[rows].ravel(), 2))))
-
-
-# ---------------------------------------------------------------------------
-# CSV text at array speed, for the grid writer here and the KPI writer in twin.
-# A text column is a 1-D array of fixed-width void items, NUL-padded; a
-# line is its columns' items side by side, with every NUL dropped.
-
-
-# text per block of a CSV writer or of the KPI reader; their arrays take a few times that
-_TEXT_BLOCK_BYTES = 1 << 17
-_U4 = np.dtype("<u4")
-
-
-def _digit_table() -> np.ndarray:
-    """Four ASCII digits per uint32, for i in 0..9999: '%04d' at [i], the
-    same with its leading zeros as NUL at [i + 10**4], and with the units
-    digit kept at [i + 2 * 10**4] (so 0 is NUL NUL NUL '0')."""
-    i, place = np.arange(10_000)[:, None], np.array([1000, 100, 10, 1])
-    digits = (i // place % 10 + ord("0")).astype(np.uint8)
-    lead = i >= place
-    return np.concatenate((digits, digits * lead, digits * (lead | (place == 1)))
-                          ).view(_U4).ravel()
-
-
-_DIGITS = _digit_table()
-_COMMA, _NEWLINE = np.array([b","], dtype="V1"), np.array([b"\n"], dtype="V1")
-# a NUL inside a table text is held as 0xFF, a byte UTF-8 never uses, so
-# that NUL can pad the items; _lines drops the pads and restores it
-_RESTORE_NUL = bytes.maketrans(b"\xff", b"\0")
-
-
-def _fixed_text(values: np.ndarray, decimals: int) -> np.ndarray:
-    """'%.{decimals}f' % v for each v of a 1-D array, decimals >= 1, as a
-    text column.
-
-    The digits are those of q = rint(|v| * 10**decimals), four to a
-    uint32 from _DIGITS, and the sign is a byte of its own, from signbit,
-    so -0.0 prints as -0.00. That is the correctly rounded text unless
-    the scaled magnitude lies within two ulps of a rounding tie, where
-    the product's own rounding may decide: such values, those from 2**50
-    up and the non-finite are formatted by Python's %, one at a time.
-    """
-    values = np.asarray(values, dtype=float)
-    scale = 10.0 ** decimals
-    with np.errstate(over="ignore", invalid="ignore"):     # inf, inf - inf
-        scaled = np.abs(values) * scale
-        q = np.rint(scaled)
-        odd = ~(np.abs(scaled - q) + scaled * 2.0 ** -51 < 0.5)
-    q[odd] = 0.0
-    whole = np.floor(q / scale)             # exact, as q < 2**50
-    frac = (q - whole * scale).astype(np.intp)
-    whole = whole.astype(np.intp)
-    int_groups = -(-len(str(whole.max(initial=0))) // 4)
-    frac_groups, top = -(-decimals // 4), (decimals - 1) % 4 + 1
-    fields = ["sign", *(f"i{g}" for g in range(int_groups)), "dot",
-              *(f"f{g}" for g in range(frac_groups))]
-    formats = ["u1", *[_U4] * int_groups, "u1", *[_U4] * frac_groups]
-    exact = ["%.*f" % (decimals, v) for v in values[odd].tolist()]
-    width = max([2 + 4 * (int_groups + frac_groups), *map(len, exact)])
-    text = np.zeros(values.size, dtype={"names": fields, "formats": formats,
-                                        "itemsize": width})
-    text["sign"] = np.signbit(values) * np.uint8(ord("-"))
-    for g, part in enumerate(_groups(whole, int_groups)):
-        # a group with a digit above it is '%04d' (table 0); one without
-        # has NUL for its leading zeros (table 1, all NUL for 0), but keeps
-        # its units digit when it is the last group (table 2)
-        table = 2 if g == int_groups - 1 else 1
-        if g:
-            table = table * (whole < 10 ** (4 * (int_groups - g)))
-        text[f"i{g}"] = _DIGITS[part + table * 10_000]
-    text["dot"] = ord(".")
-    for g, part in enumerate(_groups(frac, frac_groups)):
-        if g == 0 and top < 4:      # the first decimals, then NUL
-            text["f0"] = _DIGITS[part * 10 ** (4 - top)] & np.uint32(256 ** top - 1)
-        else:
-            text[f"f{g}"] = _DIGITS[part]
-    text = text.view(f"V{width}")
-    if exact:
-        text[odd] = _text_table(exact, width)
-    return text
-
-
-def _groups(x: np.ndarray, n: int) -> list:
-    """x, each in [0, 10**(4 * n)), as n four-digit groups, the most
-    significant first."""
-    return [x // 10 ** (4 * g) % 10_000 for g in range(n - 1, 0, -1)] + [x % 10_000 if n > 1 else x]
-
-
-def _text_table(texts, width: int = 1) -> np.ndarray:
-    """The UTF-8 bytes of each text as a text column, at least ``width``
-    wide; a NUL inside a text is held as 0xFF."""
-    raw = [t.encode().replace(b"\0", b"\xff") for t in texts]
-    width = max([width, *map(len, raw)])
-    return np.array(raw, dtype=f"S{width}").view(f"V{width}")
-
-
-def _lines(columns) -> bytes:
-    """The text columns side by side, one line per item, without their
-    NUL padding. A one-item column is repeated down every line."""
-    columns = (*columns, _NEWLINE)
-    lines = np.empty(max(map(len, columns)),
-                     dtype=[(f"c{k}", c.dtype) for k, c in enumerate(columns)])
-    for k, c in enumerate(columns):
-        lines[f"c{k}"] = c
-    return lines.tobytes().translate(_RESTORE_NUL, b"\0")

@@ -1,10 +1,11 @@
-"""TR 38.901 urban pathloss, LOS probability and seeded shadow fading.
+"""TR 38.901 urban pathloss, LOS probability, sector pattern and fading.
 
 Closed-form UMa/UMi pathloss (Table 7.4.1-1 style dual-slope models with
-the NLOS lower-bounding max), the matching LOS probability curves and a
-reproducible log-normal shadow-fading field. Everything here is either a
-pure function or read-only state, so pixel evaluation can be
-data-parallel and still bit-identical regardless of worker count.
+the NLOS lower-bounding max), the matching LOS probability curves, a
+link's bearing and sector pattern, and a reproducible log-normal
+shadow-fading field. Everything here is either a pure function or
+read-only state, so pixel evaluation can be data-parallel and still
+bit-identical regardless of worker count.
 
 Out-of-envelope queries raise DomainError instead of extrapolating:
 silent extrapolation corrupts planning numbers downstream.
@@ -60,8 +61,6 @@ def _check_envelope(d2d_m, fc_ghz, h_bs_m, h_ut_m, environment, condition):
         raise DomainError(f"h_ut_m {h_ut_m} outside [{H_UT_MIN_M}, {H_UT_MAX_M}] m")
     if not (1.0 <= h_bs_m <= 150.0):
         raise DomainError(f"h_bs_m {h_bs_m} outside [1, 150] m")
-    if environment not in ("UMa", "UMi"):
-        raise DomainError(f"unknown environment {environment!r}")
     if condition not in ("LOS", "NLOS"):
         raise DomainError(f"unknown condition {condition!r}")
 
@@ -75,9 +74,12 @@ def breakpoint_distance_m(fc_ghz: float, h_bs_m, h_ut_m: float):
 
 
 def _pathloss_pair(d2d, fc_ghz, h_bs_m, h_ut_m, environment):
-    """Unchecked (LOS, NLOS) pathloss over an array of ground distances,
-    vectorized over BS height too. The LOS model is dual-slope; the NLOS
-    value is lower-bounded by the LOS one at the same geometry."""
+    """(LOS, NLOS) pathloss over an array of ground distances, vectorized
+    over BS height too. The LOS model is dual-slope; the NLOS value is
+    lower-bounded by the LOS one at the same geometry. Only the
+    environment is checked: DomainError unless it is UMa or UMi."""
+    if environment not in ("UMa", "UMi"):
+        raise DomainError(f"unknown environment {environment!r}")
     log_d3d = np.log10(np.sqrt(d2d ** 2 + (h_bs_m - h_ut_m) ** 2))
     dbp = breakpoint_distance_m(fc_ghz, h_bs_m, h_ut_m)
     lf = 20.0 * np.log10(fc_ghz)
@@ -174,6 +176,53 @@ def los_probability(d2d_m, h_ut_m: float = 1.5, environment: str = "UMa"):
     p[d2d <= 18.0] = 1.0
     np.clip(p, 0.0, 1.0, out=p)
     return float(p) if np.isscalar(d2d_m) else p
+
+
+@dataclass(frozen=True)
+class AntennaPattern:
+    """3GPP-style parabolic sector pattern, capped at the front-to-back ratio."""
+    beamwidth_3db_deg: float
+    front_to_back_db: float
+
+    def attenuation_db(self, delta_az_deg):
+        d = np.broadcast_to(delta_az_deg, np.broadcast(
+            delta_az_deg, self.beamwidth_3db_deg, self.front_to_back_db).shape)
+        return self._attenuate(np.array(d, dtype=float))[()]
+
+    def _attenuate(self, d):
+        """attenuation_db of the float array d, computed in d itself: the
+        operations of min(12 (|(d + 180) % 360 - 180| / bw) ** 2, ftb), in
+        that order, and ** 2 is numpy's square."""
+        d += 180.0
+        _mod360(d)
+        d -= 180.0
+        np.abs(d, out=d)
+        d /= self.beamwidth_3db_deg
+        np.square(d, out=d)
+        d *= 12.0
+        return np.minimum(d, self.front_to_back_db, out=d)
+
+
+def _mod360(a):
+    """a % 360.0 bit for bit, computed in place in the float array a.
+
+    numpy's float remainder runs a full divmod per element, ~60x a subtract.
+    On [-360, 720) it is a - 360 from 360 up (exact), a + 360 below 0
+    (rounded as the remainder rounds it: a tiny negative gives 360.0), and
+    +0.0 for a zero. Other values, inf or NaN take the remainder itself.
+    """
+    if a.size and -360.0 <= a.min() and a.max() < 720.0:
+        np.subtract(a, 360.0, out=a, where=a >= 360.0)
+        np.add(a, 360.0, out=a, where=a < 0.0)
+        a += 0.0                                # -0.0 -> +0.0
+        return a
+    return np.remainder(a, 360.0, out=a)
+
+
+def bearing_deg(dx, dy):
+    """Compass bearing of (dx, dy): degrees clockwise from +y."""
+    bearing = np.asarray(np.arctan2(dx, dy))
+    return _mod360(np.degrees(bearing, out=bearing))[()]
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import propagation
-from .coverage import (_TEXT_BLOCK_BYTES, AntennaPattern, _fixed_text, _lines,
-                       _text_table, bearing_deg)
+from . import _csvtext, propagation
+from ._csvtext import (_COMMA, _NEWLINE, _fixed_numbers, _fixed_text,
+                       _line_blocks, _lines, _text_table)
 from .errors import InputError
 from .planning import noise_floor_dbm
 from .scenario import Scenario, from_json, read_json_object
@@ -90,7 +90,7 @@ def coupling_dbm(scenario: Scenario) -> np.ndarray:
     band = np.array([sec.band_ref for sec in sectors])
     azimuth = np.array([sec.azimuth_deg for sec in sectors], dtype=float)
     gain_dbi = np.array([sec.antenna_gain_dbi for sec in sectors], dtype=float)
-    pattern = AntennaPattern(
+    pattern = propagation.AntennaPattern(
         np.array([sec.beamwidth_3db_deg for sec in sectors], dtype=float),
         np.array([sec.front_to_back_db for sec in sectors], dtype=float))
     out = np.full((len(scenario.interferers), len(sectors)), -np.inf)
@@ -105,7 +105,7 @@ def coupling_dbm(scenario: Scenario) -> np.ndarray:
         pl = propagation.pathloss_db_clamped(
             d2d, scenario.band_by_id(intf.band_ref).center_freq_ghz, h_bs, h_ut,
             scenario.environment, "NLOS")[site_of]
-        gain = gain_dbi - pattern.attenuation_db(bearing_deg(dx, dy)[site_of] - azimuth)
+        gain = gain_dbi - pattern.attenuation_db(propagation.bearing_deg(dx, dy)[site_of] - azimuth)
         out[i, co_band] = (intf.tx_power_dbm - pl + gain)[co_band]
     return out
 
@@ -135,6 +135,7 @@ def synthesize_kpi(scenario: Scenario, duration_s: float, dt_s: float,
     cfg = scenario.twin
     t = dt_s * np.arange(int(duration_s // dt_s))
     diurnal = cfg.load_amplitude_db * np.sin(2.0 * np.pi * t / DAY_S)
+    traffic_lin = 10.0 ** ((cfg.serving_traffic_dbm + diurnal) / 10.0)
     coupling = coupling_dbm(scenario)
     # Interferer.active_at over the whole axis: half-open [a, b)
     active = np.zeros((len(scenario.interferers), t.size), dtype=bool)
@@ -163,11 +164,9 @@ def synthesize_kpi(scenario: Scenario, duration_s: float, dt_s: float,
         for c_dbm, on in zip(coupling[:, k].tolist(), active):
             intf_lin += on * 10.0 ** (c_dbm / 10.0)     # 0 mW off-band
 
-        rtwp = 10.0 * np.log10(base_lin + load_lin + intf_lin) + meas_rtwp
-
-        traffic_dbm = cfg.serving_traffic_dbm + diurnal
-        rssi = 10.0 * np.log10(base_lin + load_lin + intf_lin
-                               + 10.0 ** (traffic_dbm / 10.0)) + meas_rssi
+        power_lin = base_lin + load_lin + intf_lin
+        rtwp = 10.0 * np.log10(power_lin) + meas_rtwp
+        rssi = 10.0 * np.log10(power_lin + traffic_lin) + meas_rssi
 
         series["RTWP"][sector.id] = KpiSeries(sector.id, "RTWP", 0.0, dt_s, rtwp)
         series["RSSI"][sector.id] = KpiSeries(sector.id, "RSSI", 0.0, dt_s, rssi)
@@ -209,7 +208,6 @@ def batch_excess(batch: KpiBatch, baseline_window: int,
 
 _CSV_HEADER = ("timestamp_s", "cell_id", "metric", "value_dbm")
 _HEADER_LINE = ",".join(_CSV_HEADER).encode() + b"\n"
-_NL, _COMMA = ord("\n"), ord(",")
 
 
 def write_kpi_csv(batch: KpiBatch, path) -> None:
@@ -233,7 +231,7 @@ def write_kpi_csv(batch: KpiBatch, path) -> None:
     keys = _text_table([f",{cell},{metric}," for cell, metric in keys])
     # a row is its key text and about 20 bytes of stamp, value and LF; the
     # step only sizes the blocks, not what they hold
-    step = max(1, _TEXT_BLOCK_BYTES // (keys.itemsize + 20))
+    step = max(1, _csvtext._TEXT_BLOCK_BYTES // (keys.itemsize + 20))
     with open(path, "wb") as fh:
         fh.write(_HEADER_LINE)
         for i in range(0, values.size, step):
@@ -364,7 +362,7 @@ def _read_own(path) -> KpiBatch | None:
             # 16 bytes before the block and 8 after it for _fixed_numbers' word reads
             buf = np.zeros(len(block) + 24, dtype=np.uint8)
             buf[16:-8] = np.frombuffer(block, dtype=np.uint8)
-            ends = np.flatnonzero(buf == _NL)
+            ends = np.flatnonzero(buf == _NEWLINE)
             commas = np.flatnonzero(buf == _COMMA)
             if commas.size != 3 * ends.size or not block.endswith(b"\n"):
                 return None
@@ -390,79 +388,6 @@ def _kpi_csv_columns(header: bytes, path) -> list[int]:
     if sorted(names) != sorted(_CSV_HEADER):
         raise InputError(f"unexpected KPI CSV header in {path}: {names}")
     return [names.index(n) for n in _CSV_HEADER]
-
-
-def _line_blocks(fh, tail: bytes):
-    """tail, then the rest of a binary file, in blocks of about
-    _TEXT_BLOCK_BYTES, each ending at a line end but for a last one
-    without it."""
-    while chunk := fh.read(_TEXT_BLOCK_BYTES):
-        head, nl, tail = (tail + chunk).rpartition(b"\n")
-        if nl:
-            yield head + nl
-    if tail:
-        yield tail
-
-
-_WORD = np.dtype("<u8")
-_U = np.uint64      # shift counts and constants: numpy 1.x would not mix uint64 and int
-
-
-_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=_WORD)
-# _IN_FIELD[k][w]: the bytes of word k from the end of a field of w bytes
-# that lie in the field, w = 0..16
-_IN_FIELD = (~_LOW_BYTES[8 - np.minimum(np.arange(17), 8)],
-             ~_LOW_BYTES[16 - np.clip(np.arange(17), 8, 16)])
-_POW10 = 10 ** np.arange(17, dtype=_WORD)
-
-
-def _words_at(buf: np.ndarray) -> np.ndarray:
-    """The little-endian uint64 of the 8 bytes from each position of buf."""
-    return np.ndarray((buf.size - 7,), dtype=_WORD, buffer=buf, strides=(1,))
-
-
-def _eight_digits(words: np.ndarray) -> np.ndarray:
-    """The number each word of eight digit values (0-9 per byte) spells,
-    the first digit in the low byte (Lemire, "Number parsing at a gigabyte
-    per second", SPE 51(8), 2021). Array arithmetic wraps silently; the
-    same on numpy scalars would warn."""
-    v = words * _U(10) + (words >> _U(8))
-    low = _U(0x000000FF000000FF)
-    return ((v & low) * _U(100 + (1_000_000 << 32))
-            + ((v >> _U(16)) & low) * _U(1 + (10_000 << 32))) >> _U(32)
-
-
-def _fixed_numbers(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                   decimals: int) -> np.ndarray:
-    """Values of the fields buf[lo:hi] read as '%.{decimals}f' prints
-    them, -?D+.D{decimals}, from the last 16 bytes of each at most. No
-    byte is checked: the caller compares the fields with the rendering
-    of their values, which a field can equal only if it has that form
-    and at most 15 digits, and then its value was read exactly.
-
-    buf holds at least 16 bytes before the first field. A field is read
-    as the one or two words that end where it ends, its dot as a 0 digit.
-    With m its digits as an integer, the value is m / 10**decimals: one
-    correctly rounded division of two exact doubles, as m < 10**15, so
-    bitwise what float() returns (Clinger, PLDI 1990).
-    """
-    neg = buf[lo] == ord("-")
-    width = np.clip(hi - lo - neg, 0, 16)
-    zeros = _U(ord("0") * 0x0101010101010101)     # '0' in every byte
-    words8 = _words_at(buf)
-    v = 0
-    # the last word, and the one before only if some field reaches into it
-    for k in range(2 if width.max(initial=0) > 8 else 1):
-        keep = _IN_FIELD[k][width]
-        if k == 0:
-            keep &= ~_U(0xFF << 8 * (7 - decimals))       # the dot
-        # the bytes before the field and the dot become '0'
-        w = words8[hi - 8 * (k + 1)] & keep | zeros & ~keep
-        v = v + _eight_digits(w - zeros) * _POW10[8 * k]
-    # the dot spelled a 0 digit: v = int * 10**(decimals + 1) + frac
-    frac = v % _POW10[decimals]
-    value = ((v - frac) // _U(10) + frac).astype(float) / 10.0 ** decimals
-    return np.where(neg, -value, value)
 
 
 def _assemble(keys, ids, stamps, values, path) -> KpiBatch:

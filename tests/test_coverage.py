@@ -7,14 +7,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rfplan import coverage, propagation
-from rfplan.coverage import (AntennaPattern, CoverageGrid, _pixel_centers,
-                             bearing_deg, compute_grid, compute_grids,
+from rfplan import _csvtext, coverage, propagation
+from rfplan.coverage import (CoverageGrid, _pixel_centers, compute_grid, compute_grids,
                              grid_summary, throughput_mbps, write_grid_csv)
 from rfplan.detect import run_detection
 from rfplan.errors import InputError
 from rfplan.mitigate import Recommendation, apply, recommend
 from rfplan.planning import noise_floor_dbm
+from rfplan.propagation import AntennaPattern, bearing_deg
 from rfplan.scenario import Band, Interferer, Rect, Scenario, Sector, Site
 
 
@@ -55,7 +55,7 @@ def test_mod360_is_the_float_remainder_bitwise():
     for a in (u, np.nextafter(u, np.inf), np.nextafter(u, -np.inf), edges):
         assert a.min() >= -360.0 and a.max() < 720.0
         ref = np.remainder(a, 360.0)
-        assert coverage._mod360(a.copy()).tobytes() == ref.tobytes()
+        assert propagation._mod360(a.copy()).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("value", [720.0, np.nextafter(-360.0, -np.inf), 1e6,
@@ -65,7 +65,7 @@ def test_mod360_outside_its_range_takes_the_remainder(value):
     a = np.array([-0.0, 10.0, -1e-14, 400.0, value])
     with np.errstate(invalid="ignore"):
         ref = np.remainder(a, 360.0)
-        got = coverage._mod360(a.copy())
+        got = propagation._mod360(a.copy())
     assert got.tobytes() == ref.tobytes()
 
 
@@ -229,9 +229,17 @@ def edge_grid():
 @pytest.mark.parametrize("block", [1, 900, 1 << 20])
 def test_grid_csv_edges_match_reference(tmp_path, monkeypatch, block):
     # one, two or all grid rows per block
-    monkeypatch.setattr(coverage, "_TEXT_BLOCK_BYTES", block)
+    monkeypatch.setattr(_csvtext, "_TEXT_BLOCK_BYTES", block)
+    lines, written = coverage._lines, []
+
+    def spy(columns):
+        written.append(lines(columns))
+        return written[-1]
+
+    monkeypatch.setattr(coverage, "_lines", spy)
     grid = edge_grid()
     write_grid_csv(grid, tmp_path / "got.csv")
+    assert len(written) == {1: 3, 900: 2, 1 << 20: 1}[block]     # of the 3 grid rows
     reference_grid_csv(grid, tmp_path / "ref.csv")
     ref = (tmp_path / "ref.csv").read_bytes()
     assert (tmp_path / "got.csv").read_bytes() == ref
@@ -434,13 +442,13 @@ def test_grid_matches_reference_with_azimuths_outside_a_turn(monkeypatch, worker
             dataclasses.replace(sec, azimuth_deg=azimuths.get(sec.id, sec.azimuth_deg))
             for sec in site.sectors))
         for site in sc.sites))
-    wrapped, mod360 = [], coverage._mod360
+    wrapped, mod360 = [], propagation._mod360
 
     def spy(a):
         wrapped.append(-360.0 <= a.min() and a.max() < 720.0)
         return mod360(a)
 
-    monkeypatch.setattr(coverage, "_mod360", spy)
+    monkeypatch.setattr(propagation, "_mod360", spy)
     assert_matches_reference(sc, True, workers)
     assert True in wrapped and False in wrapped
 

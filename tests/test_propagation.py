@@ -92,6 +92,17 @@ def test_clamped_variant_rejects_unknown_condition():
         pathloss_db_clamped(100.0, 3.5, 25.0, 1.5, "UMa", "XLOS")
 
 
+def test_clamped_variants_reject_unknown_environment():
+    # the DomainError pathloss_db_array raises, not the UMi value
+    with pytest.raises(DomainError) as want:
+        pathloss_db_array(100.0, 3.5, 10.0, 1.5, "Rural", "NLOS")
+    for call in (lambda: pathloss_db_clamped(100.0, 3.5, 10.0, 1.5, "Rural", "NLOS"),
+                 lambda: pathloss_los_nlos_db_clamped(100.0, 3.5, 10.0, 1.5, "Rural")):
+        with pytest.raises(DomainError) as got:
+            call()
+        assert str(got.value) == str(want.value) == "unknown environment 'Rural'"
+
+
 def reference_pathloss(d2d_m, fc, h_bs, h_ut, env):
     """The spelled-out TR 38.901 Table 7.4.1-1 (LOS, NLOS) formulas, with
     distances clamped to [1 m, 10 km], that the pair must match bit for bit."""

@@ -1,23 +1,39 @@
 """Synthetic KPI feed: composition, excess series, wire formats."""
 
+import ast
 import csv
 import dataclasses
 import math
 import re
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rfplan import propagation, twin
-from rfplan.coverage import AntennaPattern, bearing_deg
+from rfplan import _csvtext, propagation, twin
 from rfplan.errors import InputError
 from rfplan.scenario import (Band, Interferer, Rect, Scenario, Sector, Site,
                              TwinConfig)
 from rfplan.twin import (METRICS, KpiBatch, KpiSeries, batch_excess,
                          coupling_dbm, read_ground_truth, read_kpi_csv,
                          synthesize_kpi, write_ground_truth, write_kpi_csv)
+
+
+def test_twin_and_coverage_do_not_import_each_other():
+    """The twin and the grid share the link model and the CSV number text
+    through propagation and _csvtext, not through each other."""
+    src = Path(twin.__file__).parent
+    for module, other in (("twin", "coverage"), ("coverage", "twin")):
+        names = []
+        for node in ast.walk(ast.parse((src / f"{module}.py").read_text())):
+            if isinstance(node, ast.Import):
+                names += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                names += [base] + [f"{base}.{alias.name}" for alias in node.names]
+        assert names and not [n for n in names if other in n.split(".")], module
 
 
 def small_scenario(interferers=(), twin=None):
@@ -89,9 +105,9 @@ def reference_interference_at_cell_dbm(interferer, site, sector, fc_ghz,
     h_ut = min(max(interferer.height_m, propagation.H_UT_MIN_M), propagation.H_UT_MAX_M)
     pl = float(propagation.pathloss_db_clamped(
         d2d, fc_ghz, site.height_m, h_ut, environment, "NLOS"))
-    pattern = AntennaPattern(sector.beamwidth_3db_deg, sector.front_to_back_db)
+    pattern = propagation.AntennaPattern(sector.beamwidth_3db_deg, sector.front_to_back_db)
     gain = sector.antenna_gain_dbi - float(
-        pattern.attenuation_db(bearing_deg(dx, dy) - sector.azimuth_deg))
+        pattern.attenuation_db(propagation.bearing_deg(dx, dy) - sector.azimuth_deg))
     return interferer.tx_power_dbm - pl + gain
 
 
@@ -370,6 +386,25 @@ def test_kpi_csv_writer_matches_row_loop(tmp_path, demo_batch, which):
     assert_batches_identical(read_kpi_csv(new), reference_read_kpi_csv(ref))
 
 
+def spy_blocks(monkeypatch):
+    """The list that collects the blocks the streaming KPI reader takes."""
+    line_blocks, taken = twin._line_blocks, []
+
+    def spy(*args):
+        for block in line_blocks(*args):
+            taken.append(block)
+            yield block
+
+    monkeypatch.setattr(twin, "_line_blocks", spy)
+    return taken
+
+
+def blocks_in(path) -> int:
+    """The blocks a file splits into at the text kernel's block size."""
+    with open(path, "rb") as fh:
+        return len(list(_csvtext._line_blocks(fh, b"")))
+
+
 def test_kpi_csv_writer_edges_across_blocks(tmp_path, monkeypatch):
     """%.4f near-ties, signed zeros, integer parts of 5 to 18 digits,
     non-finite values and timestamps past 10**5 s, in blocks of one row,
@@ -387,10 +422,20 @@ def test_kpi_csv_writer_edges_across_blocks(tmp_path, monkeypatch):
     batch = KpiBatch(series=series)
     ref = tmp_path / "ref.csv"
     reference_write_kpi_csv(batch, ref)
-    for block in (1, 100, 170, 1 << 20):
-        monkeypatch.setattr(twin, "_TEXT_BLOCK_BYTES", block)
+    kpi_rows, written = twin._kpi_rows, []
+
+    def spy(*args):
+        written.append(kpi_rows(*args))
+        return written[-1]
+
+    monkeypatch.setattr(twin, "_kpi_rows", spy)
+    # 24 rows in blocks of 1, 3, 5 and 24 rows
+    for block, blocks in ((1, 24), (100, 8), (170, 5), (1 << 20, 1)):
+        monkeypatch.setattr(_csvtext, "_TEXT_BLOCK_BYTES", block)
+        written.clear()
         write_kpi_csv(batch, tmp_path / f"new_{block}.csv")
         assert (tmp_path / f"new_{block}.csv").read_bytes() == ref.read_bytes()
+        assert len(written) == blocks
     text = ref.read_bytes()
     for row in (b"99990.0,A1,RTWP,-101.2345\n", b"99992.5,A1,RTWP,1000.0000\n",
                 b"100002.5,A1,RTWP,nan\n", b"100000.0,A1,RTWP,-0.0000\n",
@@ -430,7 +475,8 @@ def test_kpi_csv_reader_number_forms(tmp_path, monkeypatch, block):
                                           for c in ("A", "B7", "C12"))]
     p = tmp_path / "kpi.csv"
     p.write_text(_shuffle_rows("timestamp_s,cell_id,metric,value_dbm\n" + "\n".join(rows)))
-    monkeypatch.setattr(twin, "_TEXT_BLOCK_BYTES", block)
+    monkeypatch.setattr(_csvtext, "_TEXT_BLOCK_BYTES", block)
+    assert (blocks_in(p) > 1) == (block < 1 << 20)
     assert_batches_identical(read_kpi_csv(p), reference_read_kpi_csv(p))
 
 
@@ -496,12 +542,15 @@ def test_kpi_csv_reader_across_blocks(tmp_path, demo_batch, monkeypatch, tail):
                    "cut_in_stamp": data[:last_row + 2],
                    "trailing_x": data + b"x",
                    "trailing_spaces": data + b"  "}[tail])
-    monkeypatch.setattr(twin, "_TEXT_BLOCK_BYTES", 100)
+    monkeypatch.setattr(_csvtext, "_TEXT_BLOCK_BYTES", 100)
+    taken = spy_blocks(monkeypatch)
     if tail in ("no_final_newline", "blank_blocks"):
         assert_batches_identical(read_kpi_csv(p), reference_read_kpi_csv(p))
     else:
         with pytest.raises(InputError, match="exactly 4 fields"):
             read_kpi_csv(p)
+    # hundreds of blocks, not the file in one block and its unended tail in another
+    assert len(taken) > 100
 
 
 def test_kpi_csv_reader_mixed_cell_id_lengths(tmp_path, monkeypatch):
@@ -512,7 +561,8 @@ def test_kpi_csv_reader_mixed_cell_id_lengths(tmp_path, monkeypatch):
     p = tmp_path / "kpi.csv"
     write_kpi_csv(batch, p)
     p.write_text(_shuffle_rows(p.read_text()))
-    monkeypatch.setattr(twin, "_TEXT_BLOCK_BYTES", 2000)
+    monkeypatch.setattr(_csvtext, "_TEXT_BLOCK_BYTES", 2000)
+    assert blocks_in(p) > 1
     assert_batches_identical(read_kpi_csv(p), reference_read_kpi_csv(p))
 
 
@@ -696,9 +746,12 @@ def test_kpi_csv_writer_files_take_the_streaming_path(tmp_path, monkeypatch, dem
              "widths": width_batch}[which]()
     p = tmp_path / "kpi.csv"
     write_kpi_csv(batch, p)
-    monkeypatch.setattr(twin, "_TEXT_BLOCK_BYTES", block)
+    monkeypatch.setattr(_csvtext, "_TEXT_BLOCK_BYTES", block)
+    taken = spy_blocks(monkeypatch)
     got, want, general = _read_both(p, monkeypatch)
     assert not general
+    # a file of one timestep is read whole with its keys
+    assert (len(taken) > 1) == (which != "one_step" and p.stat().st_size > block)
     assert_same_outcome(got, want)
     assert_batches_identical(got, reference_read_kpi_csv(p))
 
@@ -719,18 +772,11 @@ def test_kpi_csv_streaming_path_stops_at_the_first_foreign_block(tmp_path, monke
     p = tmp_path / "kpi.csv"
     write_kpi_csv(lattice_batch(400), p)
     p.write_text(_shuffle_rows(p.read_text()))
-    monkeypatch.setattr(twin, "_TEXT_BLOCK_BYTES", 1000)
+    monkeypatch.setattr(_csvtext, "_TEXT_BLOCK_BYTES", 1000)
     assert p.stat().st_size > 1 << 20
-    line_blocks, taken = twin._line_blocks, []
-
-    def spy(*args):
-        for block in line_blocks(*args):
-            taken.append(block)
-            yield block
-
-    monkeypatch.setattr(twin, "_line_blocks", spy)
+    taken = spy_blocks(monkeypatch)
     got, want, general = _read_both(p, monkeypatch)
-    assert general and len(taken) == 1
+    assert general and len(taken) == 1 and len(taken[0]) < 2000
     assert_same_outcome(got, want)
 
 
@@ -840,16 +886,19 @@ def test_kpi_csv_streaming_path_equals_general_reader_on_mutations(
     write_kpi_csv(batch, p)
     data = p.read_bytes()
     rng = np.random.default_rng([part, ("demo", "lattice", "ids").index(feed)])
-    kinds = set()
+    kinds, taken, most = set(), spy_blocks(monkeypatch), 0
     for _ in range(250):
         kind, text, keeps = _mutate(data, rng)
         p.write_bytes(text)
-        monkeypatch.setattr(twin, "_TEXT_BLOCK_BYTES", int(rng.integers(50, 301)))
+        monkeypatch.setattr(_csvtext, "_TEXT_BLOCK_BYTES", int(rng.integers(50, 301)))
+        taken.clear()
         got, want, general = _read_both(p, monkeypatch)
         assert_same_outcome(got, want)
         assert general != keeps, kind
         kinds.add(kind)
+        most = max(most, len(taken))
     assert kinds == set(MUTATIONS)
+    assert most > 1
 
 
 def test_activity_mask_matches_active_at():
