@@ -8,8 +8,6 @@ re-simulating. Run with: python3 demos/03_detection_loop.py
 
 import math
 
-import numpy as np
-
 from rfplan import detect, localize, mitigate, twin
 from rfplan.cli import demo_scenario_path
 from rfplan.scenario import load_scenario
@@ -21,14 +19,14 @@ print(f"ground truth (sealed from the detector): {jam.id} at "
       f"active {jam.active_intervals[0]} s")
 
 # --- the physical side emits KPIs ----------------------------------------
+# one (cells x T) array per metric, rows in sorted cell-id order
 batch = twin.synthesize_kpi(scenario, duration_s=3600.0, dt_s=60.0)
-print(f"\nKPI feed: {len(batch.cells())} cells x "
-      f"{batch.get('RTWP', 'A1').samples.size} samples")
+print(f"\nKPI feed: {len(batch.cell_ids)} cells x "
+      f"{batch.samples['RTWP'].shape[1]} samples")
 
-excess = twin.batch_excess(batch, baseline_window=15)
-worst = sorted(excess, key=lambda c: -np.mean(excess[c]))[:5]
-print("top mean RTWP excess:",
-      ", ".join(f"{c} {np.mean(excess[c]):+.1f} dB" for c in worst))
+mean_excess = twin.excess_matrix(batch, baseline_window=15).mean(axis=1)
+worst = sorted(zip(batch.cell_ids, mean_excess), key=lambda ce: -ce[1])[:5]
+print("top mean RTWP excess:", ", ".join(f"{c} {e:+.1f} dB" for c, e in worst))
 
 # --- detection ------------------------------------------------------------
 result = detect.run_detection(batch, baseline_window=15)
@@ -36,8 +34,10 @@ print(f"\nanomaly: {result.anomaly_flag}, affected: "
       f"{list(result.affected_cells)}")
 
 # --- localization ---------------------------------------------------------
-estimates = localize.estimate_interferer(scenario, result,
-                                         baseline_dbm=-102.0)
+# the excess is read against the affected band's RTWP baseline
+_, sector = scenario.sector_by_id(result.affected_cells[0])
+baseline = twin.cell_baseline_dbm(scenario, scenario.band_by_id(sector.band_ref))
+estimates = localize.estimate_interferer(scenario, result, baseline_dbm=baseline)
 for name, est in estimates.items():
     err = math.dist(est.position, jam.position)
     note = " (fallback)" if est.fallback else ""

@@ -164,19 +164,18 @@ def cmd_twin(args, scenario) -> int:
     twin.write_kpi_csv(batch, path)
     # ground truth goes to a separate sealed file; detection only reads it
     # behind an explicit --validate
-    twin.write_ground_truth(batch, Path(str(path) + ".truth.json"))
+    twin.write_ground_truth(scenario, Path(str(path) + ".truth.json"))
     _write_json(Path(str(path) + ".summary.json"),
                 {"scenario": scenario.name,
                  "metrics": report.twin_metrics(scenario, batch)},
                 args.verbose)
-    n = next(iter(batch.series["RTWP"].values())).samples.size
-    print(f"{len(batch.cells())} cells x {n} samples -> {path}")
+    print(f"{len(batch.cell_ids)} cells x {batch.timestamps.size} samples -> {path}")
     return 0
 
 
 def cmd_detect(args, scenario) -> int:
     batch = twin.read_kpi_csv(args.kpi_csv)
-    cells = set(batch.cells())
+    cells = set(batch.cell_ids)
     expected = set(scenario.sector_ids)
     if not cells <= expected:
         raise InputError(f"KPI cells not in scenario: {sorted(cells - expected)}")

@@ -121,7 +121,7 @@ def run_detection(batch: KpiBatch, baseline_window: int, k: int = 2,
     """The module's pipeline on the batch's metric. The affected cells are
     the members of the cluster whose centroid has the largest mean-excess
     coordinate with a raw mean excess above threshold_db."""
-    cells = batch.cells()
+    cells = batch.cell_ids
     if len(cells) < 2:
         raise InputError("need at least 2 cells to build features")
     x = excess_matrix(batch, baseline_window, metric)

@@ -58,13 +58,13 @@ def twin_metrics(scenario, batch) -> dict:
     """
     band_of = {sec.id: sec.band_ref for _, sec in scenario.sectors()}
     out: dict[str, dict[str, float]] = {}
-    for metric, per_cell in batch.series.items():
+    for metric, x in batch.samples.items():
         grouped: dict[str, list[float]] = {}
-        for cell, series in per_cell.items():
+        for cell, row in zip(batch.cell_ids, x):
             band = band_of.get(cell)
             if band is None:
                 raise InputError(f"KPI cell {cell!r} not in scenario")
-            grouped.setdefault(band, []).append(float(np.mean(series.samples)))
+            grouped.setdefault(band, []).append(float(np.mean(row)))
         for band, means in grouped.items():
             out.setdefault(band, {})[metric] = float(np.median(means))
     return out

@@ -6,9 +6,11 @@ baseline, a slowly varying load term and the contribution of every
 in-band active interferer, plus measurement noise. RSSI additionally
 carries a serving-traffic term.
 
-Ground truth (which interferer was on, where, when) travels next to the
-batch but is written to a separate sealed file by the CLI; detection
-never reads it unless validation is explicitly requested.
+A KpiBatch holds the samples and nothing else: the sorted cell ids, one
+time axis and a (cells x T) array per metric. The ground truth (which
+interferer was on, where, when) is a function of the scenario, which
+write_ground_truth writes to a separate sealed file; detection never
+reads it unless validation is explicitly requested.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -32,8 +34,9 @@ DAY_S = 86_400.0
 METRICS = ("RTWP", "RSSI")
 
 
-@dataclass
+@dataclass(frozen=True)
 class KpiSeries:
+    """One cell's samples of one metric, a read-only row of a KpiBatch."""
     cell_id: str
     metric: str
     t0_s: float
@@ -59,14 +62,45 @@ class _TruthFile:
     ground_truth: tuple[GroundTruth, ...]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class KpiBatch:
-    series: dict[str, dict[str, KpiSeries]]  # metric -> cell -> series
-    ground_truth: list[GroundTruth] = field(default_factory=list)
+    """Every cell's KPI samples on one time axis: samples[metric][i, j] is
+    cell cell_ids[i] at t0_s + j * dt_s. Raises InputError unless the ids
+    are sorted, distinct and at least one, and there is at least one
+    metric, each in METRICS with a (cells x T) array of one T > 0."""
+    cell_ids: tuple[str, ...]
+    t0_s: float
+    dt_s: float
+    samples: dict[str, np.ndarray]      # C-ordered float arrays, metrics in METRICS order
+
+    def __post_init__(self):
+        ids = tuple(self.cell_ids)
+        if not ids or any(a >= b for a, b in zip(ids, ids[1:])):
+            raise InputError(f"KPI batch cell ids must be sorted and distinct: {list(ids)}")
+        if not self.samples or not set(self.samples) <= set(METRICS):
+            raise InputError(f"KPI batch metrics must be some of {METRICS}: {list(self.samples)}")
+        samples = {m: np.ascontiguousarray(self.samples[m], dtype=float)
+                   for m in METRICS if m in self.samples}
+        shape = (len(ids), next(iter(samples.values())).shape[-1])
+        if not shape[1] or any(x.shape != shape for x in samples.values()):
+            raise InputError(f"KPI batch arrays must be cells x T, one T > 0: "
+                             f"{[x.shape for x in samples.values()]} for {len(ids)} cells")
+        object.__setattr__(self, "cell_ids", ids)
+        object.__setattr__(self, "samples", samples)
+
+    @property
+    def timestamps(self) -> np.ndarray:
+        return self.t0_s + self.dt_s * np.arange(next(iter(self.samples.values())).shape[1])
+
+    @property
+    def series(self) -> dict[str, dict[str, KpiSeries]]:
+        """metric -> cell -> a read-only view of its row, built on each call."""
+        return {metric: {cell: KpiSeries(cell, metric, self.t0_s, self.dt_s, row)
+                         for cell, row in zip(self.cell_ids, np.broadcast_to(x, x.shape))}
+                for metric, x in self.samples.items()}
 
     def cells(self) -> list[str]:
-        any_metric = next(iter(self.series.values()))
-        return sorted(any_metric)
+        return list(self.cell_ids)
 
     def get(self, metric: str, cell_id: str) -> KpiSeries:
         return self.series[metric][cell_id]
@@ -120,7 +154,8 @@ def cell_baseline_dbm(scenario: Scenario, band) -> float:
 
 def synthesize_kpi(scenario: Scenario, duration_s: float, dt_s: float,
                    seed: int | None = None) -> KpiBatch:
-    """Generate the RTWP/RSSI batch for every sector of the scenario.
+    """Generate the RTWP/RSSI batch for every sector of the scenario,
+    one row per sector in sorted id order.
 
     Deterministic for a fixed (scenario, seed); per-cell RNG streams are
     keyed by cell id so generation order (or parallel scheduling) cannot
@@ -129,8 +164,6 @@ def synthesize_kpi(scenario: Scenario, duration_s: float, dt_s: float,
     if not 0 < dt_s <= duration_s < math.inf:         # false for NaN too
         raise InputError(f"duration_s and dt_s must be finite with 0 < dt_s "
                          f"<= duration_s, got {duration_s} and {dt_s}")
-    if not scenario.sites:
-        raise InputError("scenario has no sectors")
     seed = scenario.seed if seed is None else seed
     cfg = scenario.twin
     t = dt_s * np.arange(int(duration_s // dt_s))
@@ -143,7 +176,9 @@ def synthesize_kpi(scenario: Scenario, duration_s: float, dt_s: float,
         for a, b in intf.active_intervals:
             on |= (t >= a) & (t < b)
 
-    series: dict[str, dict[str, KpiSeries]] = {m: {} for m in METRICS}
+    cell_ids = sorted(scenario.sector_ids)
+    row = {cell: i for i, cell in enumerate(cell_ids)}
+    rtwp, rssi = np.empty((len(METRICS), len(cell_ids), t.size))
     for k, (_, sector) in enumerate(scenario.sectors()):
         band = scenario.band_by_id(sector.band_ref)
         baseline_dbm = cell_baseline_dbm(scenario, band)
@@ -165,41 +200,31 @@ def synthesize_kpi(scenario: Scenario, duration_s: float, dt_s: float,
             intf_lin += on * 10.0 ** (c_dbm / 10.0)     # 0 mW off-band
 
         power_lin = base_lin + load_lin + intf_lin
-        rtwp = 10.0 * np.log10(power_lin) + meas_rtwp
-        rssi = 10.0 * np.log10(power_lin + traffic_lin) + meas_rssi
-
-        series["RTWP"][sector.id] = KpiSeries(sector.id, "RTWP", 0.0, dt_s, rtwp)
-        series["RSSI"][sector.id] = KpiSeries(sector.id, "RSSI", 0.0, dt_s, rssi)
-
-    truth = [GroundTruth(i.id, i.position, i.tx_power_dbm, i.band_ref,
-                         i.active_intervals)
-             for i in scenario.interferers]
-    return KpiBatch(series=series, ground_truth=truth)
+        rtwp[row[sector.id]] = 10.0 * np.log10(power_lin) + meas_rtwp
+        rssi[row[sector.id]] = 10.0 * np.log10(power_lin + traffic_lin) + meas_rssi
+    return KpiBatch(cell_ids, 0.0, dt_s, {"RTWP": rtwp, "RSSI": rssi})
 
 
 def excess_matrix(batch: KpiBatch, baseline_window: int,
                   metric: str = "RTWP") -> np.ndarray:
-    """The metric's series as one (cells x T) array in batch.cells() order,
-    each row relative to the median of its leading baseline window."""
-    if metric not in batch.series:
+    """The metric's (cells x T) samples in batch.cell_ids order, each row
+    relative to the median of its leading baseline window: a new array,
+    never a view of the batch."""
+    if metric not in batch.samples:
         raise InputError(f"no {metric} series in the KPI batch "
-                         f"(it has {', '.join(batch.series)})")
-    series = [batch.get(metric, cell).samples for cell in batch.cells()]
-    if len({s.size for s in series}) > 1:
-        raise InputError("series length mismatch")
-    x = np.array(series, dtype=float)
+                         f"(it has {', '.join(batch.samples)})")
+    x = batch.samples[metric]
     n = x.shape[1]
     if not (0 < baseline_window < n):
         raise InputError(
             f"baseline_window {baseline_window} must lie in (0, {n})")
-    x -= np.median(x[:, :baseline_window], axis=1, keepdims=True)
-    return x
+    return x - np.median(x[:, :baseline_window], axis=1, keepdims=True)
 
 
 def batch_excess(batch: KpiBatch, baseline_window: int,
                  metric: str = "RTWP") -> dict[str, np.ndarray]:
     """excess_matrix's rows by cell id."""
-    return dict(zip(batch.cells(), excess_matrix(batch, baseline_window, metric)))
+    return dict(zip(batch.cell_ids, excess_matrix(batch, baseline_window, metric)))
 
 
 # ---------------------------------------------------------------------------
@@ -218,17 +243,16 @@ def write_kpi_csv(batch: KpiBatch, path) -> None:
     Raises InputError for a timestamp that is not a multiple of 0.1 s,
     which %.1f would round onto an uneven or repeated time axis.
     """
-    cells = batch.cells()
-    metrics = [m for m in METRICS if m in batch.series]
-    timestamps = batch.get(metrics[0], cells[0]).timestamps
+    timestamps = batch.timestamps
     tenths = 10.0 * timestamps
     off = np.flatnonzero(np.abs(tenths - np.round(tenths)) > 1e-6)
     if off.size:
         raise InputError(f"KPI timestamps are written to 0.1 s; t={timestamps[off[0]]:g} s "
                          f"is not a multiple of 0.1 s (check the step)")
-    keys = [(c, m) for m in metrics for c in cells]
-    values = np.stack([batch.get(m, c).samples for c, m in keys], axis=1).ravel()
-    keys = _text_table([f",{cell},{metric}," for cell, metric in keys])
+    keys = _text_table([f",{cell},{metric}," for metric in batch.samples
+                        for cell in batch.cell_ids])
+    # the rows stacked as columns: one C-ordered copy, timestep by timestep
+    values = np.stack([row for x in batch.samples.values() for row in x], axis=1).ravel()
     # a row is its key text and about 20 bytes of stamp, value and LF; the
     # step only sizes the blocks, not what they hold
     step = max(1, _csvtext._TEXT_BLOCK_BYTES // (keys.itemsize + 20))
@@ -251,7 +275,7 @@ def _kpi_rows(axis, keys, values, row) -> bytes:
 
 
 def read_kpi_csv(path) -> KpiBatch:
-    """Parse a KPI CSV back into a batch (no ground truth on this side).
+    """Parse a KPI CSV back into a batch.
 
     The columns may come in any order and the rows in any order; CRLF
     line ends and blank lines are accepted. Raises InputError for a file
@@ -377,9 +401,9 @@ def _read_own(path) -> KpiBatch | None:
         axis = np.array(axis)
         if rows % len(keys) or np.any(axis[1:] <= axis[:-1]):
             return None
-        values = np.concatenate(values)     # drops the blocks before the transposed copy
+        values = np.concatenate(values)     # drops the blocks before the batch's copy
     _check_metrics(keys, path)
-    return _batch(keys, axis, values.reshape(-1, len(keys)).T.copy(), path)
+    return _batch(keys, axis, values.reshape(-1, len(keys)).T.__getitem__, path)
 
 
 def _kpi_csv_columns(header: bytes, path) -> list[int]:
@@ -403,7 +427,6 @@ def _assemble(keys, ids, stamps, values, path) -> KpiBatch:
     order = np.lexsort((stamps, ids))
     ids = ids[order]
     stamps = stamps[order]
-    values = values[order]
     dup = np.flatnonzero((ids[1:] == ids[:-1]) & (stamps[1:] == stamps[:-1]))
     if dup.size:
         cell, metric = keys[ids[dup[0]]]
@@ -423,7 +446,8 @@ def _assemble(keys, ids, stamps, values, path) -> KpiBatch:
         raise InputError(f"KPI series do not share one time axis in {path}: "
                          f"sample {i} of {keys[k]} is at t={stamps[k, i]}, "
                          f"of {keys[0]} at t={stamps[0, i]}")
-    return _batch(keys, stamps[0], values.reshape(len(keys), -1), path)
+    rows = order.reshape(len(keys), -1)     # rows[k]: series k's rows, in time order
+    return _batch(keys, stamps[0], lambda ks: values[rows[ks]], path)
 
 
 def _check_metrics(keys, path) -> None:
@@ -433,10 +457,11 @@ def _check_metrics(keys, path) -> None:
                              f"{path}; expected one of {METRICS}")
 
 
-def _batch(keys, axis, values, path) -> KpiBatch:
-    """The batch of series keys[k] = (cell, metric) with samples
-    values[k] at the rising timestamps axis. Raises InputError if the
-    axis is not evenly spaced or the metrics cover different cells."""
+def _batch(keys, axis, take, path) -> KpiBatch:
+    """The batch of series keys[k] = (cell, metric) at the rising
+    timestamps axis, where take(ks) gives the samples of series ks as one
+    (len(ks) x T) array. Raises InputError if the axis is not evenly
+    spaced or the metrics cover different cells."""
     dt = float(axis[1] - axis[0]) if axis.size > 1 else 1.0
     # decimal timestamps parse to within half an ulp, so a step of an even
     # grid matches dt to a few ulps of the largest timestamp
@@ -445,22 +470,28 @@ def _batch(keys, axis, values, path) -> KpiBatch:
     if uneven.size:
         raise InputError(f"KPI timestamps in {path} are not evenly spaced: step "
                          f"{dt:g} s, then t={axis[uneven[0]]} -> {axis[uneven[0] + 1]}")
-    series: dict[str, dict[str, KpiSeries]] = {}
-    for (cell, metric), samples in zip(keys, values):
-        series.setdefault(metric, {})[cell] = KpiSeries(
-            cell, metric, float(axis[0]), dt, samples)
-    cell_sets = {metric: set(by_cell) for metric, by_cell in series.items()}
-    first_metric = next(iter(cell_sets))
-    for metric, cells in cell_sets.items():
-        if cells != cell_sets[first_metric]:
+    key_of: dict[str, dict[str, int]] = {}     # metric -> cell -> k
+    for k, (cell, metric) in enumerate(keys):
+        key_of.setdefault(metric, {})[cell] = k
+    first_metric = keys[0][1]
+    cells = key_of[first_metric].keys()
+    for metric, by_cell in key_of.items():
+        if by_cell.keys() != cells:
             raise InputError(f"{metric} and {first_metric} cover different cells in "
-                             f"{path}: {sorted(cells ^ cell_sets[first_metric])}")
-    return KpiBatch(series=series)
+                             f"{path}: {sorted(by_cell.keys() ^ cells)}")
+    cells = sorted(cells)
+    # one gather of every metric's rows, split into a view per metric: a
+    # read allocates one full-size array, not one per metric
+    samples = take([by_cell[c] for by_cell in key_of.values() for c in cells])
+    return KpiBatch(cells, float(axis[0]), dt, dict(zip(key_of, np.split(samples, len(key_of)))))
 
 
-def write_ground_truth(batch: KpiBatch, path) -> None:
+def write_ground_truth(scenario: Scenario, path) -> None:
+    """The scenario's interferers, as the sealed ground-truth file."""
+    truth = tuple(GroundTruth(i.id, i.position, i.tx_power_dbm, i.band_ref,
+                              i.active_intervals) for i in scenario.interferers)
     with open(path, "w") as fh:
-        json.dump(asdict(_TruthFile(tuple(batch.ground_truth))), fh, indent=2)
+        json.dump(asdict(_TruthFile(truth)), fh, indent=2)
         fh.write("\n")
 
 

@@ -8,14 +8,12 @@ import pytest
 
 from rfplan.detect import kmeans, pearson, run_detection
 from rfplan.errors import InputError
-from rfplan.twin import KpiBatch, KpiSeries, batch_excess, synthesize_kpi
+from rfplan.twin import KpiBatch, batch_excess, excess_matrix, synthesize_kpi
 
 
 def batch_from_arrays(arrays: dict) -> KpiBatch:
-    series = {"RTWP": {cell: KpiSeries(cell, "RTWP", 0.0, 60.0,
-                                       np.asarray(v, dtype=float))
-                       for cell, v in arrays.items()}}
-    return KpiBatch(series=series)
+    cells = sorted(arrays)
+    return KpiBatch(cells, 0.0, 60.0, {"RTWP": np.array([arrays[c] for c in cells], dtype=float)})
 
 
 def flat_batch(n_cells=6, n=40, level=-102.0):
@@ -159,6 +157,17 @@ def test_quiet_demo_stays_clear(quiet_scenario):
     batch = synthesize_kpi(quiet_scenario, 3600.0, 60.0)
     result = run_detection(batch, baseline_window=15)
     assert result.anomaly_flag is False
+
+
+def test_detection_leaves_the_batch_unchanged(demo_batch):
+    # run_detection subtracts in place from the excess matrix, which must
+    # be an array of its own and never a view of the batch
+    before = {m: x.tobytes() for m, x in demo_batch.samples.items()}
+    assert not np.shares_memory(excess_matrix(demo_batch, 15), demo_batch.samples["RTWP"])
+    run_detection(demo_batch, baseline_window=15)
+    run_detection(demo_batch, baseline_window=15, metric="RSSI")
+    batch_excess(demo_batch, 15)
+    assert {m: x.tobytes() for m, x in demo_batch.samples.items()} == before
 
 
 def test_affected_correlate_more(demo_scenario, demo_batch):

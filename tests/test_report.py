@@ -1,9 +1,11 @@
 """Simulated-vs-twin comparison rows and table formatting."""
 
+import numpy as np
 import pytest
 
 from rfplan import coverage, report
 from rfplan.errors import InputError
+from rfplan.twin import KpiBatch
 
 
 def test_identical_summaries_zero_delta():
@@ -48,10 +50,11 @@ def test_demo_rtwp_delta_within_2db(demo_scenario, demo_grid, demo_batch):
 
 
 def test_twin_metrics_rejects_unknown_cell(demo_scenario, demo_batch):
-    import copy
-    bad = copy.deepcopy(demo_batch)
-    bad.series["RTWP"]["ghost"] = bad.series["RTWP"]["A1"]
-    with pytest.raises(InputError):
+    # the demo batch and a row for "ghost", a copy of A1's
+    a1 = demo_batch.cell_ids.index("A1")
+    bad = KpiBatch((*demo_batch.cell_ids, "ghost"), demo_batch.t0_s, demo_batch.dt_s,
+                   {m: np.vstack([x, x[a1]]) for m, x in demo_batch.samples.items()})
+    with pytest.raises(InputError, match="'ghost' not in scenario"):
         report.twin_metrics(demo_scenario, bad)
 
 

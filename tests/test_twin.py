@@ -16,9 +16,17 @@ from rfplan import _csvtext, propagation, twin
 from rfplan.errors import InputError
 from rfplan.scenario import (Band, Interferer, Rect, Scenario, Sector, Site,
                              TwinConfig)
-from rfplan.twin import (METRICS, KpiBatch, KpiSeries, batch_excess,
-                         coupling_dbm, read_ground_truth, read_kpi_csv,
-                         synthesize_kpi, write_ground_truth, write_kpi_csv)
+from rfplan.twin import (METRICS, KpiBatch, batch_excess, coupling_dbm,
+                         read_ground_truth, read_kpi_csv, synthesize_kpi,
+                         write_ground_truth, write_kpi_csv)
+
+
+def make_batch(rows, t0_s=0.0, dt_s=60.0):
+    """The batch of rows[metric][cell], one cell's samples each, with the
+    cells in sorted order whatever order rows lists them in."""
+    cells = sorted(next(iter(rows.values())))
+    return KpiBatch(cells, t0_s, dt_s, {m: np.array([by_cell[c] for c in cells], dtype=float)
+                                        for m, by_cell in rows.items()})
 
 
 def test_twin_and_coverage_do_not_import_each_other():
@@ -34,6 +42,59 @@ def test_twin_and_coverage_do_not_import_each_other():
                 base = node.module or ""
                 names += [base] + [f"{base}.{alias.name}" for alias in node.names]
         assert names and not [n for n in names if other in n.split(".")], module
+
+
+# --- the batch: its constructor and views -------------------------------------
+
+
+def two_rows(steps=3):
+    return np.arange(2.0 * steps).reshape(2, steps)
+
+
+@pytest.mark.parametrize("cells,samples", [
+    (("A", "B"), {}),
+    ((), {"RTWP": np.zeros((0, 3))}),
+    (("B", "A"), {"RTWP": two_rows()}),
+    (("A", "A"), {"RTWP": two_rows()}),
+    (("A", "B"), {"RTWP": two_rows(), "SINR": two_rows()}),
+    (("A", "B"), {"RTWP": two_rows(), "RSSI": two_rows()[:1]}),
+    (("A", "B"), {"RTWP": two_rows(), "RSSI": two_rows(4)}),
+    (("A", "B"), {"RTWP": two_rows(0)}),
+    (("A", "B"), {"RTWP": np.arange(2.0)}),
+], ids=["no_metric", "no_cells", "unsorted", "duplicate", "unknown_metric",
+        "rows_differ", "steps_differ", "no_steps", "not_cells_by_steps"])
+def test_batch_rejects_impossible_states(cells, samples):
+    with pytest.raises(InputError, match="KPI batch"):
+        KpiBatch(cells, 0.0, 60.0, samples)
+
+
+def test_batch_views_are_read_only_rows():
+    batch = KpiBatch(["A", "B"], 30.0, 60.0, {"RSSI": two_rows() + 10, "RTWP": two_rows()})
+    assert batch.cell_ids == ("A", "B") and batch.cells() == ["A", "B"]
+    assert list(batch.samples) == list(METRICS)    # METRICS order, whatever the given order
+    series = batch.get("RSSI", "B")
+    assert (series.cell_id, series.metric, series.t0_s, series.dt_s) == ("B", "RSSI", 30.0, 60.0)
+    assert series.samples.tolist() == [13.0, 14.0, 15.0]
+    assert series.timestamps.tolist() == batch.timestamps.tolist() == [30.0, 90.0, 150.0]
+    assert np.shares_memory(series.samples, batch.samples["RSSI"])
+    with pytest.raises(ValueError, match="read-only"):
+        series.samples[0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        series.samples = np.zeros(3)
+    assert [s.samples.tolist() for s in batch.series["RTWP"].values()] == two_rows().tolist()
+
+
+def test_batch_holds_samples_and_no_ground_truth(demo_scenario, quiet_scenario):
+    """The batch is its samples on one axis: nothing in it but the samples
+    depends on the scenario's interferers."""
+    jammed = synthesize_kpi(demo_scenario, 3600.0, 60.0)     # on from 900 s
+    quiet = synthesize_kpi(quiet_scenario, 3600.0, 60.0)
+    assert [f.name for f in dataclasses.fields(KpiBatch)] == ["cell_ids", "t0_s", "dt_s",
+                                                              "samples"]
+    assert set(vars(jammed)) == {"cell_ids", "t0_s", "dt_s", "samples"}
+    assert (jammed.cell_ids, jammed.t0_s, jammed.dt_s) == (quiet.cell_ids, quiet.t0_s, quiet.dt_s)
+    assert [x.shape for x in jammed.samples.values()] == [x.shape for x in quiet.samples.values()]
+    assert not np.array_equal(jammed.samples["RTWP"], quiet.samples["RTWP"])
 
 
 def small_scenario(interferers=(), twin=None):
@@ -274,8 +335,7 @@ def test_excess_flat_and_step():
     e = batch_excess(batch, 5)["S1a"]
     assert np.allclose(e, 0.0)
 
-    series = batch.get("RTWP", "S1a")
-    series.samples = series.samples + np.where(np.arange(10) >= 5, 5.0, 0.0)
+    batch.samples["RTWP"][batch.cell_ids.index("S1a")] += np.where(np.arange(10) >= 5, 5.0, 0.0)
     e = batch_excess(batch, 5)["S1a"]
     assert np.allclose(e[5:], 5.0)
     with pytest.raises(InputError):
@@ -291,7 +351,7 @@ def test_kpi_csv_round_trip(tmp_path, demo_batch):
         a = demo_batch.get("RTWP", cell).samples
         b = again.get("RTWP", cell).samples
         assert np.allclose(a, b, atol=1e-4)
-    assert again.ground_truth == []            # truth never rides the CSV
+    assert not hasattr(again, "ground_truth")  # truth never rides the CSV
 
 
 def test_kpi_csv_bad_header(tmp_path):
@@ -301,9 +361,9 @@ def test_kpi_csv_bad_header(tmp_path):
         read_kpi_csv(p)
 
 
-def test_ground_truth_round_trip(tmp_path, demo_batch):
+def test_ground_truth_round_trip(tmp_path, demo_scenario):
     p = tmp_path / "truth.json"
-    write_ground_truth(demo_batch, p)
+    write_ground_truth(demo_scenario, p)
     truth = read_ground_truth(p)
     assert len(truth) == 1
     assert truth[0].interferer_id == "JAM1"
@@ -335,26 +395,22 @@ def reference_read_kpi_csv(path):
         for row in csv.DictReader(fh):
             rows.setdefault((row["metric"], row["cell_id"]), []).append(
                 (float(row["timestamp_s"]), float(row["value_dbm"])))
-    series = {}
+    series, axes = {}, set()
     for (metric, cell), pairs in rows.items():
         pairs.sort()
         ts = np.array([p[0] for p in pairs])
-        dt = float(ts[1] - ts[0]) if ts.size > 1 else 1.0
-        series.setdefault(metric, {})[cell] = KpiSeries(
-            cell, metric, float(ts[0]), dt, np.array([p[1] for p in pairs]))
-    return KpiBatch(series=series)
+        axes.add((float(ts[0]), float(ts[1] - ts[0]) if ts.size > 1 else 1.0))
+        series.setdefault(metric, {})[cell] = [p[1] for p in pairs]
+    (t0, dt), = axes                    # one time axis for every series
+    return make_batch(series, t0, dt)
 
 
 def assert_batches_identical(a, b):
-    assert list(a.series) == list(b.series)
-    for metric in a.series:
-        assert list(a.series[metric]) == list(b.series[metric])
-        for cell, x in a.series[metric].items():
-            y = b.series[metric][cell]
-            assert (x.cell_id, x.metric) == (y.cell_id, y.metric)
-            assert (x.t0_s, x.dt_s) == (y.t0_s, y.dt_s)
-            assert x.samples.dtype == y.samples.dtype
-            assert x.samples.tobytes() == y.samples.tobytes()
+    assert (a.cell_ids, a.t0_s, a.dt_s) == (b.cell_ids, b.t0_s, b.dt_s)
+    assert list(a.samples) == list(b.samples)
+    for metric, x in a.samples.items():
+        assert x.dtype == b.samples[metric].dtype
+        assert x.tobytes() == b.samples[metric].tobytes()
 
 
 def edge_batch():
@@ -366,11 +422,10 @@ def edge_batch():
         ("RSSI", "B7"): [-99.5, -3000.125, -0.00001, 12345.6789, -7.77777, 1.0],
         ("RSSI", "A1"): [-98.00001, -0.0000499, 2.5, -2.5, 1000.00004, -60.0],
     }
-    series = {}
+    rows = {}
     for (metric, cell), v in values.items():
-        series.setdefault(metric, {})[cell] = KpiSeries(
-            cell, metric, 7.5, 2.5, np.array(v))
-    return KpiBatch(series=series)
+        rows.setdefault(metric, {})[cell] = v
+    return make_batch(rows, 7.5, 2.5)
 
 
 @pytest.mark.parametrize("which", ["demo", "edge"])
@@ -399,12 +454,6 @@ def spy_blocks(monkeypatch):
     return taken
 
 
-def blocks_in(path) -> int:
-    """The blocks a file splits into at the text kernel's block size."""
-    with open(path, "rb") as fh:
-        return len(list(_csvtext._line_blocks(fh, b"")))
-
-
 def test_kpi_csv_writer_edges_across_blocks(tmp_path, monkeypatch):
     """%.4f near-ties, signed zeros, integer parts of 5 to 18 digits,
     non-finite values and timestamps past 10**5 s, in blocks of one row,
@@ -415,11 +464,10 @@ def test_kpi_csv_writer_edges_across_blocks(tmp_path, monkeypatch):
         ("RSSI", "A1"): [1e4, -1e4, 2.0 ** 52, 0.5, -2.5e-5, 4503599627.37049],
         ("RSSI", "B7"): [123456789.0123, -0.00005, 5e-5, 1e-300, -7.77777, 1.0],
     }
-    series = {}
+    rows = {}
     for (metric, cell), v in values.items():
-        series.setdefault(metric, {})[cell] = KpiSeries(
-            cell, metric, 99_990.0, 2.5, np.array(v))
-    batch = KpiBatch(series=series)
+        rows.setdefault(metric, {})[cell] = v
+    batch = make_batch(rows, 99_990.0, 2.5)
     ref = tmp_path / "ref.csv"
     reference_write_kpi_csv(batch, ref)
     kpi_rows, written = twin._kpi_rows, []
@@ -449,8 +497,8 @@ def test_kpi_csv_writer_memory_is_bounded_by_blocks(tmp_path):
     # 200,000 rows: the writer holds the stacked values and one block of text
     cells = [f"C{k:03d}" for k in range(50)]
     rng = np.random.default_rng(11)
-    batch = KpiBatch(series={m: {c: KpiSeries(c, m, 0.0, 1.0, rng.normal(-100.0, 5.0, 2000))
-                                 for c in cells} for m in METRICS})
+    batch = make_batch({m: {c: rng.normal(-100.0, 5.0, 2000) for c in cells}
+                        for m in METRICS}, 0.0, 1.0)
     tracemalloc.start()
     try:
         write_kpi_csv(batch, tmp_path / "kpi.csv")
@@ -460,12 +508,11 @@ def test_kpi_csv_writer_memory_is_bounded_by_blocks(tmp_path):
     assert peak < 200_000 * 8 + 3e6
 
 
-@pytest.mark.parametrize("block", [1 << 20, 60, 150])
-def test_kpi_csv_reader_number_forms(tmp_path, monkeypatch, block):
+def test_kpi_csv_reader_number_forms(tmp_path, monkeypatch):
     """Plain numbers next to every other form float() reads (exponents,
     '+', no digit before or after the dot, no dot, leading zeros, more
-    than 15 digits), in one block and across block boundaries: each
-    parses bitwise as float() does."""
+    than 15 digits), in a row-shuffled file that the general reader
+    reads: each parses bitwise as float() does."""
     values = ["-101.2345", "1e2", "+3.5", ".5", "5.", "100", "-0", "007.5", "-0.0",
               "-99.123456789012345678", "1.2345678901234567", "12345678901234.5",
               "123456789012345.6", "0.000000000000001", "-5.25", " -5.25", "1.5E-3", "-7.0"]
@@ -475,9 +522,9 @@ def test_kpi_csv_reader_number_forms(tmp_path, monkeypatch, block):
                                           for c in ("A", "B7", "C12"))]
     p = tmp_path / "kpi.csv"
     p.write_text(_shuffle_rows("timestamp_s,cell_id,metric,value_dbm\n" + "\n".join(rows)))
-    monkeypatch.setattr(_csvtext, "_TEXT_BLOCK_BYTES", block)
-    assert (blocks_in(p) > 1) == (block < 1 << 20)
-    assert_batches_identical(read_kpi_csv(p), reference_read_kpi_csv(p))
+    got, _, general = _read_both(p, monkeypatch)
+    assert general
+    assert_batches_identical(got, reference_read_kpi_csv(p))
 
 
 def test_kpi_csv_reader_plain_numbers_bitwise(tmp_path):
@@ -496,8 +543,8 @@ def test_kpi_csv_reader_plain_numbers_bitwise(tmp_path):
 def test_kpi_csv_ids_with_nul_round_trip(tmp_path):
     # a NUL inside an id is written as is, and "A", "A\0" and "A\0\0" stay apart
     cells = ["A", "A\0", "A\0\0", "AAAAAAA\0B", "\0"]
-    batch = KpiBatch(series={m: {c: KpiSeries(c, m, 0.0, 60.0, np.arange(3.0) + k)
-                                 for k, c in enumerate(cells)} for m in METRICS})
+    batch = make_batch({m: {c: np.arange(3.0) + k for k, c in enumerate(cells)}
+                        for m in METRICS})
     ref, new = tmp_path / "ref.csv", tmp_path / "new.csv"
     reference_write_kpi_csv(batch, ref)
     write_kpi_csv(batch, new)
@@ -554,16 +601,17 @@ def test_kpi_csv_reader_across_blocks(tmp_path, demo_batch, monkeypatch, tail):
 
 
 def test_kpi_csv_reader_mixed_cell_id_lengths(tmp_path, monkeypatch):
-    # ids of several lengths, one longer than a block, first seen in shuffled order
+    # ids of several lengths, one of 3000 bytes, first seen in shuffled order,
+    # so the general reader reads them
     cells = ["B", "A22", "L" * 3000, "A2", "C"]
-    batch = KpiBatch(series={m: {c: KpiSeries(c, m, 0.0, 60.0, np.arange(5.0) - k)
-                                 for k, c in enumerate(cells)} for m in METRICS})
+    batch = make_batch({m: {c: np.arange(5.0) - k for k, c in enumerate(cells)}
+                        for m in METRICS})
     p = tmp_path / "kpi.csv"
     write_kpi_csv(batch, p)
     p.write_text(_shuffle_rows(p.read_text()))
-    monkeypatch.setattr(_csvtext, "_TEXT_BLOCK_BYTES", 2000)
-    assert blocks_in(p) > 1
-    assert_batches_identical(read_kpi_csv(p), reference_read_kpi_csv(p))
+    got, _, general = _read_both(p, monkeypatch)
+    assert general
+    assert_batches_identical(got, reference_read_kpi_csv(p))
 
 
 def test_kpi_csv_reader_memory_with_one_long_cell_id(tmp_path):
@@ -669,13 +717,13 @@ def lattice_batch(steps, seed=19):
     """A 19-site, three-sector feed with the benchmark lattice's cell ids."""
     rng = np.random.default_rng(seed)
     cells = [f"S{i:02d}_{k}" for i in range(19) for k in (1, 2, 3)]
-    return KpiBatch(series={m: {c: KpiSeries(c, m, 0.0, 1.0, rng.normal(-100.0, 3.0, steps))
-                                for c in cells} for m in METRICS})
+    return make_batch({m: {c: rng.normal(-100.0, 3.0, steps) for c in cells}
+                       for m in METRICS}, 0.0, 1.0)
 
 
 def id_batch(cells, steps=3):
-    return KpiBatch(series={m: {c: KpiSeries(c, m, 0.0, 60.0, np.arange(steps) - k / 3)
-                                for k, c in enumerate(cells)} for m in METRICS})
+    return make_batch({m: {c: np.arange(steps) - k / 3 for k, c in enumerate(cells)}
+                       for m in METRICS})
 
 
 MIXED_IDS = ["A", "A\0", "AAAAAAA\0B", "\0", "C12", "L" * 20]   # keys of 1, 2 and 4 words
@@ -687,15 +735,13 @@ def width_batch(extra=()):
     the extra values."""
     magnitudes = np.concatenate((10.0 ** np.linspace(-4, 10, 40), 10.0 ** np.arange(1, 12) - 0.5))
     values = np.concatenate((magnitudes, -magnitudes, [-0.0, 0.0], extra))
-    return KpiBatch(series={m: {c: KpiSeries(c, m, 0.0, 1.0, np.roll(values, 7 * k + j))
-                                for j, c in enumerate("AB")}
-                            for k, m in enumerate(METRICS)})
+    return make_batch({m: {c: np.roll(values, 7 * k + j) for j, c in enumerate("AB")}
+                       for k, m in enumerate(METRICS)}, 0.0, 1.0)
 
 
 def _first_steps(batch, steps):
-    return KpiBatch(series={m: {c: dataclasses.replace(s, samples=s.samples[:steps])
-                                for c, s in by_cell.items()}
-                            for m, by_cell in batch.series.items()})
+    return KpiBatch(batch.cell_ids, batch.t0_s, batch.dt_s,
+                    {m: x[:, :steps] for m, x in batch.samples.items()})
 
 
 def _read_both(path, monkeypatch):
@@ -741,8 +787,7 @@ def test_kpi_csv_writer_files_take_the_streaming_path(tmp_path, monkeypatch, dem
              "mixed_ids": lambda: id_batch(MIXED_IDS),
              "long_id": lambda: id_batch(["B", "A22", "L" * 3000, "A2", "C"]),
              "one_step": lambda: _first_steps(demo_batch, 1),
-             "one_key": lambda: KpiBatch(series={"RTWP": {"A": KpiSeries(
-                 "A", "RTWP", 30.0, 0.5, np.arange(7.0))}}),
+             "one_key": lambda: make_batch({"RTWP": {"A": np.arange(7.0)}}, 30.0, 0.5),
              "widths": width_batch}[which]()
     p = tmp_path / "kpi.csv"
     write_kpi_csv(batch, p)
@@ -778,6 +823,28 @@ def test_kpi_csv_streaming_path_stops_at_the_first_foreign_block(tmp_path, monke
     got, want, general = _read_both(p, monkeypatch)
     assert general and len(taken) == 1 and len(taken[0]) < 2000
     assert_same_outcome(got, want)
+
+
+@pytest.mark.parametrize("block", [60, 150])
+def test_kpi_csv_writer_layout_across_blocks(tmp_path, monkeypatch, block):
+    """A writer's file of edge values (-0.0000, %.4f near-ties, 1000 dBm
+    and more) and ids of several lengths, one longer than a block, read
+    by the streaming path alone in blocks of 60 and 150 bytes: bitwise
+    what float() reads."""
+    pool = [-0.00004, -1e-9, -0.0, 0.00005, -1234.56789, 1e4, -101.23455,
+            999.99995, -1000.0, 0.0, -5e-5, 12345.6789, -98.00001, -7.77777]
+    cells = ["B", "A22", "L" * 200, "A2", "C"]
+    batch = make_batch({m: {c: np.roll(pool, 3 * k + j) for j, c in enumerate(cells)}
+                        for k, m in enumerate(METRICS)}, 7.5, 2.5)
+    p = tmp_path / "kpi.csv"
+    write_kpi_csv(batch, p)
+    assert b",-0.0000\n" in p.read_bytes() and b",1000.0000\n" in p.read_bytes()
+    monkeypatch.setattr(_csvtext, "_TEXT_BLOCK_BYTES", block)
+    taken = spy_blocks(monkeypatch)
+    got, _, general = _read_both(p, monkeypatch)
+    assert not general
+    assert len(taken) > p.stat().st_size // 300
+    assert_batches_identical(got, reference_read_kpi_csv(p))
 
 
 _NUMBER_FORMS = [b"1e2", b"+3.5", b".5", b"5.", b"-100", b"1.5E-3", b"nan", b"-inf",
