@@ -34,10 +34,8 @@ print(f"\nanomaly: {result.anomaly_flag}, affected: "
       f"{list(result.affected_cells)}")
 
 # --- localization ---------------------------------------------------------
-# the excess is read against the affected band's RTWP baseline
-_, sector = scenario.sector_by_id(result.affected_cells[0])
-baseline = twin.cell_baseline_dbm(scenario, scenario.band_by_id(sector.band_ref))
-estimates = localize.estimate_interferer(scenario, result, baseline_dbm=baseline)
+# each affected cell's excess is read against its own band's RTWP baseline
+estimates = localize.estimate_interferer(scenario, result)
 for name, est in estimates.items():
     err = math.dist(est.position, jam.position)
     note = " (fallback)" if est.fallback else ""

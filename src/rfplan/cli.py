@@ -21,7 +21,6 @@ from pathlib import Path
 from . import coverage, detect, localize, mitigate, planning, report, twin
 from .errors import InputError, RfplanError
 from .scenario import _finite, load_scenario, read_json_object
-from .twin import cell_baseline_dbm
 
 
 class _Parser(argparse.ArgumentParser):
@@ -180,9 +179,8 @@ def cmd_detect(args, scenario) -> int:
     if not cells <= expected:
         raise InputError(f"KPI cells not in scenario: {sorted(cells - expected)}")
 
-    seed = args.seed if args.seed is not None else scenario.seed
     result = detect.run_detection(batch, args.baseline_window, k=args.k,
-                                  seed=seed, threshold_db=args.threshold,
+                                  seed=scenario.seed, threshold_db=args.threshold,
                                   metric=args.metric)
     doc = {
         "scenario": scenario.name,
@@ -195,9 +193,7 @@ def cmd_detect(args, scenario) -> int:
         "evidence": result.evidence,
     }
     if result.anomaly_flag:
-        first_band = scenario.sector_by_id(result.affected_cells[0])[1].band_ref
-        baseline = cell_baseline_dbm(scenario, scenario.band_by_id(first_band))
-        estimates = localize.estimate_interferer(scenario, result, baseline)
+        estimates = localize.estimate_interferer(scenario, result)
         doc["localization"] = {
             name: {"position": list(est.position), "residual": est.residual,
                    "tx_power_dbm": est.tx_power_dbm, "fallback": est.fallback,

@@ -338,8 +338,6 @@ def _stats(grid: CoverageGrid, mask: np.ndarray) -> dict:
 
 def grid_summary(grid: CoverageGrid) -> dict:
     """Mean and percentiles of RSSI / SINR / throughput over covered pixels."""
-    if grid.best_server.size == 0:
-        raise ValueError("empty grid")
     mask = grid.covered
     if not np.any(mask):
         raise InputError("no covered pixels to summarize")

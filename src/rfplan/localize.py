@@ -18,6 +18,7 @@ from scipy.optimize import least_squares
 
 from . import propagation
 from .errors import InputError
+from .twin import cell_baseline_dbm
 
 SOURCE_HEIGHT_M = 1.5          # forward-model interferer height, a valid UT height
 TX_POWER_GUESS_DBM = 20.0      # LSQ start for the interferer's power
@@ -72,8 +73,8 @@ def pathloss_lsq(observations, fc_ghz: float,
 
     observations: iterable of (cell_id, (x, y), h_bs_m, power_dbm) where
     power_dbm is the interference power seen at that cell. Solves
-    min sum_i (P - PL(d_i) - power_i)^2 over (x, y, P) with an
-    omnidirectional NLOS forward model (interferer orientation unknown).
+    min sum_i (U_i(x, y, P) - power_i)^2 over (x, y, P), U being
+    propagation.uplink_dbm into omni receivers (orientation unknown).
 
     Collinear or too-few sensors degrade to the weighted centroid with
     the fallback flag set.
@@ -92,10 +93,8 @@ def pathloss_lsq(observations, fc_ghz: float,
 
     def residuals(theta):
         x, y, p = theta
-        d = np.hypot(pos[:, 0] - x, pos[:, 1] - y)
-        pl = propagation.pathloss_db_clamped(d, fc_ghz, h_bs, SOURCE_HEIGHT_M,
-                                             environment, "NLOS")
-        return (p - pl) - power
+        return propagation.uplink_dbm((x, y, SOURCE_HEIGHT_M, p, fc_ghz), pos, h_bs,
+                                      environment) - power
 
     # Multi-start: a fixed 5 x 5 grid over the sensor hull plus the weighted
     # centroid; deterministic best-of with ties to the lower start index.
@@ -127,38 +126,33 @@ def excess_to_power_dbm(mean_excess_db: float, baseline_dbm: float) -> float | N
     return 10.0 * math.log10(lin)
 
 
-def estimate_interferer(scenario, detection, baseline_dbm: float,
+def estimate_interferer(scenario, detection, baseline_dbm: float | None = None,
                         method: str = "both"):
     """Run the estimators on a detection result against a scenario.
 
-    Returns a dict with one LocalizationEstimate per requested method.
-    The forward-model frequency comes from the affected sectors' band.
+    Returns a dict with one LocalizationEstimate per requested method. Each
+    cell's excess is read against baseline_dbm, or if None its own band's
+    cell_baseline_dbm; the LSQ runs at the first affected cell's frequency.
     """
     if not detection.affected_cells:
         raise InputError("no affected cells to localize")
-    rows = []
+    baselines, rows = {}, []
     for cell in detection.affected_cells:
         site, sector = scenario.sector_by_id(cell)
-        excess = detection.evidence[cell]["mean_excess_db"]
-        rows.append((cell, site.position, site.height_m, excess,
-                     scenario.band_by_id(sector.band_ref).center_freq_ghz))
-    out = {}
-    if method in ("both", "WeightedCentroid"):
-        out["WeightedCentroid"] = weighted_centroid(
-            (c, p, e) for c, p, _, e, _ in rows)
+        band = scenario.band_by_id(sector.band_ref)
+        if band.id not in baselines:
+            baselines[band.id] = (cell_baseline_dbm(scenario, band)
+                                  if baseline_dbm is None else baseline_dbm)
+        rows.append((cell, site, detection.evidence[cell]["mean_excess_db"], band))
+    centroid = weighted_centroid((c, site.position, e) for c, site, e, _ in rows)
+    out = {"WeightedCentroid": centroid} if method in ("both", "WeightedCentroid") else {}
     if method in ("both", "PathlossLSQ"):
-        obs = []
-        for cell, p, h, e, _ in rows:
-            power = excess_to_power_dbm(e, baseline_dbm)
-            if power is not None:
-                obs.append((cell, p, h, power))
-        fc = rows[0][4]
-        if len(obs) >= 3:
-            out["PathlossLSQ"] = pathloss_lsq(obs, fc, scenario.environment)
-        else:
-            wc = out.get("WeightedCentroid") or weighted_centroid(
-                (c, p, e) for c, p, _, e, _ in rows)
-            out["PathlossLSQ"] = replace(wc, method="PathlossLSQ", fallback=True)
+        obs = [(c, site.position, site.height_m, excess_to_power_dbm(e, baselines[band.id]))
+               for c, site, e, band in rows]
+        obs = [o for o in obs if o[3] is not None]
+        out["PathlossLSQ"] = (pathloss_lsq(obs, rows[0][3].center_freq_ghz, scenario.environment)
+                              if len(obs) >= 3 else
+                              replace(centroid, method="PathlossLSQ", fallback=True))
     return out
 
 

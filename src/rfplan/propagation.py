@@ -225,6 +225,28 @@ def bearing_deg(dx, dy):
     return _mod360(np.degrees(bearing, out=bearing))[()]
 
 
+def uplink_dbm(source, site_xy, site_h_m, environment: str, sectors=None):
+    """Power a source couples into each uplink receiver, dBm.
+
+    source is (x, y, height_m, tx_power_dbm, fc_ghz), the terminal end of
+    an NLOS link to each site (one row of site_xy, one height of site_h_m);
+    its height is clamped into the UT envelope. sectors = (site_of,
+    azimuth_deg, gain_dbi, pattern) gives one receiver per sector, its gain
+    less its pattern toward the source; None gives one omni 0 dBi per site.
+    """
+    x, y, height_m, tx_power_dbm, fc_ghz = source
+    dx = x - site_xy[:, 0]
+    dy = y - site_xy[:, 1]
+    h_ut = min(max(height_m, H_UT_MIN_M), H_UT_MAX_M)
+    rx = tx_power_dbm - pathloss_db_clamped(np.hypot(dx, dy), fc_ghz, site_h_m, h_ut,
+                                            environment, "NLOS")
+    if sectors is None:
+        return rx
+    site_of, azimuth_deg, gain_dbi, pattern = sectors
+    return rx[site_of] + (gain_dbi - pattern.attenuation_db(
+        bearing_deg(dx, dy)[site_of] - azimuth_deg))
+
+
 # ---------------------------------------------------------------------------
 # Seeded per-cell random fields
 

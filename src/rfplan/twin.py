@@ -109,38 +109,28 @@ class KpiBatch:
 def coupling_dbm(scenario: Scenario) -> np.ndarray:
     """Interferer power coupled into each sector's receiver, dBm.
 
-    Shape (interferers, sectors), sectors in scenario.sectors() order.
-    NLOS pathloss from interferer to site (conservative), plus the sector
-    antenna gain toward the interferer; a sector on another band gets the
-    -inf sentinel, no contribution. Distance, bearing and pathloss are
-    computed once per site, the pattern once per sector.
+    Shape (interferers, sectors), sectors in scenario.sectors() order: one
+    propagation.uplink_dbm call per interferer; a sector on another band
+    gets the -inf sentinel, no contribution.
     """
     sectors = [sec for _, sec in scenario.sectors()]
-    site_of = np.repeat(np.arange(len(scenario.sites)),
-                        [len(site.sectors) for site in scenario.sites])
-    xy = np.array([site.position for site in scenario.sites],
-                  dtype=float).reshape(-1, 2)
+    xy = np.array([site.position for site in scenario.sites], dtype=float).reshape(-1, 2)
     h_bs = np.array([site.height_m for site in scenario.sites], dtype=float)
     band = np.array([sec.band_ref for sec in sectors])
-    azimuth = np.array([sec.azimuth_deg for sec in sectors], dtype=float)
-    gain_dbi = np.array([sec.antenna_gain_dbi for sec in sectors], dtype=float)
-    pattern = propagation.AntennaPattern(
-        np.array([sec.beamwidth_3db_deg for sec in sectors], dtype=float),
-        np.array([sec.front_to_back_db for sec in sectors], dtype=float))
+    receivers = (
+        np.repeat(np.arange(len(scenario.sites)), [len(site.sectors) for site in scenario.sites]),
+        np.array([sec.azimuth_deg for sec in sectors], dtype=float),
+        np.array([sec.antenna_gain_dbi for sec in sectors], dtype=float),
+        propagation.AntennaPattern(
+            np.array([sec.beamwidth_3db_deg for sec in sectors], dtype=float),
+            np.array([sec.front_to_back_db for sec in sectors], dtype=float)))
     out = np.full((len(scenario.interferers), len(sectors)), -np.inf)
     for i, intf in enumerate(scenario.interferers):
         co_band = band == intf.band_ref
-        dx = intf.position[0] - xy[:, 0]
-        dy = intf.position[1] - xy[:, 1]
-        d2d = np.maximum(np.hypot(dx, dy), propagation.D2D_MIN_M)
-        # Uplink into the BTS antenna: BS height on the receive side, the
-        # interferer plays the terminal role.
-        h_ut = min(max(intf.height_m, propagation.H_UT_MIN_M), propagation.H_UT_MAX_M)
-        pl = propagation.pathloss_db_clamped(
-            d2d, scenario.band_by_id(intf.band_ref).center_freq_ghz, h_bs, h_ut,
-            scenario.environment, "NLOS")[site_of]
-        gain = gain_dbi - pattern.attenuation_db(propagation.bearing_deg(dx, dy)[site_of] - azimuth)
-        out[i, co_band] = (intf.tx_power_dbm - pl + gain)[co_band]
+        source = (*intf.position, intf.height_m, intf.tx_power_dbm,
+                  scenario.band_by_id(intf.band_ref).center_freq_ghz)
+        out[i, co_band] = propagation.uplink_dbm(source, xy, h_bs, scenario.environment,
+                                                 receivers)[co_band]
     return out
 
 

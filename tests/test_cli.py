@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from rfplan import cli, coverage
+from rfplan import cli, coverage, detect, localize, twin
 from rfplan.cli import _write_json, demo_scenario_path, main
+from rfplan.scenario import save_scenario
 
 DEMO = str(demo_scenario_path())
 
@@ -230,6 +231,23 @@ def test_detect_recommend_report_loop(capsys, tmp_path):
     rows = json.loads(rep.read_text())["rows"]
     rtwp = [r for r in rows if r["metric"] == "RTWP"]
     assert rtwp and all(r["abs_delta"] <= 2.0 for r in rtwp)
+
+
+def test_detect_localizes_each_cell_against_its_band(capsys, tmp_path, two_band_scenario):
+    """On a feed with affected cells on two bands of different baselines,
+    detect writes what estimate_interferer gives with each cell's own."""
+    sc = two_band_scenario
+    path, kpi, det = tmp_path / "sc.json", tmp_path / "kpi.csv", tmp_path / "det.json"
+    save_scenario(sc, path)
+    assert run(capsys, "twin", str(path), "--out", str(kpi))[0] == 0
+    assert run(capsys, "detect", str(kpi), str(path), "--out", str(det))[0] == 0
+    result = detect.run_detection(twin.read_kpi_csv(kpi), 15, seed=sc.seed)
+    assert {sc.sector_by_id(c)[1].band_ref for c in result.affected_cells} == {"n78", "n78b"}
+    want = {name: {"position": list(est.position), "residual": est.residual,
+                   "tx_power_dbm": est.tx_power_dbm, "fallback": est.fallback,
+                   "cells_used": list(est.cells_used)}
+            for name, est in localize.estimate_interferer(sc, result).items()}
+    assert json.loads(det.read_text())["localization"] == want
 
 
 def test_detect_k_plumbing(capsys, tmp_path):

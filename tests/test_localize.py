@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rfplan import propagation
+from rfplan import localize, propagation, twin
 from rfplan.detect import run_detection
 from rfplan.errors import InputError
 from rfplan.localize import (estimate_interferer, excess_to_power_dbm,
@@ -131,3 +131,95 @@ def test_lsq_with_noise_vs_centroid():
             wins += 1
     print(f"noisy LSQ beat centroid in {wins}/20 trials")
     assert wins >= 10
+
+
+# --- the forward model: pinned to the residual it replaced ---------------------
+
+
+def reference_residuals(pos, h_bs, power, fc_ghz, environment):
+    """pathloss_lsq's residual spelled out in place: omni NLOS pathloss
+    from a 1.5 m source to every sensor, the bits the kernel must give."""
+    def residuals(theta):
+        x, y, p = theta
+        d = np.hypot(pos[:, 0] - x, pos[:, 1] - y)
+        pl = propagation.pathloss_db_clamped(d, fc_ghz, h_bs, localize.SOURCE_HEIGHT_M,
+                                             environment, "NLOS")
+        return (p - pl) - power
+    return residuals
+
+
+def noiseless_obs():
+    """Acceptance 07's sensors around an interferer at (430, 610), 17 dBm."""
+    sensors = [(0.0, 0.0), (1000.0, 100.0), (200.0, 1100.0),
+               (900.0, 900.0), (-300.0, 500.0)]
+    return [(f"s{i}", p, 25.0, nlos_power((430.0, 610.0), p, 25.0, 17.0))
+            for i, p in enumerate(sensors)]
+
+
+def noisy_mixed_height_obs(seed):
+    rng = np.random.default_rng(seed)
+    pos = rng.uniform(-1500.0, 1500.0, (7, 2))
+    h_bs = rng.choice([1.0, 10.0, 25.0, 45.0], 7)
+    return [(f"s{i}", tuple(p), h, nlos_power((120.0, -340.0), tuple(p), h, 23.0, fc=2.1)
+             + rng.normal(0.0, 2.0)) for i, (p, h) in enumerate(zip(pos, h_bs))]
+
+
+@pytest.mark.parametrize("case", ["07"] + [f"noisy{s}" for s in range(4)])
+@pytest.mark.parametrize("environment", ["UMa", "UMi"])
+def test_lsq_residual_is_bitwise_the_reference(monkeypatch, case, environment):
+    """Every residual the solver asks for equals the reference's bits, and
+    the fit run on the reference residual is the same estimate."""
+    obs = noiseless_obs() if case == "07" else noisy_mixed_height_obs(int(case[5:]))
+    fc = 3.5 if case == "07" else 2.1
+    reference = reference_residuals(
+        np.array([o[1] for o in obs]), np.array([o[2] for o in obs]),
+        np.array([o[3] for o in obs]), fc, environment)
+    solver, evaluations = localize.least_squares, []
+
+    def on_reference(fun, x0, **kwargs):
+        def both(theta):
+            got, want = fun(theta), reference(theta)
+            evaluations.append(got.tobytes() == want.tobytes())
+            return want
+        return solver(both, x0, **kwargs)
+
+    got = pathloss_lsq(obs, fc, environment)
+    monkeypatch.setattr(localize, "least_squares", on_reference)
+    assert pathloss_lsq(obs, fc, environment) == got
+    assert not got.fallback and len(evaluations) > 26 and all(evaluations)
+
+
+# --- each cell against its own band's baseline ----------------------------------
+
+
+def per_cell_reference(scenario, detection):
+    """estimate_interferer spelled out cell by cell: each cell's excess
+    turns into a power against cell_baseline_dbm of that cell's band, and
+    the LSQ runs at the first affected cell's frequency."""
+    rows, obs = [], []
+    for cell in detection.affected_cells:
+        site, sector = scenario.sector_by_id(cell)
+        band = scenario.band_by_id(sector.band_ref)
+        excess = detection.evidence[cell]["mean_excess_db"]
+        rows.append((cell, site.position, excess))
+        power = excess_to_power_dbm(excess, twin.cell_baseline_dbm(scenario, band))
+        if power is not None:
+            obs.append((cell, site.position, site.height_m, power))
+    first = scenario.sector_by_id(detection.affected_cells[0])[1].band_ref
+    return {"WeightedCentroid": weighted_centroid(rows),
+            "PathlossLSQ": pathloss_lsq(obs, scenario.band_by_id(first).center_freq_ghz,
+                                        scenario.environment)}
+
+
+def test_each_cell_reads_its_own_band_baseline(two_band_scenario):
+    sc = two_band_scenario
+    batch = twin.synthesize_kpi(sc, 3600.0, 60.0)
+    det = run_detection(batch, baseline_window=15, seed=sc.seed)
+    assert det.affected_cells == ("A1", "A2", "A3", "B3", "E1", "E2", "E3")
+    assert [round(twin.cell_baseline_dbm(sc, sc.band_by_id(b)), 2)
+            for b in ("n78", "n78b")] == [-99.0, -92.98]
+    got = estimate_interferer(sc, det)
+    assert got == per_cell_reference(sc, det)
+    assert not got["PathlossLSQ"].fallback
+    # one baseline for every cell, the n78 one, is a different fit
+    assert estimate_interferer(sc, det, -99.0)["PathlossLSQ"] != got["PathlossLSQ"]

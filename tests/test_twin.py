@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import math
 import re
+import runpy
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -208,17 +209,56 @@ def lattice_61():
         grid_resolution_m=100.0, seed=3)
 
 
-@pytest.mark.parametrize("which", ["demo", "lattice"])
+def bench_lattice(seed):
+    """The benchmark's 61-site hexagonal lattice (four rings), one jammer."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "lattice.py"
+    return runpy.run_path(str(path))["hex_lattice"](
+        rings=4, area_m=6000.0, seed=seed, name="lattice-61")
+
+
+def array_reference_coupling(scenario):
+    """coupling_dbm spelled out in place, one array pass per interferer:
+    the bits propagation.uplink_dbm must give."""
+    sectors = [sec for _, sec in scenario.sectors()]
+    site_of = np.repeat(np.arange(len(scenario.sites)),
+                        [len(site.sectors) for site in scenario.sites])
+    xy = np.array([site.position for site in scenario.sites], dtype=float)
+    h_bs = np.array([site.height_m for site in scenario.sites], dtype=float)
+    band = np.array([sec.band_ref for sec in sectors])
+    azimuth = np.array([sec.azimuth_deg for sec in sectors], dtype=float)
+    gain_dbi = np.array([sec.antenna_gain_dbi for sec in sectors], dtype=float)
+    pattern = propagation.AntennaPattern(
+        np.array([sec.beamwidth_3db_deg for sec in sectors], dtype=float),
+        np.array([sec.front_to_back_db for sec in sectors], dtype=float))
+    out = np.full((len(scenario.interferers), len(sectors)), -np.inf)
+    for i, intf in enumerate(scenario.interferers):
+        co_band = band == intf.band_ref
+        dx = intf.position[0] - xy[:, 0]
+        dy = intf.position[1] - xy[:, 1]
+        d2d = np.maximum(np.hypot(dx, dy), propagation.D2D_MIN_M)
+        h_ut = min(max(intf.height_m, propagation.H_UT_MIN_M), propagation.H_UT_MAX_M)
+        pl = propagation.pathloss_db_clamped(
+            d2d, scenario.band_by_id(intf.band_ref).center_freq_ghz, h_bs, h_ut,
+            scenario.environment, "NLOS")[site_of]
+        gain = gain_dbi - pattern.attenuation_db(propagation.bearing_deg(dx, dy)[site_of] - azimuth)
+        out[i, co_band] = (intf.tx_power_dbm - pl + gain)[co_band]
+    return out
+
+
+@pytest.mark.parametrize("which", ["demo", "lattice", "bench1", "bench5"])
 def test_coupling_matches_scalar_reference(demo_scenario, which):
-    sc = demo_scenario if which == "demo" else lattice_61()
+    sc = (demo_scenario if which == "demo" else lattice_61() if which == "lattice"
+          else bench_lattice(int(which[5:])))
     got, want = coupling_dbm(sc), reference_coupling(sc)
+    assert got.tobytes() == array_reference_coupling(sc).tobytes()
     assert got.shape == want.shape == (len(sc.interferers), len(sc.sector_ids))
     off_band = np.isneginf(want)
     assert np.array_equal(np.isneginf(got), off_band)
     assert np.max(np.abs(got[~off_band] - want[~off_band])) <= 1e-9
+    if which != "demo":
+        assert len(sc.sites) == 61
     if which == "lattice":
         assert off_band.any() and not off_band.all()
-        assert len(sc.sites) == 61
 
 
 @pytest.mark.parametrize("environment", ["UMa", "UMi"])
