@@ -68,6 +68,8 @@ def _read_detection(path) -> detect.DetectionResult:
     evidence, threshold_db = doc.get("evidence", {}), doc.get("threshold_db", 3.0)
     if not (isinstance(cells, list) and all(isinstance(c, str) for c in cells)):
         raise InputError(f"{path}: affected_cells must be a list of cell ids")
+    if len(set(cells)) < len(cells):
+        raise InputError(f"{path}: affected_cells names a cell more than once")
     if not (isinstance(anomaly, bool) and _finite(threshold_db)
             and isinstance(evidence, dict)):
         raise InputError(f"{path}: anomaly must be true or false, threshold_db "
@@ -101,9 +103,11 @@ def _write_json(path, data, verbose=False):
 
 
 def _out(args, default_name):
+    if args.out:
+        return Path(args.out)
     out_dir = Path(args.out_dir or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return Path(args.out) if args.out else out_dir / default_name
+    out_dir.mkdir(parents=True, exist_ok=True)      # only when a file goes into it
+    return out_dir / default_name
 
 
 # ---------------------------------------------------------------------------
@@ -262,32 +266,28 @@ def cmd_demo(args) -> int:
     first, with their lines held back until the simulate section has
     printed. The off, on and mitigated grids then come from one field pass.
     """
-    out_dir = Path(args.out_dir or "demo_out")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ns = argparse.Namespace(**vars(args))
-    ns.scenario = str(demo_scenario_path())
-    ns.out_dir = str(out_dir)
-    ns.out = None
-    scenario = _load(ns)
+    out_dir = Path(args.out_dir or "demo_out")      # made by plan, the first to write
+    made = out_dir.absolute()       # the demo's outputs as inputs: no name parses as a flag
+    scenario_path = demo_scenario_path()
+    parser = build_parser()
+    flags = [f"--out-dir={out_dir}", *(["--verbose"] if args.verbose else []),
+             *([] if args.seed is None else [f"--seed={args.seed}"])]
 
+    def step(*argv):    # each output is the subcommand's default file in out_dir
+        return parser.parse_args([*flags, *map(str, argv)])
+
+    plan = step("plan", scenario_path)
+    scenario = _load(plan)
     print("== plan ==")
-    ns.band, ns.condition = None, "NLOS"
-    cmd_plan(ns, scenario)
+    cmd_plan(plan, scenario)
 
     held = io.StringIO()
     with contextlib.redirect_stdout(held):
         print("== twin ==")
-        ns.out = str(out_dir / "kpi.csv")
-        ns.duration, ns.dt = 3600.0, 60.0
-        cmd_twin(ns, scenario)
-
+        cmd_twin(step("twin", scenario_path), scenario)
         print("== detect ==")
-        ns.kpi_csv = str(out_dir / "kpi.csv")
-        ns.baseline_window, ns.k, ns.threshold, ns.metric = 15, 2, 3.0, "RTWP"
-        ns.validate = str(out_dir / "kpi.csv.truth.json")
-        ns.validation_radius = 500.0
-        ns.out = str(out_dir / "detection.json")
-        cmd_detect(ns, scenario)
+        cmd_detect(step("detect", made / "kpi.csv", scenario_path,
+                        f"--validate={made / 'kpi.csv.truth.json'}"), scenario)
 
     result = _read_detection(out_dir / "detection.json")   # as rfplan recommend does
     rec = mitigate.recommend(scenario, result)
@@ -295,25 +295,23 @@ def cmd_demo(args) -> int:
     scenarios = [dataclasses.replace(scenario, interferers=()), scenario]
     if rec.changes:
         scenarios.append(mitigate.apply(scenario, rec))
-    grids = coverage.compute_grids(scenarios, n_workers=ns.workers)
+    grids = coverage.compute_grids(scenarios, n_workers=args.workers)
 
     print("== simulate (interference off / on) ==")
-    ns.out = None
     for mode, grid in zip(("off", "on"), grids):
-        _write_simulation(ns, scenario, grid, mode, f"grid_{mode}.csv")
+        _write_simulation(step("simulate", scenario_path), scenario, grid, mode,
+                          f"grid_{mode}.csv")
     sys.stdout.write(held.getvalue())
 
     print("== recommend ==")
-    ns.out = str(out_dir / "recommendation.json")
     verdict = (mitigate.compare(grids[1], grids[2], result.affected_cells)
                if rec.changes else None)
-    _write_recommendation(ns, scenario, rec, verdict)
+    _write_recommendation(step("recommend", made / "detection.json", scenario_path),
+                          scenario, rec, verdict)
 
     print("== report ==")
-    ns.sim_summary = str(out_dir / "grid_on.csv.summary.json")
-    ns.twin_summary = str(out_dir / "kpi.csv.summary.json")
-    ns.out = str(out_dir / "report.json")
-    cmd_report(ns)
+    cmd_report(step("report", made / "grid_on.csv.summary.json",
+                    made / "kpi.csv.summary.json"))
     return 0
 
 
@@ -393,7 +391,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except RfplanError as exc:
+    except (RfplanError, OSError) as exc:   # an OSError here is an output it cannot write
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # internal errors

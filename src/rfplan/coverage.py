@@ -31,7 +31,6 @@ import numpy as np
 from . import _csvtext, propagation
 from ._csvtext import _COMMA, _fixed_text, _lines, _text_table
 from .errors import InputError
-from .planning import noise_floor_dbm
 from .scenario import Scenario
 
 COVERAGE_FLOOR_DBM = -110.0    # serving RSRP below this counts as uncovered
@@ -85,7 +84,7 @@ def _location_fields(scenario: Scenario, x, y, position, height_m, transmitters)
     """
     env = scenario.environment
     h_ut = scenario.ut_profile.height_m
-    h_bs = max(height_m, 1.0)
+    h_bs = max(height_m, propagation.H_BS_MIN_M)
     dx, dy = np.meshgrid(x - position[0], y - position[1])
     d2d = np.maximum(np.hypot(dx, dy), propagation.D2D_MIN_M)
     bearing = (propagation.bearing_deg(dx, dy) if any(tx[3] is not None for tx in transmitters)
@@ -247,8 +246,8 @@ class _Fold:
         self.signal = self.external = None
         rsrp, best = signal.rsrp, signal.best
         noise_lin = np.array([
-            10.0 ** (noise_floor_dbm(b.bandwidth_mhz,
-                                     scenario.ut_profile.noise_figure_db) / 10.0)
+            10.0 ** (propagation.noise_floor_dbm(b.bandwidth_mhz,
+                                                 scenario.ut_profile.noise_figure_db) / 10.0)
             for b in scenario.bands])
 
         s_lin = 10.0 ** (rsrp / 10.0)

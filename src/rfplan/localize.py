@@ -18,7 +18,7 @@ from scipy.optimize import least_squares
 
 from . import propagation
 from .errors import InputError
-from .twin import cell_baseline_dbm
+from .scenario import cell_baseline_dbm
 
 SOURCE_HEIGHT_M = 1.5          # forward-model interferer height, a valid UT height
 TX_POWER_GUESS_DBM = 20.0      # LSQ start for the interferer's power

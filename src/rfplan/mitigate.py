@@ -48,17 +48,24 @@ def _mean_nn_intersite_m(sites) -> float:
 def recommend(scenario: Scenario, detection) -> Recommendation:
     """Reassign affected sectors to the cleanest declared alternative band.
 
-    Candidate bands are the declared ones no interferer transmits on.
-    Cost of a candidate for a sector = number of co-channel sectors
-    within the neighbor radius, ~2x the hexagon circumradius implied by
-    the inter-site spacing (already-decided reassignments count);
-    ties break in band declaration order. With no candidates the result
-    is an explicit no-op, not an error.
+    Candidate bands are the declared ones without an affected cell; the
+    scenario's interferers are the twin's sealed truth, not an input. Cost
+    of a candidate for a sector = number of co-channel sectors within the
+    neighbor radius, ~2x the hexagon circumradius implied by the
+    inter-site spacing (already-decided reassignments count); ties break
+    in band declaration order. With no candidates the result is an
+    explicit no-op, not an error.
     """
     if not detection.anomaly_flag:
         return Recommendation(changes=(), rationale="no anomaly detected")
 
-    blocked = {i.band_ref for i in scenario.interferers}
+    site_of = {sec.id: site for site, sec in scenario.sectors()}
+    assigned = {sec.id: sec.band_ref for _, sec in scenario.sectors()}
+    affected = sorted(detection.affected_cells)
+    for sector_id in affected:
+        if sector_id not in site_of:
+            raise InputError(f"affected cell {sector_id!r} not in scenario")
+    blocked = {assigned[c] for c in affected}
     candidates = [b.id for b in scenario.bands if b.id not in blocked]
     if not candidates:
         return Recommendation(
@@ -67,13 +74,8 @@ def recommend(scenario: Scenario, detection) -> Recommendation:
 
     neighbor_radius_m = 2.0 * _mean_nn_intersite_m(scenario.sites) / math.sqrt(3.0)
 
-    site_of = {sec.id: site for site, sec in scenario.sectors()}
-    assigned = {sec.id: sec.band_ref for _, sec in scenario.sectors()}
-
     changes = []
-    for sector_id in sorted(detection.affected_cells):
-        if sector_id not in site_of:
-            raise InputError(f"affected cell {sector_id!r} not in scenario")
+    for sector_id in affected:
         pos = site_of[sector_id].position
         old = assigned[sector_id]
 

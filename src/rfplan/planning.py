@@ -12,9 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InfeasibleError
-from .propagation import D2D_MAX_M, D2D_MIN_M, pathloss_db_array
-
-THERMAL_NOISE_DBM_HZ = -174.0
+from .propagation import D2D_MAX_M, D2D_MIN_M, noise_floor_dbm, pathloss_db_array
 
 
 @dataclass(frozen=True)
@@ -47,10 +45,6 @@ class PlanResult:
     mapl_db: float
     cell_radius_m: float
     site_count: int
-
-
-def noise_floor_dbm(bandwidth_mhz: float, noise_figure_db: float) -> float:
-    return THERMAL_NOISE_DBM_HZ + 10.0 * math.log10(bandwidth_mhz * 1e6) + noise_figure_db
 
 
 def receiver_sensitivity_dbm(budget: LinkBudget) -> float:

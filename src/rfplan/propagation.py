@@ -2,8 +2,8 @@
 
 Closed-form UMa/UMi pathloss (Table 7.4.1-1 style dual-slope models with
 the NLOS lower-bounding max), the matching LOS probability curves, a
-link's bearing and sector pattern, and a reproducible log-normal
-shadow-fading field. Everything here is either a pure function or
+link's bearing and sector pattern, a receiver's thermal noise floor and
+reproducible log-normal shadow fading. Everything here is a pure function or
 read-only state, so pixel evaluation can be data-parallel and still
 bit-identical regardless of worker count.
 
@@ -14,6 +14,7 @@ silent extrapolation corrupts planning numbers downstream.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -21,12 +22,15 @@ import numpy as np
 from .errors import DomainError
 
 SPEED_OF_LIGHT = 299_792_458.0
+THERMAL_NOISE_DBM_HZ = -174.0
 
 # Validity envelope enforced on public queries.
 D2D_MIN_M = 1.0
 D2D_MAX_M = 10_000.0
 FC_MIN_GHZ = 0.5
 FC_MAX_GHZ = 100.0
+H_BS_MIN_M = 1.0
+H_BS_MAX_M = 150.0
 H_UT_MIN_M = 1.0
 H_UT_MAX_M = 22.5
 
@@ -59,10 +63,14 @@ def _check_envelope(d2d_m, fc_ghz, h_bs_m, h_ut_m, environment, condition):
         raise DomainError(f"fc_ghz {fc_ghz} outside [{FC_MIN_GHZ}, {FC_MAX_GHZ}] GHz")
     if not (H_UT_MIN_M <= h_ut_m <= H_UT_MAX_M):
         raise DomainError(f"h_ut_m {h_ut_m} outside [{H_UT_MIN_M}, {H_UT_MAX_M}] m")
-    if not (1.0 <= h_bs_m <= 150.0):
-        raise DomainError(f"h_bs_m {h_bs_m} outside [1, 150] m")
+    if not (H_BS_MIN_M <= h_bs_m <= H_BS_MAX_M):
+        raise DomainError(f"h_bs_m {h_bs_m} outside [{H_BS_MIN_M:g}, {H_BS_MAX_M:g}] m")
     if condition not in ("LOS", "NLOS"):
         raise DomainError(f"unknown condition {condition!r}")
+
+
+def noise_floor_dbm(bandwidth_mhz: float, noise_figure_db: float) -> float:
+    return THERMAL_NOISE_DBM_HZ + 10.0 * math.log10(bandwidth_mhz * 1e6) + noise_figure_db
 
 
 def breakpoint_distance_m(fc_ghz: float, h_bs_m, h_ut_m: float):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .twin import cell_baseline_dbm
+from .scenario import cell_baseline_dbm
 
 METRIC_ORDER = ("RSSI", "RTWP", "SINR", "ThroughputDL", "ThroughputUL")
 

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .errors import ScenarioParseError, ScenarioValidationError
-from .planning import budget_from_config
+from .propagation import (FC_MAX_GHZ, FC_MIN_GHZ, H_BS_MAX_M, H_BS_MIN_M, H_UT_MAX_M,
+                          H_UT_MIN_M, noise_floor_dbm)
 
 SCHEMA_VERSION = 1
 
@@ -157,6 +158,14 @@ class Scenario:
         return [sec.id for _, sec in self.sectors()]
 
 
+def cell_baseline_dbm(scenario: Scenario, band: Band) -> float:
+    """A sector's RTWP without load or interference: the configured
+    baseline, or else the band's thermal noise floor."""
+    if scenario.twin.rtwp_baseline_dbm is not None:
+        return scenario.twin.rtwp_baseline_dbm
+    return noise_floor_dbm(band.bandwidth_mhz, scenario.twin.bts_noise_figure_db)
+
+
 @dataclass(frozen=True)
 class Violation:
     code: str
@@ -193,7 +202,7 @@ def validate(scenario: Scenario) -> list[Violation]:
     for i, band in enumerate(scenario.bands):
         path = f"bands[{i}]"
         in_range("FREQ_RANGE", f"{path}.center_freq_ghz", band.center_freq_ghz,
-                 0.5, 100.0, "GHz")
+                 FC_MIN_GHZ, FC_MAX_GHZ, "GHz")
         if band.bandwidth_mhz <= 0:
             bad("BANDWIDTH_RANGE", f"{path}.bandwidth_mhz", "bandwidth_mhz must be > 0")
         if band.duplex not in DUPLEX_MODES:
@@ -212,7 +221,7 @@ def validate(scenario: Scenario) -> list[Violation]:
 
     for i, site in enumerate(scenario.sites):
         path = f"sites[{i}]"
-        in_range("HEIGHT_RANGE", f"{path}.height_m", site.height_m, 1.0, 150.0, "m")
+        in_range("HEIGHT_RANGE", f"{path}.height_m", site.height_m, H_BS_MIN_M, H_BS_MAX_M, "m")
         if not scenario.area.contains(*site.position, margin=margin):
             bad("OUT_OF_AREA", f"{path}.position",
                 "site position lies outside area plus margin")
@@ -265,7 +274,7 @@ def validate(scenario: Scenario) -> list[Violation]:
 
     # the level bounds keep every dB sum, and the JSON written from it, finite
     ut, tw = scenario.ut_profile, scenario.twin
-    in_range("UT_HEIGHT_RANGE", "ut_profile.height_m", ut.height_m, 1.0, 22.5, "m")
+    in_range("UT_HEIGHT_RANGE", "ut_profile.height_m", ut.height_m, H_UT_MIN_M, H_UT_MAX_M, "m")
     in_range("LEVEL_RANGE", "ut_profile.noise_figure_db", ut.noise_figure_db, 0, 30, "dB")
     in_range("LEVEL_RANGE", "ut_profile.body_loss_db", ut.body_loss_db, 0, 30, "dB")
     in_range("LEVEL_RANGE", "twin.bts_noise_figure_db", tw.bts_noise_figure_db, 0, 30, "dB")
@@ -276,18 +285,16 @@ def validate(scenario: Scenario) -> list[Violation]:
     in_range("LEVEL_RANGE", "twin.rtwp_baseline_dbm", tw.rtwp_baseline_dbm, -200, 0, "dBm")
     in_range("LEVEL_RANGE", "twin.serving_traffic_dbm", tw.serving_traffic_dbm, -200, 0, "dBm")
     budget = scenario.link_budget or {}
-    for key, lo, hi, unit in (
-            ("tx_power_dbm", -30, 60, "dBm"), ("tx_antenna_gain_dbi", -30, 60, "dBi"),
-            ("rx_antenna_gain_dbi", -30, 60, "dBi"), ("cable_loss_db", 0, 60, "dB"),
-            ("penetration_loss_db", 0, 60, "dB"), ("interference_margin_db", 0, 60, "dB"),
-            ("shadow_margin_db", 0, 60, "dB"), ("required_sinr_db", -30, 60, "dB")):
+    limits = {"tx_power_dbm": (-30, 60, "dBm"), "tx_antenna_gain_dbi": (-30, 60, "dBi"),
+              "rx_antenna_gain_dbi": (-30, 60, "dBi"), "cable_loss_db": (0, 60, "dB"),
+              "penetration_loss_db": (0, 60, "dB"), "interference_margin_db": (0, 60, "dB"),
+              "shadow_margin_db": (0, 60, "dB"), "required_sinr_db": (-30, 60, "dB")}
+    for key, (lo, hi, unit) in limits.items():
         in_range("LINK_BUDGET", f"link_budget.{key}", budget.get(key), lo, hi, unit)
-    try:            # 1 MHz stands in for the bands' bandwidths, checked above
-        budget_from_config(scenario.link_budget, 1.0, scenario.ut_profile)
-    except TypeError as exc:
-        bad("LINK_BUDGET", "link_budget", str(exc))
-    except ValueError:          # a negative loss, already named by its range above
-        pass
+    # the UT profile sets the noise figure and body loss, each band its bandwidth
+    for key in sorted(budget.keys() - limits.keys()):
+        bad("LINK_BUDGET", f"link_budget.{key}",
+            f"unknown key; link_budget takes only {', '.join(limits)}")
 
     return v
 

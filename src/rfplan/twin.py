@@ -26,8 +26,7 @@ from . import _csvtext, propagation
 from ._csvtext import (_COMMA, _NEWLINE, _fixed_numbers, _fixed_text,
                        _line_blocks, _lines, _text_table)
 from .errors import InputError
-from .planning import noise_floor_dbm
-from .scenario import Scenario, from_json, read_json_object
+from .scenario import Scenario, cell_baseline_dbm, from_json, read_json_object
 
 DAY_S = 86_400.0
 
@@ -132,14 +131,6 @@ def coupling_dbm(scenario: Scenario) -> np.ndarray:
         out[i, co_band] = propagation.uplink_dbm(source, xy, h_bs, scenario.environment,
                                                  receivers)[co_band]
     return out
-
-
-def cell_baseline_dbm(scenario: Scenario, band) -> float:
-    """A sector's RTWP without load or interference: the configured
-    baseline, or else the band's thermal noise floor."""
-    if scenario.twin.rtwp_baseline_dbm is not None:
-        return scenario.twin.rtwp_baseline_dbm
-    return noise_floor_dbm(band.bandwidth_mhz, scenario.twin.bts_noise_figure_db)
 
 
 def synthesize_kpi(scenario: Scenario, duration_s: float, dt_s: float,

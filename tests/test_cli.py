@@ -61,6 +61,27 @@ def test_unreadable_kpi_csv_exits_one(capsys, tmp_path, which):
     assert f"cannot read KPI CSV file {kpi}" in err
 
 
+@pytest.mark.parametrize("where", ["out-in-missing-dir", "out-is-dir", "out-dir-is-file"])
+@pytest.mark.parametrize("command", ["plan", "simulate", "twin"])
+def test_unwritable_output_exits_one(capsys, tmp_path, command, where):
+    path = {"out-in-missing-dir": tmp_path / "missing" / "out", "out-is-dir": tmp_path,
+            "out-dir-is-file": tmp_path / "file"}[where]
+    if where == "out-dir-is-file":
+        path.write_text("")
+        argv = ["--out-dir", str(path), command, DEMO]
+    else:
+        argv = [command, DEMO, "--out", str(path)]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert "internal error" not in err and str(path) in err
+
+
+def test_out_dir_is_made_only_for_a_file_in_it(capsys, tmp_path):
+    out_dir, out = tmp_path / "unused", tmp_path / "plan.json"
+    assert run(capsys, "--out-dir", str(out_dir), "plan", DEMO, "--out", str(out))[0] == 0
+    assert out.exists() and not out_dir.exists()
+
+
 def test_invalid_scenario_names_violation(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({
@@ -307,6 +328,9 @@ BAD_JSON_INPUTS = {
         "recommend", '{"anomaly": "no", "affected_cells": ["A1"], '
         '"evidence": {"A1": {"mean_excess_db": 9.0}}}'),
     "detection-threshold-not-number": ("recommend", '{"threshold_db": "x"}'),
+    "detection-repeated-cell": (
+        "recommend", '{"anomaly": true, "affected_cells": ["A1", "A1"], '
+        '"evidence": {"A1": {"mean_excess_db": 9.0}}}'),
     "summary-metrics-not-object": ("report", '{"metrics": 5}'),
     "summary-metric-not-number": ("report", '{"metrics": {"n78": {"RTWP": "x"}}}'),
     "truth-missing": ("detect", None),

@@ -1,6 +1,7 @@
 """Frequency reassignment recommendations and what-if verification."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from rfplan.detect import DetectionResult, run_detection
 from rfplan.errors import InputError
 from rfplan.mitigate import (Recommendation, VerificationVerdict, apply,
                              compare, recommend, verify)
+from rfplan.twin import synthesize_kpi
 from test_coverage import interleaved_scenario, reference_grid
 
 
@@ -46,6 +48,27 @@ def test_no_clean_spectrum(demo_scenario):
 def test_unknown_sector_rejected(demo_scenario):
     with pytest.raises(InputError):
         recommend(demo_scenario, detection_for(["nope"]))
+    # also when no band is clean: the affected cells name the blocked bands
+    one_band = dataclasses.replace(demo_scenario, bands=demo_scenario.bands[:1])
+    with pytest.raises(InputError, match="'nope'"):
+        recommend(one_band, detection_for(["A1", "nope"]))
+
+
+def test_recommendation_blocks_the_detected_bands_not_the_truth(demo_scenario):
+    """The interferers are the twin's sealed ground truth. With them gone
+    from the network model, and the interfered band left the least loaded,
+    the affected sectors still move off it."""
+    sc = dataclasses.replace(demo_scenario, seed=1)
+    det = run_detection(synthesize_kpi(sc, 3600.0, 60.0), baseline_window=15, seed=1)
+    others = itertools.cycle(("n78b", "n257"))
+    model = dataclasses.replace(sc, interferers=(), sites=tuple(
+        dataclasses.replace(site, sectors=tuple(
+            sec if sec.id in det.affected_cells
+            else dataclasses.replace(sec, band_ref=next(others)) for sec in site.sectors))
+        for site in sc.sites))
+    rec = recommend(model, det)
+    assert [sec for sec, _, _ in rec.changes] == sorted(det.affected_cells)
+    assert all(old == "n78" != new for _, old, new in rec.changes)
 
 
 def test_demo_recommendation_moves_all_affected(demo_scenario, demo_batch):

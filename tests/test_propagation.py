@@ -82,6 +82,12 @@ def test_envelope_errors(entry, query):
         entry(query)
 
 
+def test_bs_height_envelope_names_its_bounds():
+    with pytest.raises(DomainError) as exc:
+        pathloss_db(PathlossQuery(100.0, 3.5, 150.5, 1.5))
+    assert str(exc.value) == "h_bs_m 150.5 outside [1, 150] m"
+
+
 def test_clamped_variant_does_not_error():
     v = float(pathloss_db_clamped(0.01, 3.5, 25.0, 1.5, "UMa", "NLOS"))
     assert v == float(pathloss_db_clamped(1.0, 3.5, 25.0, 1.5, "UMa", "NLOS"))

@@ -5,8 +5,10 @@ import json
 
 import pytest
 
+from rfplan import propagation
 from rfplan.cli import demo_scenario_path
 from rfplan.errors import ScenarioParseError, ScenarioValidationError
+from rfplan.planning import LinkBudget, budget_from_config
 from rfplan.scenario import (FILE_DEFAULTS, Band, Interferer, Rect, Scenario,
                              Sector, Site, load_scenario, save_scenario, validate)
 
@@ -90,6 +92,54 @@ def test_link_budget_out_of_range_violation(demo_scenario, field, value):
     bad = dataclasses.replace(demo_scenario,
                               link_budget={**demo_scenario.link_budget, field: value})
     assert [(v.code, v.path) for v in validate(bad)] == [("LINK_BUDGET", f"link_budget.{field}")]
+
+
+def test_link_budget_takes_the_budget_fields_no_other_section_sets(demo_scenario):
+    """Every LinkBudget field but the UT profile's noise figure and body
+    loss and the band's bandwidth is a link_budget key; any other key is a
+    violation at its own path, in sorted order."""
+    elsewhere = {"noise_figure_db", "body_loss_db", "bandwidth_mhz"}
+    keys = {f.name for f in dataclasses.fields(LinkBudget)} - elsewhere
+    good = dataclasses.replace(demo_scenario, link_budget=dict.fromkeys(keys, 1.0))
+    assert validate(good) == []
+    budget_from_config(good.link_budget, 10.0, good.ut_profile)
+    unknown = sorted(elsewhere | {"foo"})
+    bad = dataclasses.replace(demo_scenario, link_budget=dict.fromkeys(unknown, 1.0))
+    assert [(v.code, v.path) for v in validate(bad)] == [
+        ("LINK_BUDGET", f"link_budget.{key}") for key in unknown]
+    assert validate(bad)[0].message.startswith(
+        "unknown key; link_budget takes only tx_power_dbm, ")
+
+
+def with_band_frequency(sc, fc_ghz):
+    return dataclasses.replace(sc, bands=(
+        dataclasses.replace(sc.bands[0], center_freq_ghz=fc_ghz), *sc.bands[1:]))
+
+
+def with_site_height(sc, height_m):
+    return dataclasses.replace(sc, sites=(
+        dataclasses.replace(sc.sites[0], height_m=height_m), *sc.sites[1:]))
+
+
+def with_ut_height(sc, height_m):
+    return dataclasses.replace(sc, ut_profile=dataclasses.replace(sc.ut_profile,
+                                                                  height_m=height_m))
+
+
+@pytest.mark.parametrize("edit, lo, hi, violation", [
+    (with_band_frequency, propagation.FC_MIN_GHZ, propagation.FC_MAX_GHZ,
+     ("FREQ_RANGE", "bands[0].center_freq_ghz", "center_freq_ghz must lie in [0.5, 100] GHz")),
+    (with_site_height, propagation.H_BS_MIN_M, propagation.H_BS_MAX_M,
+     ("HEIGHT_RANGE", "sites[0].height_m", "height_m must lie in [1, 150] m")),
+    (with_ut_height, propagation.H_UT_MIN_M, propagation.H_UT_MAX_M,
+     ("UT_HEIGHT_RANGE", "ut_profile.height_m", "height_m must lie in [1, 22.5] m")),
+], ids=["frequency", "site-height", "ut-height"])
+def test_scenario_envelope_is_the_pathloss_envelope(demo_scenario, edit, lo, hi, violation):
+    for value in (lo, hi):
+        assert validate(edit(demo_scenario, value)) == []
+    for value in (lo - 0.25, hi + 0.25):
+        assert [(v.code, v.path, v.message)
+                for v in validate(edit(demo_scenario, value))] == [violation]
 
 
 def test_duplicate_sector_ids():

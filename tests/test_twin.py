@@ -30,19 +30,50 @@ def make_batch(rows, t0_s=0.0, dt_s=60.0):
                                         for m, by_cell in rows.items()})
 
 
-def test_twin_and_coverage_do_not_import_each_other():
-    """The twin and the grid share the link model and the CSV number text
-    through propagation and _csvtext, not through each other."""
+MODEL = {"errors", "propagation", "scenario", "_csvtext"}
+# the rfplan modules each module may import; None: any (the CLI and the package)
+ALLOWED_IMPORTS = {
+    **{module: MODEL for module in MODEL},
+    **{stage: MODEL for stage in ("planning", "coverage", "twin", "localize", "report")},
+    "detect": MODEL | {"twin"},         # the KPI batch it consumes
+    "mitigate": MODEL | {"coverage"},   # the grids it compares
+    "cli": None, "__init__": None,
+}
+
+
+def rfplan_imports(tree) -> set[str]:
+    """The rfplan modules a module's source imports, relatively or by name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name.split(".") for alias in node.names]
+            names.update(d[1] for d in dotted if d[0] == "rfplan" and len(d) > 1)
+        elif isinstance(node, ast.ImportFrom):
+            path = (node.module or "").split(".")
+            if not node.level:
+                if path[0] != "rfplan":
+                    continue
+                path = path[1:]
+            if path and path[0]:
+                names.add(path[0])
+            else:                       # from . import a, b
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_modules_import_only_the_layers_below():
+    """The network model (data, link physics, CSV text) imports no stage,
+    and a stage imports only the model, except detect's batch and
+    mitigate's grids: a quantity two stages need lives in the model."""
     src = Path(twin.__file__).parent
-    for module, other in (("twin", "coverage"), ("coverage", "twin")):
-        names = []
-        for node in ast.walk(ast.parse((src / f"{module}.py").read_text())):
-            if isinstance(node, ast.Import):
-                names += [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                base = node.module or ""
-                names += [base] + [f"{base}.{alias.name}" for alias in node.names]
-        assert names and not [n for n in names if other in n.split(".")], module
+    assert {p.stem for p in src.glob("*.py")} == ALLOWED_IMPORTS.keys()
+    imports = {module: rfplan_imports(ast.parse((src / f"{module}.py").read_text()))
+               for module in ALLOWED_IMPORTS}
+    assert "twin" in imports["detect"] and "coverage" in imports["mitigate"]
+    wrong = {module: sorted(imports[module] - allowed)
+             for module, allowed in ALLOWED_IMPORTS.items()
+             if allowed is not None and not imports[module] <= allowed}
+    assert wrong == {}
 
 
 # --- the batch: its constructor and views -------------------------------------
