@@ -1,14 +1,15 @@
 """The full twin loop: KPI feed -> detection -> localization -> fix.
 
-Synthesizes an hour of per-cell RTWP/RSSI, clusters the cells, flags the
-anomalous ones, estimates where the interferer sits, reassigns the
-affected sectors to clean spectrum and verifies the what-if by
-re-simulating. Run with: python3 demos/03_detection_loop.py
+One run_loop call synthesizes an hour of per-cell RTWP/RSSI, clusters
+the cells, flags the anomalous ones, estimates where the interferer sits,
+reassigns the affected sectors to clean spectrum and verifies the what-if
+by re-simulating; the script prints what each stage gave. Run with:
+python3 demos/03_detection_loop.py
 """
 
 import math
 
-from rfplan import detect, localize, mitigate, twin
+from rfplan import run_loop, twin
 from rfplan.cli import demo_scenario_path
 from rfplan.scenario import load_scenario
 
@@ -18,9 +19,13 @@ print(f"ground truth (sealed from the detector): {jam.id} at "
       f"{jam.position}, {jam.tx_power_dbm} dBm on {jam.band_ref}, "
       f"active {jam.active_intervals[0]} s")
 
+# one call runs every stage; the feed hands the batch to detection as it is
+record = run_loop(scenario, lambda batch: batch, duration_s=3600.0, dt_s=60.0,
+                  baseline_window=15)
+
 # --- the physical side emits KPIs ----------------------------------------
 # one (cells x T) array per metric, rows in sorted cell-id order
-batch = twin.synthesize_kpi(scenario, duration_s=3600.0, dt_s=60.0)
+batch = record.batch
 print(f"\nKPI feed: {len(batch.cell_ids)} cells x "
       f"{batch.samples['RTWP'].shape[1]} samples")
 
@@ -29,27 +34,27 @@ worst = sorted(zip(batch.cell_ids, mean_excess), key=lambda ce: -ce[1])[:5]
 print("top mean RTWP excess:", ", ".join(f"{c} {e:+.1f} dB" for c, e in worst))
 
 # --- detection ------------------------------------------------------------
-result = detect.run_detection(batch, baseline_window=15)
+result = record.detection
 print(f"\nanomaly: {result.anomaly_flag}, affected: "
       f"{list(result.affected_cells)}")
 
 # --- localization ---------------------------------------------------------
 # each affected cell's excess is read against its own band's RTWP baseline
-estimates = localize.estimate_interferer(scenario, result)
-for name, est in estimates.items():
+for name, est in record.estimates.items():
     err = math.dist(est.position, jam.position)
     note = " (fallback)" if est.fallback else ""
     print(f"{name:16s}: ({est.position[0]:7.1f}, {est.position[1]:7.1f}), "
           f"error {err:6.1f} m{note}")
 
 # --- mitigation + verification -------------------------------------------
-rec = mitigate.recommend(scenario, result)
+# the verdict compares the interfered grid with the mitigated one, both from
+# the loop's one field pass
+rec = record.recommendation
 print(f"\nrecommendation: {rec.rationale}")
 for sector, old, new in rec.changes:
     print(f"  {sector}: {old} -> {new}")
 
-post = mitigate.apply(scenario, rec)
-verdict = mitigate.verify(scenario, post, result.affected_cells)
+verdict = record.verdict
 print(f"\nverification over {verdict.affected_pixel_count} affected pixels:")
 print(f"  mean SINR {verdict.pre_mean_sinr_db:.2f} -> "
       f"{verdict.post_mean_sinr_db:.2f} dB ({verdict.delta_db:+.2f} dB), "

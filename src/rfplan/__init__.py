@@ -22,5 +22,6 @@ from .localize import (LocalizationEstimate, pathloss_lsq,
                        validate_localization, weighted_centroid)
 from .mitigate import (Recommendation, VerificationVerdict, apply, compare,
                        recommend, verify)
+from .loop import LoopRecord, run_loop
 
 __version__ = "0.1.0"

@@ -1,24 +1,23 @@
 """Command-line surface tying the planning / twin / detection loop together.
 
 Subcommands mirror the loop: plan, simulate, twin, detect, recommend,
-report, and demo (the whole loop on the bundled fixture). Every command
-is file-in/file-out and deterministic given --seed. Exit codes: 0 ok,
-1 input or validation error, 2 internal error.
+report, and demo (the whole loop on the bundled fixture: plan, then one
+loop.run_loop record written by the other subcommands' writers). Every
+command is file-in/file-out and deterministic given --seed. Exit codes:
+0 ok, 1 input or validation error, 2 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
-import io
 import json
 import math
 import sys
 from importlib import resources
 from pathlib import Path
 
-from . import coverage, detect, localize, mitigate, planning, report, twin
+from . import coverage, detect, localize, loop, mitigate, planning, report, twin
 from .errors import InputError, RfplanError
 from .scenario import _finite, load_scenario, read_json_object
 
@@ -102,6 +101,20 @@ def _write_json(path, data, verbose=False):
         print(f"wrote {path}")
 
 
+def _write_all(path, writers) -> None:
+    """Write the file at path and those beside it, {suffix: write(file)};
+    if one fails, remove them all: a command leaves all its outputs or none."""
+    files = [(Path(f"{path}{suffix}"), write) for suffix, write in writers.items()]
+    try:
+        for file, write in files:
+            write(file)
+    except BaseException:
+        for file, _ in files:
+            if file.is_file():
+                file.unlink()
+        raise
+
+
 def _out(args, default_name):
     if args.out:
         return Path(args.out)
@@ -120,12 +133,9 @@ def cmd_plan(args, scenario) -> int:
         raise InputError(f"unknown band {args.band!r}")
     results = planning.plan_scenario(scenario, condition=args.condition,
                                      band_ids=band_ids)
-    data = {
-        "scenario": scenario.name,
-        "condition": args.condition,
-        "note": "demo link budget is an illustrative fixture",
-        "bands": [dataclasses.asdict(r) for r in results],
-    }
+    data = {"scenario": scenario.name, "condition": args.condition,
+            "note": "demo link budget is an illustrative fixture",
+            "bands": [dataclasses.asdict(r) for r in results]}
     path = _out(args, "plan.json")
     _write_json(path, data, args.verbose)
     for r in results:
@@ -145,15 +155,11 @@ def cmd_simulate(args, scenario) -> int:
 def _write_simulation(args, scenario, grid, interference, default_name) -> None:
     """simulate's outputs: the grid CSV, its summary file and one line."""
     summary = coverage.grid_summary(grid)       # fails before any file is written
+    summary_doc = {"scenario": scenario.name, "interference": interference,
+                   "summary": summary, "metrics": report.sim_metrics(scenario, summary)}
     path = _out(args, default_name)
-    coverage.write_grid_csv(grid, path)
-    summary_doc = {
-        "scenario": scenario.name,
-        "interference": interference,
-        "summary": summary,
-        "metrics": report.sim_metrics(scenario, summary),
-    }
-    _write_json(Path(str(path) + ".summary.json"), summary_doc, args.verbose)
+    _write_all(path, {"": lambda p: coverage.write_grid_csv(grid, p),
+                      ".summary.json": lambda p: _write_json(p, summary_doc, args.verbose)})
     ov = summary["overall"]
     print(f"grid {grid.shape[1]}x{grid.shape[0]} px, covered "
           f"{summary['covered_fraction']:.1%}, mean RSSI "
@@ -162,18 +168,20 @@ def _write_simulation(args, scenario, grid, interference, default_name) -> None:
 
 
 def cmd_twin(args, scenario) -> int:
-    batch = twin.synthesize_kpi(scenario, args.duration, args.dt)
-    path = _out(args, "kpi.csv")
-    twin.write_kpi_csv(batch, path)
-    # ground truth goes to a separate sealed file; detection only reads it
-    # behind an explicit --validate
-    twin.write_ground_truth(scenario, Path(str(path) + ".truth.json"))
-    _write_json(Path(str(path) + ".summary.json"),
-                {"scenario": scenario.name,
-                 "metrics": report.twin_metrics(scenario, batch)},
-                args.verbose)
-    print(f"{len(batch.cell_ids)} cells x {batch.timestamps.size} samples -> {path}")
+    _write_twin(args, scenario, twin.synthesize_kpi(scenario, args.duration, args.dt))
     return 0
+
+
+def _write_twin(args, scenario, batch) -> None:
+    """twin's outputs: the KPI CSV, the sealed ground truth (detection reads
+    it only behind an explicit --validate), the summary file and one line."""
+    summary_doc = {"scenario": scenario.name,
+                   "metrics": report.twin_metrics(scenario, batch)}
+    path = _out(args, "kpi.csv")
+    _write_all(path, {"": lambda p: twin.write_kpi_csv(batch, p),
+                      ".truth.json": lambda p: twin.write_ground_truth(scenario, p),
+                      ".summary.json": lambda p: _write_json(p, summary_doc, args.verbose)})
+    print(f"{len(batch.cell_ids)} cells x {batch.timestamps.size} samples -> {path}")
 
 
 def cmd_detect(args, scenario) -> int:
@@ -186,18 +194,20 @@ def cmd_detect(args, scenario) -> int:
     result = detect.run_detection(batch, args.baseline_window, k=args.k,
                                   seed=scenario.seed, threshold_db=args.threshold,
                                   metric=args.metric)
-    doc = {
-        "scenario": scenario.name,
-        "metric": args.metric,
-        "k": args.k,
-        "baseline_window": args.baseline_window,
-        "threshold_db": result.threshold_db,
-        "anomaly": result.anomaly_flag,
-        "affected_cells": list(result.affected_cells),
-        "evidence": result.evidence,
-    }
+    estimates = (localize.estimate_interferer(scenario, result)
+                 if result.anomaly_flag else {})
+    _write_detection(args, scenario, result, estimates)
+    return 0
+
+
+def _write_detection(args, scenario, result, estimates) -> None:
+    """detect's outputs: the detection file, with the estimates and, under
+    --validate, their scores, and one line."""
+    doc = {"scenario": scenario.name, "metric": args.metric, "k": args.k,
+           "baseline_window": args.baseline_window, "threshold_db": result.threshold_db,
+           "anomaly": result.anomaly_flag, "affected_cells": list(result.affected_cells),
+           "evidence": result.evidence}
     if result.anomaly_flag:
-        estimates = localize.estimate_interferer(scenario, result)
         doc["localization"] = {
             name: {"position": list(est.position), "residual": est.residual,
                    "tx_power_dbm": est.tx_power_dbm, "fallback": est.fallback,
@@ -214,7 +224,6 @@ def cmd_detect(args, scenario) -> int:
     _write_json(path, doc, args.verbose)
     state = "ANOMALY" if result.anomaly_flag else "clear"
     print(f"{state}: affected={list(result.affected_cells)}")
-    return 0
 
 
 def cmd_recommend(args, scenario) -> int:
@@ -230,13 +239,10 @@ def cmd_recommend(args, scenario) -> int:
 def _write_recommendation(args, scenario, rec, verdict) -> None:
     """recommend's outputs: one line and the recommendation file; verdict
     is None when the recommendation changes nothing."""
-    doc = {
-        "scenario": scenario.name,
-        "rationale": rec.rationale,
-        "expected_effect_db": rec.expected_effect_db,
-        "changes": {sec: new for sec, _old, new in rec.changes},
-        "verification": None if verdict is None else dataclasses.asdict(verdict),
-    }
+    doc = {"scenario": scenario.name, "rationale": rec.rationale,
+           "expected_effect_db": rec.expected_effect_db,
+           "changes": {sec: new for sec, _old, new in rec.changes},
+           "verification": None if verdict is None else dataclasses.asdict(verdict)}
     if verdict is None:
         print(f"no-op: {rec.rationale}")
     else:
@@ -258,14 +264,10 @@ def cmd_report(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    """The whole loop on the bundled scenario. Its output is that of plan,
-    simulate (off, then on), twin, detect, recommend and report run one
-    after another into one directory.
-
-    Twin, detect and the recommendation never read a grid, so they run
-    first, with their lines held back until the simulate section has
-    printed. The off, on and mitigated grids then come from one field pass.
-    """
+    """The whole loop on the bundled scenario: plan, then one run_loop
+    record, written by the writers of simulate (off, then on), twin, detect,
+    recommend and report, so the output is theirs run one after another into
+    one directory. The loop's feed writes kpi.csv and reads it back."""
     out_dir = Path(args.out_dir or "demo_out")      # made by plan, the first to write
     made = out_dir.absolute()       # the demo's outputs as inputs: no name parses as a flag
     scenario_path = demo_scenario_path()
@@ -281,34 +283,28 @@ def cmd_demo(args) -> int:
     print("== plan ==")
     cmd_plan(plan, scenario)
 
-    held = io.StringIO()
-    with contextlib.redirect_stdout(held):
-        print("== twin ==")
-        cmd_twin(step("twin", scenario_path), scenario)
-        print("== detect ==")
-        cmd_detect(step("detect", made / "kpi.csv", scenario_path,
-                        f"--validate={made / 'kpi.csv.truth.json'}"), scenario)
+    twin_args = step("twin", scenario_path)
+    detect_args = step("detect", made / "kpi.csv", scenario_path,
+                       f"--validate={made / 'kpi.csv.truth.json'}")
 
-    result = _read_detection(out_dir / "detection.json")   # as rfplan recommend does
-    rec = mitigate.recommend(scenario, result)
-    # without its interferers, the scenario gives simulate --interference off's grid
-    scenarios = [dataclasses.replace(scenario, interferers=()), scenario]
-    if rec.changes:
-        scenarios.append(mitigate.apply(scenario, rec))
-    grids = coverage.compute_grids(scenarios, n_workers=args.workers)
+    def feed(batch):
+        twin.write_kpi_csv(batch, detect_args.kpi_csv)
+        return twin.read_kpi_csv(detect_args.kpi_csv)
 
+    record = loop.run_loop(scenario, feed, duration_s=twin_args.duration,
+                           dt_s=twin_args.dt, baseline_window=detect_args.baseline_window,
+                           n_workers=args.workers)
     print("== simulate (interference off / on) ==")
-    for mode, grid in zip(("off", "on"), grids):
+    for mode, grid in zip(("off", "on"), record.grids):
         _write_simulation(step("simulate", scenario_path), scenario, grid, mode,
                           f"grid_{mode}.csv")
-    sys.stdout.write(held.getvalue())
-
+    print("== twin ==")
+    _write_twin(twin_args, scenario, record.batch)
+    print("== detect ==")
+    _write_detection(detect_args, scenario, record.detection, record.estimates)
     print("== recommend ==")
-    verdict = (mitigate.compare(grids[1], grids[2], result.affected_cells)
-               if rec.changes else None)
     _write_recommendation(step("recommend", made / "detection.json", scenario_path),
-                          scenario, rec, verdict)
-
+                          scenario, record.recommendation, record.verdict)
     print("== report ==")
     cmd_report(step("report", made / "grid_on.csv.summary.json",
                     made / "kpi.csv.summary.json"))

@@ -70,7 +70,7 @@ def recommend(scenario: Scenario, detection) -> Recommendation:
     if not candidates:
         return Recommendation(
             changes=(), rationale="no clean spectrum: every declared band "
-            "overlaps an interferer")
+            "carries an affected cell")
 
     neighbor_radius_m = 2.0 * _mean_nn_intersite_m(scenario.sites) / math.sqrt(3.0)
 

@@ -76,6 +76,20 @@ def test_unwritable_output_exits_one(capsys, tmp_path, command, where):
     assert "internal error" not in err and str(path) in err
 
 
+@pytest.mark.parametrize("command, name, beside", [
+    ("twin", "kpi.csv", ".truth.json"), ("twin", "kpi.csv", ".summary.json"),
+    ("simulate", "grid.csv", ".summary.json")])
+def test_unwritable_later_output_leaves_no_file(capsys, tmp_path, command, name, beside):
+    """A file the command cannot write, after others it has written: it
+    exits 1 and removes those, so no file stands without its partners."""
+    out = tmp_path / "out"
+    (out / (name + beside)).mkdir(parents=True)
+    code, _, err = run(capsys, command, DEMO, "--out", str(out / name))
+    assert code == 1
+    assert "internal error" not in err and name + beside in err
+    assert [p.name for p in out.iterdir()] == [name + beside]
+
+
 def test_out_dir_is_made_only_for_a_file_in_it(capsys, tmp_path):
     out_dir, out = tmp_path / "unused", tmp_path / "plan.json"
     assert run(capsys, "--out-dir", str(out_dir), "plan", DEMO, "--out", str(out))[0] == 0

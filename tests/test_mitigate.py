@@ -42,7 +42,7 @@ def test_no_clean_spectrum(demo_scenario):
     sc = dataclasses.replace(demo_scenario, bands=demo_scenario.bands[:1])
     rec = recommend(sc, detection_for(["A1"]))
     assert rec.changes == ()
-    assert "no clean spectrum" in rec.rationale
+    assert rec.rationale == "no clean spectrum: every declared band carries an affected cell"
 
 
 def test_unknown_sector_rejected(demo_scenario):

@@ -37,6 +37,7 @@ ALLOWED_IMPORTS = {
     **{stage: MODEL for stage in ("planning", "coverage", "twin", "localize", "report")},
     "detect": MODEL | {"twin"},         # the KPI batch it consumes
     "mitigate": MODEL | {"coverage"},   # the grids it compares
+    "loop": MODEL | {"coverage", "detect", "localize", "mitigate", "twin"},
     "cli": None, "__init__": None,
 }
 
