@@ -1,15 +1,16 @@
 """The full twin loop: KPI feed -> detection -> localization -> fix.
 
-One run_loop call synthesizes an hour of per-cell RTWP/RSSI, clusters
-the cells, flags the anomalous ones, estimates where the interferer sits,
-reassigns the affected sectors to clean spectrum and verifies the what-if
-by re-simulating; the script prints what each stage gave. Run with:
+The twin synthesizes an hour of per-cell RTWP/RSSI; one run_loop call on
+that feed clusters the cells, flags the anomalous ones, estimates where the
+interferer sits, reassigns the affected sectors to clean spectrum and
+verifies the what-if by re-simulating; the script prints what each stage
+gave. Run with:
 python3 demos/03_detection_loop.py
 """
 
 import math
 
-from rfplan import run_loop, twin
+from rfplan import run_loop, synthesize_kpi, twin
 from rfplan.cli import demo_scenario_path
 from rfplan.scenario import load_scenario
 
@@ -19,13 +20,9 @@ print(f"ground truth (sealed from the detector): {jam.id} at "
       f"{jam.position}, {jam.tx_power_dbm} dBm on {jam.band_ref}, "
       f"active {jam.active_intervals[0]} s")
 
-# one call runs every stage; the feed hands the batch to detection as it is
-record = run_loop(scenario, lambda batch: batch, duration_s=3600.0, dt_s=60.0,
-                  baseline_window=15)
-
 # --- the physical side emits KPIs ----------------------------------------
 # one (cells x T) array per metric, rows in sorted cell-id order
-batch = record.batch
+batch = synthesize_kpi(scenario, 3600.0, 60.0)
 print(f"\nKPI feed: {len(batch.cell_ids)} cells x "
       f"{batch.samples['RTWP'].shape[1]} samples")
 
@@ -34,6 +31,8 @@ worst = sorted(zip(batch.cell_ids, mean_excess), key=lambda ce: -ce[1])[:5]
 print("top mean RTWP excess:", ", ".join(f"{c} {e:+.1f} dB" for c, e in worst))
 
 # --- detection ------------------------------------------------------------
+# one call runs every stage; the network's state reaches it only through the feed
+record = run_loop(scenario, batch, baseline_window=15)
 result = record.detection
 print(f"\nanomaly: {result.anomaly_flag}, affected: "
       f"{list(result.affected_cells)}")

@@ -18,8 +18,8 @@ from importlib import resources
 from pathlib import Path
 
 from . import coverage, detect, localize, loop, mitigate, planning, report, twin
-from .errors import InputError, RfplanError
-from .scenario import _finite, load_scenario, read_json_object
+from .errors import InputError, RfplanError, ScenarioValidationError
+from .scenario import _finite, load_scenario, read_json_object, validate
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,8 +50,10 @@ def demo_scenario_path() -> Path:
 
 def _load(args):
     scenario = load_scenario(args.scenario)
-    if args.seed is not None:
+    if args.seed is not None:       # the override meets the file's rules
         scenario = dataclasses.replace(scenario, seed=args.seed)
+        if violations := validate(scenario):
+            raise ScenarioValidationError(violations)
     return scenario
 
 
@@ -168,20 +170,21 @@ def _write_simulation(args, scenario, grid, interference, default_name) -> None:
 
 
 def cmd_twin(args, scenario) -> int:
-    _write_twin(args, scenario, twin.synthesize_kpi(scenario, args.duration, args.dt))
+    print(_write_twin(args, scenario, twin.synthesize_kpi(scenario, args.duration, args.dt)))
     return 0
 
 
-def _write_twin(args, scenario, batch) -> None:
+def _write_twin(args, scenario, batch) -> str:
     """twin's outputs: the KPI CSV, the sealed ground truth (detection reads
-    it only behind an explicit --validate), the summary file and one line."""
+    it only behind an explicit --validate) and the summary file; -> its text."""
     summary_doc = {"scenario": scenario.name,
                    "metrics": report.twin_metrics(scenario, batch)}
     path = _out(args, "kpi.csv")
     _write_all(path, {"": lambda p: twin.write_kpi_csv(batch, p),
                       ".truth.json": lambda p: twin.write_ground_truth(scenario, p),
-                      ".summary.json": lambda p: _write_json(p, summary_doc, args.verbose)})
-    print(f"{len(batch.cell_ids)} cells x {batch.timestamps.size} samples -> {path}")
+                      ".summary.json": lambda p: _write_json(p, summary_doc)})
+    wrote = f"wrote {path}.summary.json\n" if args.verbose else ""
+    return f"{wrote}{len(batch.cell_ids)} cells x {batch.timestamps.size} samples -> {path}"
 
 
 def cmd_detect(args, scenario) -> int:
@@ -264,10 +267,10 @@ def cmd_report(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    """The whole loop on the bundled scenario: plan, then one run_loop
-    record, written by the writers of simulate (off, then on), twin, detect,
-    recommend and report, so the output is theirs run one after another into
-    one directory. The loop's feed writes kpi.csv and reads it back."""
+    """The whole loop on the bundled scenario: plan, twin's files, then one
+    run_loop record on kpi.csv read back as detect reads it, written by the
+    writers of simulate (off, then on), detect, recommend and report. The
+    output is theirs run one after another into one directory."""
     out_dir = Path(args.out_dir or "demo_out")      # made by plan, the first to write
     made = out_dir.absolute()       # the demo's outputs as inputs: no name parses as a flag
     scenario_path = demo_scenario_path()
@@ -284,22 +287,19 @@ def cmd_demo(args) -> int:
     cmd_plan(plan, scenario)
 
     twin_args = step("twin", scenario_path)
+    twin_text = _write_twin(twin_args, scenario, twin.synthesize_kpi(
+        scenario, twin_args.duration, twin_args.dt))
     detect_args = step("detect", made / "kpi.csv", scenario_path,
                        f"--validate={made / 'kpi.csv.truth.json'}")
-
-    def feed(batch):
-        twin.write_kpi_csv(batch, detect_args.kpi_csv)
-        return twin.read_kpi_csv(detect_args.kpi_csv)
-
-    record = loop.run_loop(scenario, feed, duration_s=twin_args.duration,
-                           dt_s=twin_args.dt, baseline_window=detect_args.baseline_window,
+    record = loop.run_loop(scenario, twin.read_kpi_csv(detect_args.kpi_csv),
+                           baseline_window=detect_args.baseline_window,
                            n_workers=args.workers)
     print("== simulate (interference off / on) ==")
     for mode, grid in zip(("off", "on"), record.grids):
         _write_simulation(step("simulate", scenario_path), scenario, grid, mode,
                           f"grid_{mode}.csv")
     print("== twin ==")
-    _write_twin(twin_args, scenario, record.batch)
+    print(twin_text)
     print("== detect ==")
     _write_detection(detect_args, scenario, record.detection, record.estimates)
     print("== recommend ==")

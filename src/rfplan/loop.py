@@ -1,6 +1,6 @@
-"""The loop as one call: KPI feed -> detection -> localization -> fix,
-each stage's result in one record. The feed is how the synthesized batch
-reaches detection: the identity, or a write and read of the KPI CSV."""
+"""The loop as one call: KPI batch -> detection -> localization -> fix,
+each stage's result in one record. The batch is the operational data it
+analyzes; the scenario is the network it plans on, not the batch's source."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from .scenario import Scenario
 
 @dataclass(frozen=True)
 class LoopRecord:
-    batch: twin.KpiBatch                        # as synthesized, before the feed
     detection: detect.DetectionResult
     estimates: dict                             # per method; {} without an anomaly
     recommendation: mitigate.Recommendation
@@ -20,13 +19,12 @@ class LoopRecord:
     verdict: mitigate.VerificationVerdict | None    # None when nothing changes
 
 
-def run_loop(scenario: Scenario, feed, *, duration_s: float, dt_s: float,
-             baseline_window: int, n_workers: int = 1) -> LoopRecord:
-    """Synthesize the feed, detect on feed(batch), localize an anomaly,
-    recommend, and build the off, on and post grids in one field pass;
-    the verdict compares the on and post grids over the affected cells."""
-    batch = twin.synthesize_kpi(scenario, duration_s, dt_s)
-    detection = detect.run_detection(feed(batch), baseline_window, seed=scenario.seed)
+def run_loop(scenario: Scenario, batch: twin.KpiBatch, *, baseline_window: int,
+             n_workers: int = 1) -> LoopRecord:
+    """Detect on the batch, localize an anomaly, recommend, and build the
+    off, on and post grids in one field pass; the verdict compares the on
+    and post grids over the affected cells."""
+    detection = detect.run_detection(batch, baseline_window, seed=scenario.seed)
     estimates = (localize.estimate_interferer(scenario, detection)
                  if detection.anomaly_flag else {})
     rec = mitigate.recommend(scenario, detection)
@@ -37,4 +35,4 @@ def run_loop(scenario: Scenario, feed, *, duration_s: float, dt_s: float,
     grids = tuple(coverage.compute_grids(scenarios, n_workers=n_workers))
     verdict = (mitigate.compare(grids[1], grids[2], detection.affected_cells)
                if rec.changes else None)
-    return LoopRecord(batch, detection, estimates, rec, grids, verdict)
+    return LoopRecord(detection, estimates, rec, grids, verdict)

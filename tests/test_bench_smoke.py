@@ -4,7 +4,8 @@ bench/run.py patches rfplan.localize.least_squares, reads the
 scipy.optimize line of ``-X importtime`` and wraps every public function
 of the layer modules by name; a change under src/ can break any of these,
 and the benchmark then fails instead of measuring. Short traced
-demo_loop, lattice_grid and kpi_feed runs check them all.
+demo_loop, lattice_grid and kpi_feed runs check them all, and one short
+untraced run of every workload checks the path the benchmark measures.
 """
 
 import json
@@ -56,3 +57,19 @@ def test_traced_kpi_feed_runs_and_reports_every_metric():
     for name in ("localize.least_squares.calls", "localize.pathloss_calls"):
         assert metrics[name]["value"] > 0, name
     assert metrics["localize.lsq_fallback"]["value"] == 0
+
+
+def test_untraced_run_of_every_workload_reports_every_end_to_end_metric():
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "all", "--seed", "1",
+         "--seconds", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, proc.stderr
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = result["metrics"]
+    assert set(metrics) == {f"{wl['name']}/{m['name']}" for wl in spec["workloads"]
+                            for m in spec["end_to_end"]}
+    for name, metric in metrics.items():
+        assert math.isfinite(metric["value"]) and metric["value"] > 0, name

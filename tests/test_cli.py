@@ -485,6 +485,19 @@ def test_simulate_without_coverage_exits_one(capsys, tmp_path):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+@pytest.mark.parametrize("command", ["simulate", "twin", "demo"])
+def test_seed_override_meets_the_seed_range_rule(capsys, tmp_path, command, seed):
+    """--seed is checked as a seed in the scenario file is: exit 1 before any
+    output, not an internal error late in the run or an accepted run."""
+    out = tmp_path / "out"
+    argv = ["--seed", seed, "--out-dir", str(out), command]
+    code, _, err = run(capsys, *argv, *([] if command == "demo" else [DEMO]))
+    assert code == 1
+    assert "SEED_RANGE" in err and "internal error" not in err
+    assert not out.exists()
+
+
 def test_seed_override_changes_twin(capsys, tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -583,6 +596,31 @@ def test_demo_makes_one_field_pass(monkeypatch, capsys, tmp_path, case, grids):
     monkeypatch.setattr(coverage, "_field_pass", counted)
     assert run(capsys, "--out-dir", str(tmp_path / "out"), "demo")[0] == 0
     assert passes == [grids]
+
+
+def test_demo_writes_the_kpi_csv_once(monkeypatch, capsys, tmp_path):
+    """twin's writer writes kpi.csv before the loop, which reads it back."""
+    calls, write = [], twin.write_kpi_csv
+
+    def counted(batch, path):
+        calls.append(Path(path).name)
+        return write(batch, path)
+
+    monkeypatch.setattr(twin, "write_kpi_csv", counted)
+    assert run(capsys, "--out-dir", str(tmp_path / "out"), "demo")[0] == 0
+    assert calls == ["kpi.csv"]
+
+
+def test_demo_stops_before_the_loop_when_twin_cannot_write(capsys, tmp_path):
+    """twin's files are written before the loop runs: one that cannot be
+    written ends the demo with twin's other files removed and no grid made."""
+    out = tmp_path / "out"
+    (out / "kpi.csv.truth.json").mkdir(parents=True)
+    code, stdout, err = run(capsys, "--out-dir", str(out), "demo")
+    assert code == 1
+    assert "internal error" not in err and "kpi.csv.truth.json" in err
+    assert "== simulate" not in stdout
+    assert sorted(p.name for p in out.iterdir()) == ["kpi.csv.truth.json", "plan.json"]
 
 
 def test_demo_reads_the_scenario_once(monkeypatch, capsys, tmp_path):

@@ -1,45 +1,36 @@
-"""run_loop: one call for the stage sequence, each stage's result recorded."""
+"""run_loop: one call for the stage sequence on a KPI batch, each stage's
+result recorded."""
 
-import numpy as np
+import dataclasses
+
 import pytest
 
-from rfplan import run_loop
+from rfplan import run_loop, synthesize_kpi
 from rfplan.detect import run_detection
 from rfplan.localize import estimate_interferer
 from rfplan.mitigate import apply, recommend, verify
 from test_coverage import assert_same_grid
 
-LOOP = dict(duration_s=3600.0, dt_s=60.0, baseline_window=15)
-
-
-def loop_and_feed(scenario):
-    """run_loop's record with an identity feed, and the batches it was fed."""
-    fed = []
-
-    def feed(batch):
-        fed.append(batch)
-        return batch
-    return run_loop(scenario, feed, **LOOP), fed
+BASELINE_WINDOW = 15
 
 
 @pytest.fixture(scope="module")
-def demo_record(demo_scenario):
-    return loop_and_feed(demo_scenario)
+def demo_record(demo_scenario, demo_batch):
+    return run_loop(demo_scenario, demo_batch, baseline_window=BASELINE_WINDOW)
 
 
-def test_feed_is_called_once_with_the_synthesized_batch(demo_record):
-    record, fed = demo_record
-    assert len(fed) == 1 and fed[0] is record.batch
+@pytest.fixture(scope="module")
+def quiet_batch(quiet_scenario):
+    return synthesize_kpi(quiet_scenario, 3600.0, 60.0)
 
 
 def test_record_equals_the_stages_called_one_by_one(demo_record, demo_scenario,
                                                     demo_batch):
-    sc, record = demo_scenario, demo_record[0]
-    assert record.batch.cell_ids == demo_batch.cell_ids
-    assert all(np.array_equal(record.batch.samples[m], demo_batch.samples[m])
-               for m in demo_batch.samples)
+    sc, record = demo_scenario, demo_record
+    assert [f.name for f in dataclasses.fields(record)] == [
+        "detection", "estimates", "recommendation", "grids", "verdict"]
 
-    detection = run_detection(demo_batch, LOOP["baseline_window"], seed=sc.seed)
+    detection = run_detection(demo_batch, BASELINE_WINDOW, seed=sc.seed)
     got = record.detection
     assert (got.affected_cells, got.anomaly_flag, got.evidence, got.threshold_db) == (
         detection.affected_cells, detection.anomaly_flag, detection.evidence,
@@ -53,11 +44,23 @@ def test_record_equals_the_stages_called_one_by_one(demo_record, demo_scenario,
 
 
 def test_off_grid_is_compute_grid_without_interferers(demo_record, demo_grid_off):
-    assert_same_grid(demo_record[0].grids[0], demo_grid_off)
+    assert_same_grid(demo_record.grids[0], demo_grid_off)
 
 
-def test_quiet_scenario_recommends_nothing(quiet_scenario):
-    record = loop_and_feed(quiet_scenario)[0]
+def test_quiet_scenario_recommends_nothing(quiet_scenario, quiet_batch):
+    record = run_loop(quiet_scenario, quiet_batch, baseline_window=BASELINE_WINDOW)
+    assert not record.detection.anomaly_flag
+    assert record.estimates == {}
+    assert record.verdict is None
+    assert len(record.grids) == 2
+
+
+def test_network_state_comes_only_from_the_batch(demo_scenario, quiet_batch):
+    """The planned network holds a jammer, but the feed is a quiet network's:
+    the loop flags, localizes and changes nothing, as a feed from a network
+    other than the planned one must be read."""
+    assert demo_scenario.interferers
+    record = run_loop(demo_scenario, quiet_batch, baseline_window=BASELINE_WINDOW)
     assert not record.detection.anomaly_flag
     assert record.estimates == {}
     assert record.verdict is None
