@@ -1,11 +1,10 @@
 """Interferer position estimation from per-cell interference evidence.
 
 Two estimators: a linear-power weighted centroid of the affected cells
-(cheap, always available) and a pathloss-inversion nonlinear least
-squares that jointly solves for position and transmit power (needs at
-least 3 non-collinear sensors). Both are deterministic; the LSQ runs a
-fixed multi-start grid and keeps the lowest-residual solution, ties to
-the lower start index.
+(cheap, always available) and a pathloss-inversion least squares for
+position and transmit power (needs at least 3 non-collinear sensors).
+Both are deterministic: the LSQ profiles the power out over a fixed
+lattice of its search box, then polishes the best lattice point once.
 """
 
 from __future__ import annotations
@@ -21,7 +20,8 @@ from .errors import InputError
 from .scenario import cell_baseline_dbm
 
 SOURCE_HEIGHT_M = 1.5          # forward-model interferer height, a valid UT height
-TX_POWER_GUESS_DBM = 20.0      # LSQ start for the interferer's power
+SEARCH_POINTS = 121            # LSQ lattice points per axis of the search box
+SEARCH_MARGIN_M = 500.0        # box padding around the sensors when no area is given
 
 
 @dataclass
@@ -67,17 +67,19 @@ def _collinear(pos: np.ndarray) -> bool:
     return sv.size < 2 or sv[1] <= 1e-9 * max(sv[0], 1.0)
 
 
-def pathloss_lsq(observations, fc_ghz: float,
-                 environment: str = "UMa") -> LocalizationEstimate:
+def pathloss_lsq(observations, fc_ghz: float, environment: str = "UMa",
+                 sectors=None, area=None) -> LocalizationEstimate:
     """Invert observed interference powers through the pathloss model.
 
     observations: iterable of (cell_id, (x, y), h_bs_m, power_dbm) where
     power_dbm is the interference power seen at that cell. Solves
     min sum_i (U_i(x, y, P) - power_i)^2 over (x, y, P), U being
-    propagation.uplink_dbm into omni receivers (orientation unknown).
-
-    Collinear or too-few sensors degrade to the weighted centroid with
-    the fallback flag set.
+    propagation.uplink_dbm into `sectors` (its meaning, one site row per
+    observation; None: omni). U is P plus a gain, so at each point of a
+    lattice over the box the best P is the mean of (power - gain); one
+    least_squares polishes the lowest-cost point (the first on a tie) inside
+    the box: the Rect `area`, or the sensors' bounds padded by SEARCH_MARGIN_M.
+    Collinear sensors degrade to the weighted centroid, fallback flag set.
     """
     obs = list(observations)
     if len(obs) < 3:
@@ -86,28 +88,24 @@ def pathloss_lsq(observations, fc_ghz: float,
     pos = np.array([o[1] for o in obs], dtype=float)
     h_bs = np.array([o[2] for o in obs], dtype=float)
     power = np.array([o[3] for o in obs], dtype=float)
-    centroid = weighted_centroid(
-        (i, tuple(p), float(v)) for i, p, v in zip(ids, pos, power))
     if _collinear(pos):
-        return replace(centroid, method="PathlossLSQ", fallback=True)
+        return replace(weighted_centroid(
+            (i, tuple(p), float(v)) for i, p, v in zip(ids, pos, power)),
+            method="PathlossLSQ", fallback=True)
 
-    def residuals(theta):
-        x, y, p = theta
+    def uplink(x, y, p):
         return propagation.uplink_dbm((x, y, SOURCE_HEIGHT_M, p, fc_ghz), pos, h_bs,
-                                      environment) - power
+                                      environment, sectors)
 
-    # Multi-start: a fixed 5 x 5 grid over the sensor hull plus the weighted
-    # centroid; deterministic best-of with ties to the lower start index.
-    xs = np.linspace(pos[:, 0].min(), pos[:, 0].max(), 5)
-    ys = np.linspace(pos[:, 1].min(), pos[:, 1].max(), 5)
-    starts = [centroid.position] + [(x0, y0) for y0 in ys for x0 in xs]
-
-    best = None
-    for x0, y0 in starts:
-        sol = least_squares(residuals, x0=[x0, y0, TX_POWER_GUESS_DBM],
-                            method="lm", max_nfev=200)
-        if best is None or sol.cost < best.cost:
-            best = sol
+    lo, hi = ((pos.min(axis=0) - SEARCH_MARGIN_M, pos.max(axis=0) + SEARCH_MARGIN_M)
+              if area is None else ((area.min_x, area.min_y), (area.max_x, area.max_y)))
+    x, y = (a.reshape(-1, 1) for a in np.meshgrid(np.linspace(lo[0], hi[0], SEARCH_POINTS),
+                                                  np.linspace(lo[1], hi[1], SEARCH_POINTS)))
+    left = power - uplink(x, y, 0.0)
+    p = left.mean(axis=1)
+    k = int(np.argmin(np.square(left - p[:, None]).sum(axis=1)))
+    best = least_squares(lambda theta: uplink(*theta) - power, x0=(x[k, 0], y[k, 0], p[k]),
+                         bounds=([*lo, -np.inf], [*hi, np.inf]))
     rms = math.sqrt(2.0 * best.cost / len(obs))
     return LocalizationEstimate(
         position=(float(best.x[0]), float(best.x[1])),
@@ -132,8 +130,11 @@ def estimate_interferer(scenario, detection, baseline_dbm: float | None = None,
 
     Returns a dict with one LocalizationEstimate per requested method. Each
     cell's excess is read against baseline_dbm, or if None its own band's
-    cell_baseline_dbm; the LSQ runs at the first affected cell's frequency.
+    cell_baseline_dbm; the LSQ fits at the first affected cell's frequency,
+    through the cells' own sector receivers over scenario.area.
     """
+    if method not in ("both", "WeightedCentroid", "PathlossLSQ"):
+        raise InputError(f"method must be both, WeightedCentroid or PathlossLSQ, not {method!r}")
     if not detection.affected_cells:
         raise InputError("no affected cells to localize")
     baselines, rows = {}, []
@@ -143,14 +144,16 @@ def estimate_interferer(scenario, detection, baseline_dbm: float | None = None,
         if band.id not in baselines:
             baselines[band.id] = (cell_baseline_dbm(scenario, band)
                                   if baseline_dbm is None else baseline_dbm)
-        rows.append((cell, site, detection.evidence[cell]["mean_excess_db"], band))
-    centroid = weighted_centroid((c, site.position, e) for c, site, e, _ in rows)
-    out = {"WeightedCentroid": centroid} if method in ("both", "WeightedCentroid") else {}
-    if method in ("both", "PathlossLSQ"):
-        obs = [(c, site.position, site.height_m, excess_to_power_dbm(e, baselines[band.id]))
-               for c, site, e, band in rows]
-        obs = [o for o in obs if o[3] is not None]
-        out["PathlossLSQ"] = (pathloss_lsq(obs, rows[0][3].center_freq_ghz, scenario.environment)
+        rows.append((cell, site, sector, detection.evidence[cell]["mean_excess_db"], band))
+    centroid = weighted_centroid((c, site.position, e) for c, site, _, e, _ in rows)
+    out = {"WeightedCentroid": centroid} if method != "PathlossLSQ" else {}
+    if method != "WeightedCentroid":
+        lsq = [(c, site, sector, p) for c, site, sector, e, band in rows
+               if (p := excess_to_power_dbm(e, baselines[band.id])) is not None]
+        obs = [(c, site.position, site.height_m, p) for c, site, _, p in lsq]
+        receivers = propagation.sector_receivers(np.arange(len(lsq)), [r[2] for r in lsq])
+        out["PathlossLSQ"] = (pathloss_lsq(obs, rows[0][4].center_freq_ghz, scenario.environment,
+                                           receivers, scenario.area)
                               if len(obs) >= 3 else
                               replace(centroid, method="PathlossLSQ", fallback=True))
     return out

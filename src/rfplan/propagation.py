@@ -241,6 +241,7 @@ def uplink_dbm(source, site_xy, site_h_m, environment: str, sectors=None):
     its height is clamped into the UT envelope. sectors = (site_of,
     azimuth_deg, gain_dbi, pattern) gives one receiver per sector, its gain
     less its pattern toward the source; None gives one omni 0 dBi per site.
+    x and y may be (N, 1) arrays of candidate positions: one row each.
     """
     x, y, height_m, tx_power_dbm, fc_ghz = source
     dx = x - site_xy[:, 0]
@@ -251,8 +252,16 @@ def uplink_dbm(source, site_xy, site_h_m, environment: str, sectors=None):
     if sectors is None:
         return rx
     site_of, azimuth_deg, gain_dbi, pattern = sectors
-    return rx[site_of] + (gain_dbi - pattern.attenuation_db(
-        bearing_deg(dx, dy)[site_of] - azimuth_deg))
+    return rx[..., site_of] + (gain_dbi - pattern.attenuation_db(
+        bearing_deg(dx, dy)[..., site_of] - azimuth_deg))
+
+
+def sector_receivers(site_of, sectors):
+    """uplink_dbm's sectors tuple: sectors[i] receives at site row site_of[i]."""
+    az, gain, bw, ftb = (np.array([getattr(sec, name) for sec in sectors], dtype=float)
+                         for name in ("azimuth_deg", "antenna_gain_dbi",
+                                      "beamwidth_3db_deg", "front_to_back_db"))
+    return np.asarray(site_of), az, gain, AntennaPattern(bw, ftb)
 
 
 # ---------------------------------------------------------------------------

@@ -116,13 +116,9 @@ def coupling_dbm(scenario: Scenario) -> np.ndarray:
     xy = np.array([site.position for site in scenario.sites], dtype=float).reshape(-1, 2)
     h_bs = np.array([site.height_m for site in scenario.sites], dtype=float)
     band = np.array([sec.band_ref for sec in sectors])
-    receivers = (
+    receivers = propagation.sector_receivers(
         np.repeat(np.arange(len(scenario.sites)), [len(site.sectors) for site in scenario.sites]),
-        np.array([sec.azimuth_deg for sec in sectors], dtype=float),
-        np.array([sec.antenna_gain_dbi for sec in sectors], dtype=float),
-        propagation.AntennaPattern(
-            np.array([sec.beamwidth_3db_deg for sec in sectors], dtype=float),
-            np.array([sec.front_to_back_db for sec in sectors], dtype=float)))
+        sectors)
     out = np.full((len(scenario.interferers), len(sectors)), -np.inf)
     for i, intf in enumerate(scenario.interferers):
         co_band = band == intf.band_ref
