@@ -139,6 +139,8 @@ def estimate_interferer(scenario, detection, baseline_dbm: float | None = None,
         raise InputError("no affected cells to localize")
     baselines, rows = {}, []
     for cell in detection.affected_cells:
+        if cell not in scenario.sector_ids:
+            raise InputError(f"affected cell {cell!r} not in scenario")
         site, sector = scenario.sector_by_id(cell)
         band = scenario.band_by_id(sector.band_ref)
         if band.id not in baselines:

@@ -1,11 +1,11 @@
 """TR 38.901 urban pathloss, LOS probability, sector pattern and fading.
 
 Closed-form UMa/UMi pathloss (Table 7.4.1-1 style dual-slope models with
-the NLOS lower-bounding max), the matching LOS probability curves, a
-link's bearing and sector pattern, a receiver's thermal noise floor and
-reproducible log-normal shadow fading. Everything here is a pure function or
-read-only state, so pixel evaluation can be data-parallel and still
-bit-identical regardless of worker count.
+the NLOS lower-bounding max), the matching LOS probability curves, a link's
+bearing and sector pattern, the power an interferer couples into each
+sector's receiver, a receiver's thermal noise floor and reproducible shadow
+fading. Everything here is a pure function or read-only state, so pixel
+evaluation can be data-parallel and still bit-identical at any worker count.
 
 Out-of-envelope queries raise DomainError instead of extrapolating:
 silent extrapolation corrupts planning numbers downstream.
@@ -16,10 +16,14 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import astuple, dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    from .scenario import Scenario
 
 SPEED_OF_LIGHT = 299_792_458.0
 THERMAL_NOISE_DBM_HZ = -174.0
@@ -262,6 +266,29 @@ def sector_receivers(site_of, sectors):
                          for name in ("azimuth_deg", "antenna_gain_dbi",
                                       "beamwidth_3db_deg", "front_to_back_db"))
     return np.asarray(site_of), az, gain, AntennaPattern(bw, ftb)
+
+
+def coupling_dbm(scenario: Scenario) -> np.ndarray:
+    """Interferer power coupled into each sector's receiver, dBm.
+
+    Shape (interferers, sectors), sectors in scenario.sectors() order: one
+    uplink_dbm call per interferer; a sector on another band gets the -inf
+    sentinel, no contribution.
+    """
+    sectors = [sec for _, sec in scenario.sectors()]
+    xy = np.array([site.position for site in scenario.sites], dtype=float).reshape(-1, 2)
+    h_bs = np.array([site.height_m for site in scenario.sites], dtype=float)
+    band = np.array([sec.band_ref for sec in sectors])
+    receivers = sector_receivers(
+        np.repeat(np.arange(len(scenario.sites)), [len(site.sectors) for site in scenario.sites]),
+        sectors)
+    out = np.full((len(scenario.interferers), len(sectors)), -np.inf)
+    for i, intf in enumerate(scenario.interferers):
+        co_band = band == intf.band_ref
+        source = (*intf.position, intf.height_m, intf.tx_power_dbm,
+                  scenario.band_by_id(intf.band_ref).center_freq_ghz)
+        out[i, co_band] = uplink_dbm(source, xy, h_bs, scenario.environment, receivers)[co_band]
+    return out
 
 
 # ---------------------------------------------------------------------------

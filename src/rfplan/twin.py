@@ -19,6 +19,7 @@ import json
 import math
 from array import array
 from dataclasses import asdict, dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from . import _csvtext, propagation
 from ._csvtext import (_COMMA, _NEWLINE, _fixed_numbers, _fixed_text,
                        _line_blocks, _lines, _text_table)
 from .errors import InputError
+from .propagation import coupling_dbm
 from .scenario import Scenario, cell_baseline_dbm, from_json, read_json_object
 
 DAY_S = 86_400.0
@@ -63,16 +65,18 @@ class _TruthFile:
 
 @dataclass(frozen=True, eq=False)
 class KpiBatch:
-    """Every cell's KPI samples on one time axis: samples[metric][i, j] is
-    cell cell_ids[i] at t0_s + j * dt_s. Raises InputError unless the ids
-    are sorted, distinct and at least one, and there is at least one
-    metric, each in METRICS with a (cells x T) array of one T > 0."""
+    """Every cell's KPI samples on one time axis: samples[metric][i, j] is cell
+    cell_ids[i] at t0_s + j * dt_s. Raises InputError unless t0_s and dt_s > 0
+    are finite, the ids are sorted, distinct and at least one, and there are
+    metrics, each in METRICS with a (cells x T) array of one T > 0."""
     cell_ids: tuple[str, ...]
     t0_s: float
     dt_s: float
     samples: dict[str, np.ndarray]      # C-ordered float arrays, metrics in METRICS order
 
     def __post_init__(self):
+        if not (math.isfinite(self.t0_s) and 0 < self.dt_s < math.inf):    # false for NaN too
+            raise InputError(f"KPI batch needs finite t0_s and dt_s > 0: {self.t0_s}, {self.dt_s}")
         ids = tuple(self.cell_ids)
         if not ids or any(a >= b for a, b in zip(ids, ids[1:])):
             raise InputError(f"KPI batch cell ids must be sorted and distinct: {list(ids)}")
@@ -97,36 +101,6 @@ class KpiBatch:
         return {metric: {cell: KpiSeries(cell, metric, self.t0_s, self.dt_s, row)
                          for cell, row in zip(self.cell_ids, np.broadcast_to(x, x.shape))}
                 for metric, x in self.samples.items()}
-
-    def cells(self) -> list[str]:
-        return list(self.cell_ids)
-
-    def get(self, metric: str, cell_id: str) -> KpiSeries:
-        return self.series[metric][cell_id]
-
-
-def coupling_dbm(scenario: Scenario) -> np.ndarray:
-    """Interferer power coupled into each sector's receiver, dBm.
-
-    Shape (interferers, sectors), sectors in scenario.sectors() order: one
-    propagation.uplink_dbm call per interferer; a sector on another band
-    gets the -inf sentinel, no contribution.
-    """
-    sectors = [sec for _, sec in scenario.sectors()]
-    xy = np.array([site.position for site in scenario.sites], dtype=float).reshape(-1, 2)
-    h_bs = np.array([site.height_m for site in scenario.sites], dtype=float)
-    band = np.array([sec.band_ref for sec in sectors])
-    receivers = propagation.sector_receivers(
-        np.repeat(np.arange(len(scenario.sites)), [len(site.sectors) for site in scenario.sites]),
-        sectors)
-    out = np.full((len(scenario.interferers), len(sectors)), -np.inf)
-    for i, intf in enumerate(scenario.interferers):
-        co_band = band == intf.band_ref
-        source = (*intf.position, intf.height_m, intf.tx_power_dbm,
-                  scenario.band_by_id(intf.band_ref).center_freq_ghz)
-        out[i, co_band] = propagation.uplink_dbm(source, xy, h_bs, scenario.environment,
-                                                 receivers)[co_band]
-    return out
 
 
 def synthesize_kpi(scenario: Scenario, duration_s: float, dt_s: float,
@@ -439,7 +413,8 @@ def _batch(keys, axis, take, path) -> KpiBatch:
     timestamps axis, where take(ks) gives the samples of series ks as one
     (len(ks) x T) array. Raises InputError if the axis is not evenly
     spaced or the metrics cover different cells."""
-    dt = float(axis[1] - axis[0]) if axis.size > 1 else 1.0
+    # the step of the stamps' shortest decimals: 7200.1 - 7200.0 is 0.1, not 0.1000000000003638
+    dt = float(Decimal(str(axis[1])) - Decimal(str(axis[0]))) if axis.size > 1 else 1.0
     # decimal timestamps parse to within half an ulp, so a step of an even
     # grid matches dt to a few ulps of the largest timestamp
     tol = 8 * np.spacing(np.abs(axis).max())

@@ -174,7 +174,7 @@ def test_affected_correlate_more(demo_scenario, demo_batch):
     result = run_detection(demo_batch, baseline_window=15)
     excess = batch_excess(demo_batch, 15)
     affected = list(result.affected_cells)
-    others = [c for c in demo_batch.cells() if c not in affected]
+    others = [c for c in demo_batch.cell_ids if c not in affected]
     aa = np.mean([pearson(excess[a], excess[b]) for a in affected for b in affected
                   if a < b])
     au = np.mean([pearson(excess[a], excess[u]) for a in affected for u in others])
@@ -186,10 +186,10 @@ def test_affected_correlate_more(demo_scenario, demo_batch):
 def reference_detection(batch, baseline_window, k=2, seed=0, threshold_db=3.0):
     """The per-cell feature loop run_detection must match bit for bit:
     (affected cells, evidence, inertia)."""
-    cells = batch.cells()
+    cells = list(batch.cell_ids)
     excess = {}
-    for cell in cells:
-        s = batch.get("RTWP", cell).samples
+    for i, cell in enumerate(cells):
+        s = batch.samples["RTWP"][i]
         excess[cell] = s - float(np.median(s[:baseline_window]))
     means = {c: float(np.mean(excess[c])) for c in cells}
     seed_cell = min(cells, key=lambda c: (-means[c], c))

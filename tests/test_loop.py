@@ -5,8 +5,9 @@ import dataclasses
 
 import pytest
 
-from rfplan import run_loop, synthesize_kpi
+from rfplan import KpiBatch, run_loop, synthesize_kpi
 from rfplan.detect import run_detection
+from rfplan.errors import InputError
 from rfplan.localize import estimate_interferer
 from rfplan.mitigate import apply, recommend, verify
 from test_coverage import assert_same_grid
@@ -65,3 +66,12 @@ def test_network_state_comes_only_from_the_batch(demo_scenario, quiet_batch):
     assert record.estimates == {}
     assert record.verdict is None
     assert len(record.grids) == 2
+
+
+def test_feed_of_cells_the_scenario_lacks_is_an_input_error(demo_scenario, demo_batch):
+    """An anomalous feed from another network, here the demo's with every
+    cell renamed, is rejected at the boundary, naming a cell it lacks."""
+    other = KpiBatch(tuple("X" + c for c in demo_batch.cell_ids), demo_batch.t0_s,
+                     demo_batch.dt_s, demo_batch.samples)
+    with pytest.raises(InputError, match=r"affected cell 'X\w+' not in scenario"):
+        run_loop(demo_scenario, other, baseline_window=BASELINE_WINDOW)

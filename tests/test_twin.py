@@ -84,28 +84,32 @@ def two_rows(steps=3):
     return np.arange(2.0 * steps).reshape(2, steps)
 
 
-@pytest.mark.parametrize("cells,samples", [
-    (("A", "B"), {}),
-    ((), {"RTWP": np.zeros((0, 3))}),
-    (("B", "A"), {"RTWP": two_rows()}),
-    (("A", "A"), {"RTWP": two_rows()}),
-    (("A", "B"), {"RTWP": two_rows(), "SINR": two_rows()}),
-    (("A", "B"), {"RTWP": two_rows(), "RSSI": two_rows()[:1]}),
-    (("A", "B"), {"RTWP": two_rows(), "RSSI": two_rows(4)}),
-    (("A", "B"), {"RTWP": two_rows(0)}),
-    (("A", "B"), {"RTWP": np.arange(2.0)}),
+@pytest.mark.parametrize("cells,samples,axis", [
+    (("A", "B"), {}, (0.0, 60.0)),
+    ((), {"RTWP": np.zeros((0, 3))}, (0.0, 60.0)),
+    (("B", "A"), {"RTWP": two_rows()}, (0.0, 60.0)),
+    (("A", "A"), {"RTWP": two_rows()}, (0.0, 60.0)),
+    (("A", "B"), {"RTWP": two_rows(), "SINR": two_rows()}, (0.0, 60.0)),
+    (("A", "B"), {"RTWP": two_rows(), "RSSI": two_rows()[:1]}, (0.0, 60.0)),
+    (("A", "B"), {"RTWP": two_rows(), "RSSI": two_rows(4)}, (0.0, 60.0)),
+    (("A", "B"), {"RTWP": two_rows(0)}, (0.0, 60.0)),
+    (("A", "B"), {"RTWP": np.arange(2.0)}, (0.0, 60.0)),
+    *((("A", "B"), {"RTWP": two_rows()}, axis) for axis in [
+        (0.0, 0.0), (0.0, -60.0), (0.0, math.nan), (0.0, math.inf),
+        (math.nan, 60.0), (math.inf, 60.0)]),
 ], ids=["no_metric", "no_cells", "unsorted", "duplicate", "unknown_metric",
-        "rows_differ", "steps_differ", "no_steps", "not_cells_by_steps"])
-def test_batch_rejects_impossible_states(cells, samples):
+        "rows_differ", "steps_differ", "no_steps", "not_cells_by_steps",
+        "dt_zero", "dt_negative", "dt_nan", "dt_inf", "t0_nan", "t0_inf"])
+def test_batch_rejects_impossible_states(cells, samples, axis):
     with pytest.raises(InputError, match="KPI batch"):
-        KpiBatch(cells, 0.0, 60.0, samples)
+        KpiBatch(cells, *axis, samples)
 
 
 def test_batch_views_are_read_only_rows():
     batch = KpiBatch(["A", "B"], 30.0, 60.0, {"RSSI": two_rows() + 10, "RTWP": two_rows()})
-    assert batch.cell_ids == ("A", "B") and batch.cells() == ["A", "B"]
+    assert batch.cell_ids == ("A", "B")
     assert list(batch.samples) == list(METRICS)    # METRICS order, whatever the given order
-    series = batch.get("RSSI", "B")
+    series = batch.series["RSSI"]["B"]
     assert (series.cell_id, series.metric, series.t0_s, series.dt_s) == ("B", "RSSI", 30.0, 60.0)
     assert series.samples.tolist() == [13.0, 14.0, 15.0]
     assert series.timestamps.tolist() == batch.timestamps.tolist() == [30.0, 90.0, 150.0]
@@ -335,24 +339,23 @@ def test_rtwp_composes_linearly():
     batch = synthesize_kpi(sc, 600.0, 60.0)
     c = coupling_dbm(sc)[0, sc.sector_ids.index("S1a")]
     expected = 10.0 * math.log10(10 ** -10.2 + 10 ** (c / 10.0))
-    assert np.allclose(batch.get("RTWP", "S1a").samples, expected)
+    assert np.allclose(batch.samples["RTWP"][batch.cell_ids.index("S1a")], expected)
 
 
 def test_flat_series_without_interferers():
     batch = synthesize_kpi(small_scenario(), 600.0, 60.0)
-    assert np.allclose(batch.get("RTWP", "S1a").samples, -102.0)
+    assert np.allclose(batch.samples["RTWP"][batch.cell_ids.index("S1a")], -102.0)
 
 
 def test_rssi_includes_serving_traffic():
     batch = synthesize_kpi(small_scenario(), 600.0, 60.0)
-    rssi = batch.get("RSSI", "S1a").samples
-    rtwp = batch.get("RTWP", "S1a").samples
-    assert np.all(rssi > rtwp)
+    i = batch.cell_ids.index("S1a")
+    assert np.all(batch.samples["RSSI"][i] > batch.samples["RTWP"][i])
 
 
 def test_sample_count():
     batch = synthesize_kpi(small_scenario(), 3600.0, 60.0)
-    assert batch.get("RTWP", "S1a").samples.size == 60
+    assert batch.samples["RTWP"][batch.cell_ids.index("S1a")].size == 60
     with pytest.raises(InputError):
         synthesize_kpi(small_scenario(), 10.0, 60.0)
 
@@ -368,9 +371,8 @@ def test_non_finite_or_empty_timing_rejected(duration, dt):
 def test_deterministic_given_seed(demo_scenario):
     a = synthesize_kpi(demo_scenario, 1800.0, 60.0, seed=9)
     b = synthesize_kpi(demo_scenario, 1800.0, 60.0, seed=9)
-    for cell in a.cells():
-        assert np.array_equal(a.get("RTWP", cell).samples,
-                              b.get("RTWP", cell).samples)
+    assert a.cell_ids == b.cell_ids
+    assert np.array_equal(a.samples["RTWP"], b.samples["RTWP"])
 
 
 def test_nearest_cell_has_max_excess(demo_scenario, demo_batch):
@@ -418,12 +420,21 @@ def test_kpi_csv_round_trip(tmp_path, demo_batch):
     p = tmp_path / "kpi.csv"
     write_kpi_csv(demo_batch, p)
     again = read_kpi_csv(p)
-    assert again.cells() == demo_batch.cells()
-    for cell in demo_batch.cells():
-        a = demo_batch.get("RTWP", cell).samples
-        b = again.get("RTWP", cell).samples
-        assert np.allclose(a, b, atol=1e-4)
+    assert again.cell_ids == demo_batch.cell_ids
+    assert np.allclose(again.samples["RTWP"], demo_batch.samples["RTWP"], atol=1e-4)
     assert not hasattr(again, "ground_truth")  # truth never rides the CSV
+
+
+@pytest.mark.parametrize("t0_s, dt_s", [(0.0, 60.0), (-30.0, 0.5), (7200.0, 0.1)])
+def test_kpi_csv_round_trip_keeps_the_time_axis(tmp_path, t0_s, dt_s):
+    """The read gives back the written axis exactly: the step is the one
+    between the stamps as printed, 7200.1 - 7200.0 = 0.1, not the floats'
+    difference, which is 0.1000000000003638."""
+    batch = make_batch({"RTWP": {"B": [1.0, 2.0, 3.0], "A": [4.0, 5.0, 6.0]}}, t0_s, dt_s)
+    write_kpi_csv(batch, tmp_path / "kpi.csv")
+    again = read_kpi_csv(tmp_path / "kpi.csv")
+    assert (again.cell_ids, again.t0_s, again.dt_s) == (batch.cell_ids, t0_s, dt_s)
+    assert again.samples["RTWP"].shape == batch.samples["RTWP"].shape
 
 
 def test_kpi_csv_bad_header(tmp_path):
@@ -449,13 +460,11 @@ def reference_write_kpi_csv(batch, path):
     """The per-row writer write_kpi_csv must match byte for byte."""
     with open(path, "w", newline="") as fh:
         fh.write("timestamp_s,cell_id,metric,value_dbm\n")
-        cells = batch.cells()
-        metrics = [m for m in METRICS if m in batch.series]
-        any_series = batch.get(metrics[0], cells[0])
-        for i, ts in enumerate(any_series.timestamps):
+        metrics = [m for m in METRICS if m in batch.samples]
+        for i, ts in enumerate(batch.timestamps):
             for metric in metrics:
-                for cell in cells:
-                    v = batch.get(metric, cell).samples[i]
+                for k, cell in enumerate(batch.cell_ids):
+                    v = batch.samples[metric][k][i]
                     fh.write(f"{ts:.1f},{cell},{metric},{v:.4f}\n")
 
 
@@ -769,8 +778,8 @@ def test_kpi_csv_good_rows_parse(tmp_path):
     p = tmp_path / "ok.csv"
     p.write_text("timestamp_s,cell_id,metric,value_dbm\n" + "\n".join(GOOD_ROWS))
     batch = read_kpi_csv(p)
-    assert batch.cells() == ["A", "B"]
-    assert batch.get("RSSI", "B").dt_s == 60.0
+    assert batch.cell_ids == ("A", "B")
+    assert batch.dt_s == 60.0
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -1044,11 +1053,11 @@ def test_activity_mask_matches_active_at():
     intf = make_interferer(active_intervals=((60.0, 180.0), (95.5, 130.2),
                                              (300.0, 330.0), (840.0, 1e9)))
     sc = small_scenario(interferers=[intf])
-    series = synthesize_kpi(sc, 900.0, 30.0).get("RTWP", "S1a")
-    active = series.samples > -102.0 + 1e-6
-    expected = np.array([intf.active_at(t) for t in series.timestamps])
+    batch = synthesize_kpi(sc, 900.0, 30.0)
+    active = batch.samples["RTWP"][batch.cell_ids.index("S1a")] > -102.0 + 1e-6
+    expected = np.array([intf.active_at(t) for t in batch.timestamps])
     assert np.array_equal(active, expected)
     # starts are inside their interval, ends outside
-    t = list(series.timestamps)
+    t = list(batch.timestamps)
     assert active[t.index(60.0)] and not active[t.index(180.0)]
     assert active[t.index(300.0)] and not active[t.index(330.0)]
