@@ -27,11 +27,10 @@ SEARCH_MARGIN_M = 500.0        # box padding around the sensors when no area is 
 @dataclass
 class LocalizationEstimate:
     position: tuple[float, float]
-    method: str                      # "WeightedCentroid" | "PathlossLSQ"
     residual: float
     cells_used: tuple[str, ...]
     tx_power_dbm: float | None = None
-    fallback: bool = False           # LSQ degraded to the centroid
+    fallback: bool = False           # the cells fix no LSQ position: this is the centroid
 
 
 @dataclass
@@ -55,20 +54,18 @@ def weighted_centroid(affected) -> LocalizationEstimate:
     w = 10.0 ** (np.array([e for _, _, e in affected], dtype=float) / 10.0)
     est = (w[:, None] * pos).sum(axis=0) / w.sum()
     rms = math.sqrt(float((w * ((pos - est) ** 2).sum(axis=1)).sum() / w.sum()))
-    return LocalizationEstimate(
-        position=(float(est[0]), float(est[1])),
-        method="WeightedCentroid", residual=rms,
-        cells_used=tuple(c for c, _, _ in affected))
+    return LocalizationEstimate(position=(float(est[0]), float(est[1])), residual=rms,
+                                cells_used=tuple(c for c, _, _ in affected))
 
 
 def _collinear(pos: np.ndarray) -> bool:
     centered = pos - pos.mean(axis=0)
     sv = np.linalg.svd(centered, compute_uv=False)
-    return sv.size < 2 or sv[1] <= 1e-9 * max(sv[0], 1.0)
+    return sv[1] <= 1e-9 * max(sv[0], 1.0)
 
 
 def pathloss_lsq(observations, fc_ghz: float, environment: str = "UMa",
-                 sectors=None, area=None) -> LocalizationEstimate:
+                 sectors=None, area=None) -> LocalizationEstimate | None:
     """Invert observed interference powers through the pathloss model.
 
     observations: iterable of (cell_id, (x, y), h_bs_m, power_dbm) where
@@ -79,19 +76,15 @@ def pathloss_lsq(observations, fc_ghz: float, environment: str = "UMa",
     lattice over the box the best P is the mean of (power - gain); one
     least_squares polishes the lowest-cost point (the first on a tie) inside
     the box: the Rect `area`, or the sensors' bounds padded by SEARCH_MARGIN_M.
-    Collinear sensors degrade to the weighted centroid, fallback flag set.
+    None when the sensors cannot fix a position: fewer than 3, or collinear.
     """
     obs = list(observations)
-    if len(obs) < 3:
-        raise InputError("pathloss_lsq needs at least 3 cells")
     ids = [o[0] for o in obs]
     pos = np.array([o[1] for o in obs], dtype=float)
     h_bs = np.array([o[2] for o in obs], dtype=float)
     power = np.array([o[3] for o in obs], dtype=float)
-    if _collinear(pos):
-        return replace(weighted_centroid(
-            (i, tuple(p), float(v)) for i, p, v in zip(ids, pos, power)),
-            method="PathlossLSQ", fallback=True)
+    if len(obs) < 3 or _collinear(pos):
+        return None
 
     def uplink(x, y, p):
         return propagation.uplink_dbm((x, y, SOURCE_HEIGHT_M, p, fc_ghz), pos, h_bs,
@@ -107,10 +100,8 @@ def pathloss_lsq(observations, fc_ghz: float, environment: str = "UMa",
     best = least_squares(lambda theta: uplink(*theta) - power, x0=(x[k, 0], y[k, 0], p[k]),
                          bounds=([*lo, -np.inf], [*hi, np.inf]))
     rms = math.sqrt(2.0 * best.cost / len(obs))
-    return LocalizationEstimate(
-        position=(float(best.x[0]), float(best.x[1])),
-        method="PathlossLSQ", residual=rms, cells_used=tuple(ids),
-        tx_power_dbm=float(best.x[2]))
+    return LocalizationEstimate(position=(float(best.x[0]), float(best.x[1])), residual=rms,
+                                cells_used=tuple(ids), tx_power_dbm=float(best.x[2]))
 
 
 def excess_to_power_dbm(mean_excess_db: float, baseline_dbm: float) -> float | None:
@@ -128,10 +119,12 @@ def estimate_interferer(scenario, detection, baseline_dbm: float | None = None,
                         method: str = "both"):
     """Run the estimators on a detection result against a scenario.
 
-    Returns a dict with one LocalizationEstimate per requested method. Each
-    cell's excess is read against baseline_dbm, or if None its own band's
-    cell_baseline_dbm; the LSQ fits at the first affected cell's frequency,
-    through the cells' own sector receivers over scenario.area.
+    Returns a dict with one LocalizationEstimate per requested method, keyed
+    by its name. Each cell's excess is read against baseline_dbm, or if None
+    its own band's cell_baseline_dbm; the LSQ fits the implied powers at the
+    first affected cell's frequency, through the cells' own sector receivers
+    over scenario.area. When pathloss_lsq fixes no position, the PathlossLSQ
+    entry is the WeightedCentroid estimate with fallback set.
     """
     if method not in ("both", "WeightedCentroid", "PathlossLSQ"):
         raise InputError(f"method must be both, WeightedCentroid or PathlossLSQ, not {method!r}")
@@ -156,14 +149,12 @@ def estimate_interferer(scenario, detection, baseline_dbm: float | None = None,
         receivers = propagation.sector_receivers(np.arange(len(lsq)), [r[2] for r in lsq])
         out["PathlossLSQ"] = (pathloss_lsq(obs, rows[0][4].center_freq_ghz, scenario.environment,
                                            receivers, scenario.area)
-                              if len(obs) >= 3 else
-                              replace(centroid, method="PathlossLSQ", fallback=True))
+                              or replace(centroid, fallback=True))
     return out
 
 
-def validate_localization(estimate: LocalizationEstimate,
-                          truth_position, radius_m: float = 200.0
-                          ) -> LocalizationErrorReport:
+def validate_localization(estimate: LocalizationEstimate, truth_position,
+                          radius_m: float) -> LocalizationErrorReport:
     """Euclidean error against ground truth (simulation side only)."""
     d = math.hypot(estimate.position[0] - truth_position[0],
                    estimate.position[1] - truth_position[1])

@@ -3,17 +3,18 @@
 import math
 import runpy
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rfplan import localize, propagation, twin
-from rfplan.detect import run_detection
+from rfplan.detect import DetectionResult, run_detection
 from rfplan.errors import InputError
-from rfplan.localize import (estimate_interferer, excess_to_power_dbm,
-                             pathloss_lsq, validate_localization,
-                             weighted_centroid)
+from rfplan.localize import (LocalizationEstimate, estimate_interferer,
+                             excess_to_power_dbm, pathloss_lsq,
+                             validate_localization, weighted_centroid)
 
 
 def nlos_power(pos, sensor, h_bs, p_tx, fc=3.5):
@@ -58,16 +59,14 @@ def test_lsq_noiseless_recovery():
 
 
 def test_lsq_needs_three_cells():
-    with pytest.raises(InputError):
-        pathloss_lsq([("a", (0, 0), 25.0, -90.0),
-                      ("b", (10, 0), 25.0, -90.0)], 3.5)
+    assert pathloss_lsq([("a", (0, 0), 25.0, -90.0),
+                         ("b", (10, 0), 25.0, -90.0)], 3.5) is None
+    assert pathloss_lsq([], 3.5) is None
 
 
 def test_lsq_collinear_falls_back():
     obs = [(f"s{i}", (100.0 * i, 0.0), 25.0, -90.0 - i) for i in range(4)]
-    est = pathloss_lsq(obs, 3.5)
-    assert est.fallback
-    assert est.method == "PathlossLSQ"
+    assert pathloss_lsq(obs, 3.5) is None
 
 
 def test_excess_to_power_inverse():
@@ -97,6 +96,29 @@ def test_estimate_interferer_demo(demo_scenario, demo_batch):
     assert math.dist(lsq.position, truth) <= 0.5 * float(np.mean(pair))
 
 
+@pytest.mark.parametrize("seed", [1, 7])
+def test_demo_lsq_fallback_is_the_centroid(demo_scenario, tmp_path, seed):
+    """The demo's affected cells sit on two sites, so the PathlossLSQ entry
+    is the WeightedCentroid estimate itself, flagged, as `rfplan demo` reads
+    it from kpi.csv."""
+    sc = replace(demo_scenario, seed=seed)
+    twin.write_kpi_csv(twin.synthesize_kpi(sc, 3600.0, 60.0), tmp_path / "kpi.csv")
+    det = run_detection(twin.read_kpi_csv(tmp_path / "kpi.csv"), 15, seed=seed)
+    est = estimate_interferer(sc, det)
+    assert len({sc.sector_by_id(c)[0].id for c in det.affected_cells}) == 2
+    assert est["PathlossLSQ"] == replace(est["WeightedCentroid"], fallback=True)
+
+
+def test_two_cell_lsq_fallback_is_the_centroid(demo_scenario):
+    det = DetectionResult(affected_cells=("A1", "C2"), anomaly_flag=True,
+                          evidence={"A1": {"mean_excess_db": 8.0},
+                                    "C2": {"mean_excess_db": 3.0}},
+                          threshold_db=3.0)
+    est = estimate_interferer(demo_scenario, det)
+    assert est["PathlossLSQ"] == replace(est["WeightedCentroid"], fallback=True)
+    assert est["WeightedCentroid"].cells_used == ("A1", "C2")
+
+
 def test_estimate_requires_affected(demo_scenario, demo_batch):
     clear = run_detection(demo_batch, baseline_window=15,
                           threshold_db=float("inf"))
@@ -105,8 +127,7 @@ def test_estimate_requires_affected(demo_scenario, demo_batch):
 
 
 def test_validate_localization():
-    from rfplan.localize import LocalizationEstimate
-    est = LocalizationEstimate((0.0, 0.0), "WeightedCentroid", 0.0, ("a",))
+    est = LocalizationEstimate(position=(0.0, 0.0), residual=0.0, cells_used=("a",))
     exact = validate_localization(est, (0.0, 0.0), radius_m=200.0)
     assert exact.distance_m == 0.0 and exact.within_radius
 
