@@ -130,9 +130,8 @@ def _out(args, default_name):
 
 
 def cmd_plan(args, scenario) -> int:
-    band_ids = [args.band] if args.band else None
-    if band_ids and band_ids[0] not in {b.id for b in scenario.bands}:
-        raise InputError(f"unknown band {args.band!r}")
+    band_ids = None if args.band is None else [args.band]
+    scenario.require_bands(band_ids or (), "band")
     results = planning.plan_scenario(scenario, condition=args.condition,
                                      band_ids=band_ids)
     data = {"scenario": scenario.name, "condition": args.condition,
@@ -189,11 +188,7 @@ def _write_twin(args, scenario, batch) -> str:
 
 def cmd_detect(args, scenario) -> int:
     batch = twin.read_kpi_csv(args.kpi_csv)
-    cells = set(batch.cell_ids)
-    expected = set(scenario.sector_ids)
-    if not cells <= expected:
-        raise InputError(f"KPI cells not in scenario: {sorted(cells - expected)}")
-
+    scenario.require_sectors(batch.cell_ids, "KPI cell")
     result = detect.run_detection(batch, args.baseline_window, k=args.k,
                                   seed=scenario.seed, threshold_db=args.threshold,
                                   metric=args.metric)

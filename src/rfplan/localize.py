@@ -130,26 +130,23 @@ def estimate_interferer(scenario, detection, baseline_dbm: float | None = None,
         raise InputError(f"method must be both, WeightedCentroid or PathlossLSQ, not {method!r}")
     if not detection.affected_cells:
         raise InputError("no affected cells to localize")
-    baselines, rows = {}, []
+    scenario.require_sectors(detection.affected_cells, "affected cell")
+    rows = []           # (cell, site, sector, excess dB, implied power dBm or None) per cell
     for cell in detection.affected_cells:
-        if cell not in scenario.sector_ids:
-            raise InputError(f"affected cell {cell!r} not in scenario")
         site, sector = scenario.sector_by_id(cell)
-        band = scenario.band_by_id(sector.band_ref)
-        if band.id not in baselines:
-            baselines[band.id] = (cell_baseline_dbm(scenario, band)
-                                  if baseline_dbm is None else baseline_dbm)
-        rows.append((cell, site, sector, detection.evidence[cell]["mean_excess_db"], band))
+        base = (cell_baseline_dbm(scenario, scenario.band_by_id(sector.band_ref))
+                if baseline_dbm is None else baseline_dbm)
+        excess = detection.evidence[cell]["mean_excess_db"]
+        rows.append((cell, site, sector, excess, excess_to_power_dbm(excess, base)))
     centroid = weighted_centroid((c, site.position, e) for c, site, _, e, _ in rows)
     out = {"WeightedCentroid": centroid} if method != "PathlossLSQ" else {}
     if method != "WeightedCentroid":
-        lsq = [(c, site, sector, p) for c, site, sector, e, band in rows
-               if (p := excess_to_power_dbm(e, baselines[band.id])) is not None]
-        obs = [(c, site.position, site.height_m, p) for c, site, _, p in lsq]
+        lsq = [r for r in rows if r[4] is not None]
+        obs = [(c, site.position, site.height_m, p) for c, site, _, _, p in lsq]
         receivers = propagation.sector_receivers(np.arange(len(lsq)), [r[2] for r in lsq])
-        out["PathlossLSQ"] = (pathloss_lsq(obs, rows[0][4].center_freq_ghz, scenario.environment,
-                                           receivers, scenario.area)
-                              or replace(centroid, fallback=True))
+        fc_ghz = scenario.band_by_id(rows[0][2].band_ref).center_freq_ghz
+        out["PathlossLSQ"] = (pathloss_lsq(obs, fc_ghz, scenario.environment, receivers,
+                                           scenario.area) or replace(centroid, fallback=True))
     return out
 
 

@@ -24,6 +24,7 @@ def run_loop(scenario: Scenario, batch: twin.KpiBatch, *, baseline_window: int,
     """Detect on the batch, localize an anomaly, recommend, and build the
     off, on and post grids in one field pass; the verdict compares the on
     and post grids over the affected cells."""
+    scenario.require_sectors(batch.cell_ids, "KPI cell")
     detection = detect.run_detection(batch, baseline_window, seed=scenario.seed)
     estimates = (localize.estimate_interferer(scenario, detection)
                  if detection.anomaly_flag else {})

@@ -62,9 +62,7 @@ def recommend(scenario: Scenario, detection) -> Recommendation:
     site_of = {sec.id: site for site, sec in scenario.sectors()}
     assigned = {sec.id: sec.band_ref for _, sec in scenario.sectors()}
     affected = sorted(detection.affected_cells)
-    for sector_id in affected:
-        if sector_id not in site_of:
-            raise InputError(f"affected cell {sector_id!r} not in scenario")
+    scenario.require_sectors(affected, "affected cell")
     blocked = {assigned[c] for c in affected}
     candidates = [b.id for b in scenario.bands if b.id not in blocked]
     if not candidates:
@@ -101,15 +99,9 @@ def recommend(scenario: Scenario, detection) -> Recommendation:
 
 def apply(scenario: Scenario, rec: Recommendation) -> Scenario:
     """Return a new scenario with the recommended band changes applied."""
-    band_ids = {b.id for b in scenario.bands}
-    sector_ids = set(scenario.sector_ids)
-    new_band = {}
-    for sector_id, _old, new in rec.changes:
-        if sector_id not in sector_ids:
-            raise InputError(f"unknown sector {sector_id!r} in recommendation")
-        if new not in band_ids:
-            raise InputError(f"unknown band {new!r} in recommendation")
-        new_band[sector_id] = new
+    scenario.require_sectors([sector for sector, _, _ in rec.changes], "recommended sector")
+    scenario.require_bands([band for _, _, band in rec.changes], "recommended band")
+    new_band = {sector: band for sector, _, band in rec.changes}
 
     sites = tuple(
         replace(site, sectors=tuple(

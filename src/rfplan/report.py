@@ -56,15 +56,13 @@ def twin_metrics(scenario, batch) -> dict:
     Value per (metric, band) is the median across cells of the per-cell
     time mean, robust against a few interference-hit cells.
     """
+    scenario.require_sectors(batch.cell_ids, "KPI cell")
     band_of = {sec.id: sec.band_ref for _, sec in scenario.sectors()}
     out: dict[str, dict[str, float]] = {}
     for metric, x in batch.samples.items():
         grouped: dict[str, list[float]] = {}
         for cell, row in zip(batch.cell_ids, x):
-            band = band_of.get(cell)
-            if band is None:
-                raise InputError(f"KPI cell {cell!r} not in scenario")
-            grouped.setdefault(band, []).append(float(np.mean(row)))
+            grouped.setdefault(band_of[cell], []).append(float(np.mean(row)))
         for band, means in grouped.items():
             out.setdefault(band, {})[metric] = float(np.median(means))
     return out

@@ -21,7 +21,7 @@ import typing
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .errors import ScenarioParseError, ScenarioValidationError
+from .errors import InputError, ScenarioParseError, ScenarioValidationError
 from .propagation import (FC_MAX_GHZ, FC_MIN_GHZ, H_BS_MAX_M, H_BS_MIN_M, H_UT_MAX_M,
                           H_UT_MIN_M, noise_floor_dbm)
 
@@ -156,6 +156,20 @@ class Scenario:
     @property
     def sector_ids(self) -> list[str]:
         return [sec.id for _, sec in self.sectors()]
+
+    def require_sectors(self, ids, what: str) -> None:
+        """InputError naming the first of ids, in their order, that is no sector id."""
+        _require(ids, set(self.sector_ids), what)
+
+    def require_bands(self, ids, what: str) -> None:
+        """InputError naming the first of ids, in their order, that is no band id."""
+        _require(ids, {b.id for b in self.bands}, what)
+
+
+def _require(ids, known: set[str], what: str) -> None:
+    for i in ids:
+        if i not in known:
+            raise InputError(f"{what} {i!r} not in scenario")
 
 
 def cell_baseline_dbm(scenario: Scenario, band: Band) -> float:

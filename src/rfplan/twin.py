@@ -68,7 +68,7 @@ class KpiBatch:
     """Every cell's KPI samples on one time axis: samples[metric][i, j] is cell
     cell_ids[i] at t0_s + j * dt_s. Raises InputError unless t0_s and dt_s > 0
     are finite, the ids are sorted, distinct and at least one, and there are
-    metrics, each in METRICS with a (cells x T) array of one T > 0."""
+    metrics, each in METRICS with a (cells x T) array of one T >= 2."""
     cell_ids: tuple[str, ...]
     t0_s: float
     dt_s: float
@@ -85,8 +85,8 @@ class KpiBatch:
         samples = {m: np.ascontiguousarray(self.samples[m], dtype=float)
                    for m in METRICS if m in self.samples}
         shape = (len(ids), next(iter(samples.values())).shape[-1])
-        if not shape[1] or any(x.shape != shape for x in samples.values()):
-            raise InputError(f"KPI batch arrays must be cells x T, one T > 0: "
+        if shape[1] < 2 or any(x.shape != shape for x in samples.values()):
+            raise InputError(f"KPI batch arrays must be cells x T, one T >= 2: "
                              f"{[x.shape for x in samples.values()]} for {len(ids)} cells")
         object.__setattr__(self, "cell_ids", ids)
         object.__setattr__(self, "samples", samples)
@@ -112,9 +112,9 @@ def synthesize_kpi(scenario: Scenario, duration_s: float, dt_s: float,
     keyed by cell id so generation order (or parallel scheduling) cannot
     change the result.
     """
-    if not 0 < dt_s <= duration_s < math.inf:         # false for NaN too
-        raise InputError(f"duration_s and dt_s must be finite with 0 < dt_s "
-                         f"<= duration_s, got {duration_s} and {dt_s}")
+    if not 0 < 2 * dt_s <= duration_s < math.inf:     # false for NaN too
+        raise InputError(f"duration_s and dt_s must be finite with 0 < 2 * dt_s "
+                         f"<= duration_s (two samples), got {duration_s} and {dt_s}")
     seed = scenario.seed if seed is None else seed
     cfg = scenario.twin
     t = dt_s * np.arange(int(duration_s // dt_s))
@@ -234,9 +234,9 @@ def read_kpi_csv(path) -> KpiBatch:
     fields, a quoted field, a bare CR, an empty cell_id, a number
     float() does not read or that has an underscore, a non-finite
     number, a metric outside METRICS, a duplicate (timestamp, cell,
-    metric) row, and series that are unevenly spaced, do not share one
-    time axis, or do not cover the same cells in every metric; an error
-    in one row names its line.
+    metric) row, and series that are unevenly spaced, have one timestamp,
+    do not share one time axis, or do not cover the same cells in every
+    metric; an error in one row names its line.
 
     A file that is, byte for byte, what write_kpi_csv writes for the
     batch it holds is read by _read_own; any other file is read from the
@@ -412,9 +412,11 @@ def _batch(keys, axis, take, path) -> KpiBatch:
     """The batch of series keys[k] = (cell, metric) at the rising
     timestamps axis, where take(ks) gives the samples of series ks as one
     (len(ks) x T) array. Raises InputError if the axis is not evenly
-    spaced or the metrics cover different cells."""
+    spaced, has one timestamp or the metrics cover different cells."""
+    if axis.size < 2:
+        raise InputError(f"one KPI timestamp in {path}: a batch needs two to fix its step")
     # the step of the stamps' shortest decimals: 7200.1 - 7200.0 is 0.1, not 0.1000000000003638
-    dt = float(Decimal(str(axis[1])) - Decimal(str(axis[0]))) if axis.size > 1 else 1.0
+    dt = float(Decimal(str(axis[1])) - Decimal(str(axis[0])))
     # decimal timestamps parse to within half an ulp, so a step of an even
     # grid matches dt to a few ulps of the largest timestamp
     tol = 8 * np.spacing(np.abs(axis).max())

@@ -143,10 +143,10 @@ def test_plan_band_filter(capsys, tmp_path):
     doc = json.loads(out.read_text())
     assert [b["band_id"] for b in doc["bands"]] == ["n78"]
 
-    code, _, err = run(capsys, "plan", DEMO, "--band", "nope",
-                       "--out", str(out))
-    assert code == 1
-    assert "nope" in err
+    for band in ("nope", ""):       # an empty id is one the scenario lacks too
+        code, _, err = run(capsys, "plan", DEMO, "--band", band, "--out", str(out))
+        assert code == 1
+        assert f"band {band!r} not in scenario" in err
 
 
 def test_simulate_deterministic_csv(capsys, tmp_path):
@@ -193,6 +193,25 @@ def test_twin_step_must_be_a_tenth(capsys, tmp_path, dt, code):
     assert run(capsys, "twin", DEMO, "--duration", "30", "--dt", dt,
                "--out", str(out))[0] == code
     assert out.exists() == (code == 0)
+
+
+@pytest.mark.parametrize("duration, code", [("60", 1), ("119", 1), ("120", 0)])
+def test_twin_needs_two_samples(capsys, tmp_path, duration, code):
+    # one sample has no step, so its file could not be read back
+    out = tmp_path / "kpi.csv"
+    got, _, err = run(capsys, "twin", DEMO, "--duration", duration, "--dt", "60",
+                      "--out", str(out))
+    assert got == code
+    assert out.exists() == (code == 0)
+    assert ("two samples" in err) == (code == 1)
+
+
+def test_detect_one_timestamp_exits_one(capsys, tmp_path):
+    kpi = tmp_path / "kpi.csv"
+    kpi.write_text("timestamp_s,cell_id,metric,value_dbm\n0.0,A1,RTWP,-100.0\n")
+    code, _, err = run(capsys, "detect", str(kpi), DEMO)
+    assert code == 1
+    assert f"one KPI timestamp in {kpi}" in err
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -301,7 +320,7 @@ def test_detect_foreign_cells_rejected(capsys, tmp_path):
                    "0.0,ghost,RTWP,-100.0\n60.0,ghost,RTWP,-100.0\n")
     code, _, err = run(capsys, "detect", str(kpi), DEMO)
     assert code == 1
-    assert "ghost" in err
+    assert "KPI cell 'ghost' not in scenario" in err
 
 
 def test_detect_absent_metric_exits_one(capsys, tmp_path):

@@ -93,12 +93,13 @@ def two_rows(steps=3):
     (("A", "B"), {"RTWP": two_rows(), "RSSI": two_rows()[:1]}, (0.0, 60.0)),
     (("A", "B"), {"RTWP": two_rows(), "RSSI": two_rows(4)}, (0.0, 60.0)),
     (("A", "B"), {"RTWP": two_rows(0)}, (0.0, 60.0)),
+    (("A", "B"), {"RTWP": two_rows(1)}, (0.0, 60.0)),
     (("A", "B"), {"RTWP": np.arange(2.0)}, (0.0, 60.0)),
     *((("A", "B"), {"RTWP": two_rows()}, axis) for axis in [
         (0.0, 0.0), (0.0, -60.0), (0.0, math.nan), (0.0, math.inf),
         (math.nan, 60.0), (math.inf, 60.0)]),
 ], ids=["no_metric", "no_cells", "unsorted", "duplicate", "unknown_metric",
-        "rows_differ", "steps_differ", "no_steps", "not_cells_by_steps",
+        "rows_differ", "steps_differ", "no_steps", "one_step", "not_cells_by_steps",
         "dt_zero", "dt_negative", "dt_nan", "dt_inf", "t0_nan", "t0_inf"])
 def test_batch_rejects_impossible_states(cells, samples, axis):
     with pytest.raises(InputError, match="KPI batch"):
@@ -480,7 +481,7 @@ def reference_read_kpi_csv(path):
     for (metric, cell), pairs in rows.items():
         pairs.sort()
         ts = np.array([p[0] for p in pairs])
-        axes.add((float(ts[0]), float(ts[1] - ts[0]) if ts.size > 1 else 1.0))
+        axes.add((float(ts[0]), float(ts[1] - ts[0])))
         series.setdefault(metric, {})[cell] = [p[1] for p in pairs]
     (t0, dt), = axes                    # one time axis for every series
     return make_batch(series, t0, dt)
@@ -867,17 +868,23 @@ def test_kpi_csv_writer_files_take_the_streaming_path(tmp_path, monkeypatch, dem
              "edge": edge_batch,
              "mixed_ids": lambda: id_batch(MIXED_IDS),
              "long_id": lambda: id_batch(["B", "A22", "L" * 3000, "A2", "C"]),
-             "one_step": lambda: _first_steps(demo_batch, 1),
+             "one_step": lambda: _first_steps(demo_batch, 2),
              "one_key": lambda: make_batch({"RTWP": {"A": np.arange(7.0)}}, 30.0, 0.5),
              "widths": width_batch}[which]()
     p = tmp_path / "kpi.csv"
     write_kpi_csv(batch, p)
+    if which == "one_step":     # the header and the first timestep's rows
+        rows = p.read_bytes().splitlines(keepends=True)
+        p.write_bytes(b"".join(rows[:1 + len(batch.cell_ids) * len(batch.samples)]))
     monkeypatch.setattr(_csvtext, "_TEXT_BLOCK_BYTES", block)
     taken = spy_blocks(monkeypatch)
     got, want, general = _read_both(p, monkeypatch)
     assert not general
     # a file of one timestep is read whole with its keys
     assert (len(taken) > 1) == (which != "one_step" and p.stat().st_size > block)
+    if which == "one_step":     # no step to read: both readers reject it alike
+        assert got == want == f"one KPI timestamp in {p}: a batch needs two to fix its step"
+        return
     assert_same_outcome(got, want)
     assert_batches_identical(got, reference_read_kpi_csv(p))
 
