@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
 from importlib import resources
@@ -19,7 +18,8 @@ from pathlib import Path
 
 from . import coverage, detect, localize, loop, mitigate, planning, report, twin
 from .errors import InputError, RfplanError, ScenarioValidationError
-from .scenario import _finite, load_scenario, read_json_object, validate
+from .scenario import (_finite, from_json, load_scenario, read_json_object, validate,
+                       write_json)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,20 +85,14 @@ def _read_detection(path) -> detect.DetectionResult:
 
 
 def _read_metrics(path) -> dict:
-    """A summary file's metrics: {band: {metric: number}}."""
-    metrics = read_json_object(path, "summary", InputError).get("metrics", {})
-    if not (isinstance(metrics, dict) and all(
-            isinstance(m, dict) and all(_finite(v) for v in m.values())
-            for m in metrics.values())):
-        raise InputError(f"{path}: metrics must map bands to objects of numbers")
-    return metrics
+    """A summary file's metrics: {band: {metric: number}}. A fault is named
+    by its field path from the top of the file, as in metrics.n78.RTWP."""
+    doc = {"metrics": read_json_object(path, "summary", InputError).get("metrics", {})}
+    return from_json(dict[str, dict[str, dict[str, float]]], doc, path, InputError)["metrics"]
 
 
 def _write_json(path, data, verbose=False):
-    # NaN and Infinity are not JSON: fail before the file is opened
-    text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+    write_json(path, data)
     if verbose:
         print(f"wrote {path}")
 

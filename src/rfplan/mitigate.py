@@ -98,10 +98,19 @@ def recommend(scenario: Scenario, detection) -> Recommendation:
 
 
 def apply(scenario: Scenario, rec: Recommendation) -> Scenario:
-    """Return a new scenario with the recommended band changes applied."""
+    """Return a new scenario with the recommended band changes applied; InputError
+    unless each change moves a sector, named once, from its band to a declared one."""
     scenario.require_sectors([sector for sector, _, _ in rec.changes], "recommended sector")
     scenario.require_bands([band for _, _, band in rec.changes], "recommended band")
-    new_band = {sector: band for sector, _, band in rec.changes}
+    band_of = {sec.id: sec.band_ref for _, sec in scenario.sectors()}
+    new_band = {}
+    for sector, old, new in rec.changes:
+        if sector in new_band:
+            raise InputError(f"recommended sector {sector!r} is changed twice")
+        if old != band_of[sector]:
+            raise InputError(f"recommended sector {sector!r} is on band "
+                             f"{band_of[sector]!r}, not {old!r}")
+        new_band[sector] = new
 
     sites = tuple(
         replace(site, sectors=tuple(

@@ -199,16 +199,22 @@ def validate(scenario: Scenario) -> list[Violation]:
         if value is not None and not (lo <= value <= hi):
             bad(code, path, f"{path.rsplit('.', 1)[1]} must lie in [{lo:g}, {hi:g}] {unit}")
 
-    if scenario.area.width <= 0 or scenario.area.height <= 0:
-        bad("AREA_EMPTY", "area", "area must have positive width and height")
-    if scenario.grid_resolution_m <= 0:
-        bad("GRID_RESOLUTION", "grid_resolution_m", "grid_resolution_m must be > 0")
+    def positive(code, path, *values, message=None):
+        # finite and > 0, so a NaN, which fails every comparison, is bad too
+        if not all(0 < x < math.inf for x in values):
+            bad(code, path, message or f"{path.rsplit('.', 1)[-1]} must be > 0")
+
+    positive("AREA_EMPTY", "area", scenario.area.width, scenario.area.height,
+             message="area must have positive width and height")
+    positive("GRID_RESOLUTION", "grid_resolution_m", scenario.grid_resolution_m)
     if scenario.environment not in ENVIRONMENTS:
         bad("ENVIRONMENT", "environment", f"environment must be one of {ENVIRONMENTS}")
     if not scenario.sites:
         bad("NO_SITES", "sites", "at least one site is required")
     if not (0 <= scenario.seed < 2 ** 64):
         bad("SEED_RANGE", "seed", "seed must be an unsigned 64-bit integer")
+    if scenario.schema_version != SCHEMA_VERSION:     # load_scenario refuses its file
+        bad("SCHEMA_VERSION", "schema_version", f"schema_version must be {SCHEMA_VERSION}")
 
     band_ids = [b.id for b in scenario.bands]
     if len(set(band_ids)) != len(band_ids):
@@ -217,13 +223,11 @@ def validate(scenario: Scenario) -> list[Violation]:
         path = f"bands[{i}]"
         in_range("FREQ_RANGE", f"{path}.center_freq_ghz", band.center_freq_ghz,
                  FC_MIN_GHZ, FC_MAX_GHZ, "GHz")
-        if band.bandwidth_mhz <= 0:
-            bad("BANDWIDTH_RANGE", f"{path}.bandwidth_mhz", "bandwidth_mhz must be > 0")
+        positive("BANDWIDTH_RANGE", f"{path}.bandwidth_mhz", band.bandwidth_mhz)
         if band.duplex not in DUPLEX_MODES:
             bad("DUPLEX_MODE", f"{path}.duplex", f"duplex must be one of {DUPLEX_MODES}")
-        if band.throughput_cap_mbps is not None and band.throughput_cap_mbps <= 0:
-            bad("THROUGHPUT_CAP", f"{path}.throughput_cap_mbps",
-                "throughput_cap_mbps must be > 0")
+        if band.throughput_cap_mbps is not None:
+            positive("THROUGHPUT_CAP", f"{path}.throughput_cap_mbps", band.throughput_cap_mbps)
 
     margin = OUT_OF_AREA_MARGIN_FRACTION * scenario.area.diagonal
     site_ids = [s.id for s in scenario.sites]
@@ -259,9 +263,7 @@ def validate(scenario: Scenario) -> list[Violation]:
             if not (0.0 < sector.beamwidth_3db_deg <= 360.0):
                 bad("BEAMWIDTH_RANGE", f"{spath}.beamwidth_3db_deg",
                     "beamwidth_3db_deg must lie in (0, 360]")
-            if sector.front_to_back_db <= 0:
-                bad("FRONT_TO_BACK", f"{spath}.front_to_back_db",
-                    "front_to_back_db must be > 0")
+            positive("FRONT_TO_BACK", f"{spath}.front_to_back_db", sector.front_to_back_db)
 
     intf_ids = [x.id for x in scenario.interferers]
     if len(set(intf_ids)) != len(intf_ids):
@@ -271,16 +273,16 @@ def validate(scenario: Scenario) -> list[Violation]:
         if intf.band_ref not in band_ids:
             bad("UNKNOWN_BAND", f"{path}.band_ref",
                 f"interferer references undeclared band {intf.band_ref!r}")
-        if intf.height_m <= 0:
-            bad("HEIGHT_RANGE", f"{path}.height_m", "interferer height_m must be > 0")
+        positive("HEIGHT_RANGE", f"{path}.height_m", intf.height_m,
+                 message="interferer height_m must be > 0")
         in_range("TX_POWER_RANGE", f"{path}.tx_power_dbm", intf.tx_power_dbm,
                  -30.0, 60.0, "dBm")
         if not scenario.area.contains(*intf.position, margin=margin):
             bad("OUT_OF_AREA", f"{path}.position",
                 "interferer position lies outside area plus margin")
-        prev_end = None
+        prev_end = -sys.float_info.max      # with float_info.max below: bounds are finite
         for k, (a, b) in enumerate(intf.active_intervals):
-            if b <= a or (prev_end is not None and a < prev_end):
+            if not prev_end <= a < b <= sys.float_info.max:
                 bad("INTERVALS_INVALID", f"{path}.active_intervals[{k}]",
                     "active intervals must be sorted, non-overlapping [start, end) pairs")
                 break
@@ -333,7 +335,7 @@ class _Mismatch(Exception):
 
 def _expect(ok, what, value, where):
     if not ok:
-        raise _Mismatch(f"{where}: expected {what}, got {json.dumps(value)[:40]}")
+        raise _Mismatch(f"{where}: expected {what}, got {value!r:.40}")
     return value
 
 
@@ -416,6 +418,15 @@ def read_json_object(path, what: str, error: type[Exception]) -> dict:
     return data
 
 
+def write_json(path, data) -> None:
+    """data as rfplan writes every JSON file: indented, keys sorted, one final
+    LF. The text is built before the file is opened, so a NaN or an infinity,
+    which JSON cannot hold, raises ValueError and leaves no file."""
+    text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
+
+
 def load_scenario(path) -> Scenario:
     """Load, default-fill and validate a scenario JSON file.
 
@@ -437,6 +448,4 @@ def load_scenario(path) -> Scenario:
 
 
 def save_scenario(scenario: Scenario, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(dataclasses.asdict(scenario), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, dataclasses.asdict(scenario))

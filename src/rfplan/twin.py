@@ -8,14 +8,13 @@ carries a serving-traffic term.
 
 A KpiBatch holds the samples and nothing else: the sorted cell ids, one
 time axis and a (cells x T) array per metric. The ground truth (which
-interferer was on, where, when) is a function of the scenario, which
+interferer was on, where, when) is the scenario's interferers, which
 write_ground_truth writes to a separate sealed file; detection never
 reads it unless validation is explicitly requested.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from array import array
 from dataclasses import asdict, dataclass
@@ -28,7 +27,8 @@ from ._csvtext import (_COMMA, _NEWLINE, _fixed_numbers, _fixed_text,
                        _line_blocks, _lines, _text_table)
 from .errors import InputError
 from .propagation import coupling_dbm
-from .scenario import Scenario, cell_baseline_dbm, from_json, read_json_object
+from .scenario import (Interferer, Scenario, cell_baseline_dbm, from_json,
+                       read_json_object, write_json)
 
 DAY_S = 86_400.0
 
@@ -50,17 +50,8 @@ class KpiSeries:
 
 
 @dataclass
-class GroundTruth:
-    interferer_id: str
-    position: tuple[float, float]
-    tx_power_dbm: float
-    band_ref: str
-    active_intervals: tuple[tuple[float, float], ...]
-
-
-@dataclass
 class _TruthFile:
-    ground_truth: tuple[GroundTruth, ...]
+    interferers: tuple[Interferer, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -442,14 +433,10 @@ def _batch(keys, axis, take, path) -> KpiBatch:
 
 def write_ground_truth(scenario: Scenario, path) -> None:
     """The scenario's interferers, as the sealed ground-truth file."""
-    truth = tuple(GroundTruth(i.id, i.position, i.tx_power_dbm, i.band_ref,
-                              i.active_intervals) for i in scenario.interferers)
-    with open(path, "w") as fh:
-        json.dump(asdict(_TruthFile(truth)), fh, indent=2)
-        fh.write("\n")
+    write_json(path, asdict(_TruthFile(scenario.interferers)))
 
 
-def read_ground_truth(path) -> list[GroundTruth]:
+def read_ground_truth(path) -> list[Interferer]:
     """The sealed ground truth; InputError if unreadable or wrongly shaped."""
     data = read_json_object(path, "ground-truth", InputError)
-    return list(from_json(_TruthFile, data, path, InputError).ground_truth)
+    return list(from_json(_TruthFile, data, path, InputError).interferers)

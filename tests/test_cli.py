@@ -181,7 +181,7 @@ def test_twin_sample_count_and_truth(capsys, tmp_path):
     assert code == 0
     assert "21 cells x 60 samples" in stdout
     truth = json.loads((tmp_path / "kpi.csv.truth.json").read_text())
-    assert truth["ground_truth"][0]["interferer_id"] == "JAM1"
+    assert truth["interferers"][0]["id"] == "JAM1"
     # the KPI CSV itself must not leak the interferer
     assert "JAM1" not in out.read_text()
 
@@ -367,19 +367,28 @@ BAD_JSON_INPUTS = {
     "summary-metrics-not-object": ("report", '{"metrics": 5}'),
     "summary-metric-not-number": ("report", '{"metrics": {"n78": {"RTWP": "x"}}}'),
     "truth-missing": ("detect", None),
-    "truth-wrong-shape": ("detect", '{"ground_truth": 5}'),
-    "truth-unknown-field": ("detect", '{"ground_truth": [{"interferer_id": "J", '
+    "truth-wrong-shape": ("detect", '{"interferers": 5}'),
+    "truth-unknown-field": ("detect", '{"interferers": [{"id": "J", '
                             '"position": [0, 0], "tx_power_dbm": 20, "band_ref": "n78", '
                             '"active_intervals": [], "seen": true}]}'),
-    "truth-numeric-id": ("detect", '{"ground_truth": [{"interferer_id": 7, '
+    "truth-numeric-id": ("detect", '{"interferers": [{"id": 7, '
                          '"position": [0, 0], "tx_power_dbm": 20, "band_ref": "n78", '
                          '"active_intervals": []}]}'),
 }
 
+# what the error says after the file's name: the field path and the fault
+BAD_JSON_ERRORS = {
+    "summary-metrics-not-object": "metrics: expected an object, got 5",
+    "summary-metric-not-number": "metrics.n78.RTWP: expected a finite number, got 'x'",
+    "truth-wrong-shape": "interferers: expected an array, got 5",
+    "truth-unknown-field": "interferers[0].seen: unknown field",
+    "truth-numeric-id": "interferers[0].id: expected a string, got 7",
+}
 
-@pytest.mark.parametrize("command, content", list(BAD_JSON_INPUTS.values()),
-                         ids=list(BAD_JSON_INPUTS))
-def test_bad_json_input_exits_one(capsys, tmp_path, command, content):
+
+@pytest.mark.parametrize("case", list(BAD_JSON_INPUTS), ids=list(BAD_JSON_INPUTS))
+def test_bad_json_input_exits_one(capsys, tmp_path, case):
+    command, content = BAD_JSON_INPUTS[case]
     bad = tmp_path / "bad.json"             # absent when content is None
     if content is not None:
         bad.write_text(content)
@@ -396,6 +405,8 @@ def test_bad_json_input_exits_one(capsys, tmp_path, command, content):
     code, _, err = run(capsys, "--out-dir", str(tmp_path / "out"), *argv)
     assert code == 1
     assert str(bad) in err
+    if case in BAD_JSON_ERRORS:
+        assert f"error: {bad}: {BAD_JSON_ERRORS[case]}\n" in err
 
 
 @pytest.mark.parametrize("old, new", [

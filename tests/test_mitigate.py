@@ -117,6 +117,20 @@ def test_apply_rejects_unknowns(demo_scenario):
         apply(demo_scenario, Recommendation((("A1", "n78", "zz"),), "r"))
 
 
+@pytest.mark.parametrize("changes, message", [
+    ((("A1", "n257", "n78b"), ("A1", "n78", "n257")),
+     "recommended sector 'A1' is on band 'n78', not 'n257'"),
+    ((("A1", "n78", "n257"), ("A1", "n257", "n78b")),
+     "recommended sector 'A1' is changed twice"),
+    ((("A1", "n78", "n257"), ("B1", "n78", "n78b"), ("A1", "n78", "n78b")),
+     "recommended sector 'A1' is changed twice"),
+], ids=["wrong-old-band", "chained", "repeated"])
+def test_apply_rejects_a_change_that_does_not_fit(demo_scenario, changes, message):
+    """Each change moves a sector named once, off the band it is on."""
+    with pytest.raises(InputError, match=f"^{message}$"):
+        apply(demo_scenario, Recommendation(changes, "r"))
+
+
 def test_verify_identity_scenario(demo_scenario):
     v = verify(demo_scenario, demo_scenario, ["A1", "A2"])
     assert v.delta_db == pytest.approx(0.0)

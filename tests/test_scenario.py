@@ -1,7 +1,10 @@
 """Scenario loading, validation and round-tripping."""
 
+import ast
 import dataclasses
 import json
+import math
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +14,7 @@ from rfplan.errors import ScenarioParseError, ScenarioValidationError
 from rfplan.planning import LinkBudget, budget_from_config
 from rfplan.scenario import (FILE_DEFAULTS, Band, Interferer, Rect, Scenario,
                              Sector, Site, load_scenario, save_scenario, validate)
+from test_twin import bench_lattice
 
 MINIMAL = {
     "environment": "UMa",
@@ -187,6 +191,87 @@ def test_save_load_round_trip(tmp_path, demo_scenario):
                                    link_budget=None)
     save_scenario(all_none, p)
     assert load_scenario(p) == all_none
+
+
+def with_interferer(sc, **fields):
+    return dataclasses.replace(sc, interferers=(
+        dataclasses.replace(sc.interferers[0], **fields), *sc.interferers[1:]))
+
+
+def with_band(sc, **fields):
+    return dataclasses.replace(sc, bands=(dataclasses.replace(sc.bands[0], **fields),
+                                          *sc.bands[1:]))
+
+
+def with_sector(sc, **fields):
+    site = sc.sites[0]
+    sector = dataclasses.replace(site.sectors[0], **fields)
+    return dataclasses.replace(sc, sites=(
+        dataclasses.replace(site, sectors=(sector, *site.sectors[1:])), *sc.sites[1:]))
+
+
+NON_FINITE_EDITS = {
+    "interferer-height": (lambda sc, x: with_interferer(sc, height_m=x),
+                          ("HEIGHT_RANGE", "interferers[0].height_m",
+                           "interferer height_m must be > 0")),
+    "interval-start": (lambda sc, x: with_interferer(sc, active_intervals=((x, 3600.0),)),
+                       ("INTERVALS_INVALID", "interferers[0].active_intervals[0]",
+                        "active intervals must be sorted, non-overlapping [start, end) "
+                        "pairs")),
+    "interval-end": (lambda sc, x: with_interferer(sc, active_intervals=((900.0, x),)),
+                     ("INTERVALS_INVALID", "interferers[0].active_intervals[0]",
+                      "active intervals must be sorted, non-overlapping [start, end) pairs")),
+    "area-width": (lambda sc, x: dataclasses.replace(
+                       sc, area=dataclasses.replace(sc.area, max_x=x)),
+                   ("AREA_EMPTY", "area", "area must have positive width and height")),
+    "area-height": (lambda sc, x: dataclasses.replace(
+                        sc, area=dataclasses.replace(sc.area, max_y=x)),
+                    ("AREA_EMPTY", "area", "area must have positive width and height")),
+    "grid-resolution": (lambda sc, x: dataclasses.replace(sc, grid_resolution_m=x),
+                        ("GRID_RESOLUTION", "grid_resolution_m",
+                         "grid_resolution_m must be > 0")),
+    "bandwidth": (lambda sc, x: with_band(sc, bandwidth_mhz=x),
+                  ("BANDWIDTH_RANGE", "bands[0].bandwidth_mhz", "bandwidth_mhz must be > 0")),
+    "throughput-cap": (lambda sc, x: with_band(sc, throughput_cap_mbps=x),
+                       ("THROUGHPUT_CAP", "bands[0].throughput_cap_mbps",
+                        "throughput_cap_mbps must be > 0")),
+    "front-to-back": (lambda sc, x: with_sector(sc, front_to_back_db=x),
+                      ("FRONT_TO_BACK", "sites[0].sectors[0].front_to_back_db",
+                       "front_to_back_db must be > 0")),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("edit, violation", list(NON_FINITE_EDITS.values()),
+                         ids=list(NON_FINITE_EDITS))
+def test_non_finite_value_is_a_violation(demo_scenario, edit, violation, value):
+    """Each value that the JSON reader refuses is a violation of validate's
+    own (a non-finite area also puts every position outside it)."""
+    assert violation in [(v.code, v.path, v.message)
+                         for v in validate(edit(demo_scenario, value))]
+
+
+def test_every_valid_scenario_loads_back_equal(tmp_path, demo_scenario, two_band_scenario):
+    for sc in (demo_scenario, two_band_scenario, bench_lattice(5)):
+        assert validate(sc) == []
+        save_scenario(sc, tmp_path / "sc.json")
+        assert load_scenario(tmp_path / "sc.json") == sc
+    # load_scenario refuses a file of another schema version, so validate does too
+    other = dataclasses.replace(demo_scenario, schema_version=2)
+    assert [(v.code, v.message) for v in validate(other)] == [
+        ("SCHEMA_VERSION", "schema_version must be 1")]
+
+
+def test_write_json_is_the_one_json_writer():
+    """No module of rfplan but scenario.write_json calls json.dump or json.dumps."""
+    calls = []
+    for module in sorted((Path(__file__).resolve().parents[1] / "src" / "rfplan").glob("*.py")):
+        tree = ast.parse(module.read_text())
+        for func in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+            calls += [(module.stem, func.name) for n in ast.walk(func)
+                      if isinstance(n, ast.Attribute) and n.attr in ("dump", "dumps")
+                      and isinstance(n.value, ast.Name) and n.value.id == "json"]
+    assert calls == [("scenario", "write_json")]
 
 
 def test_file_defaults_are_file_only():

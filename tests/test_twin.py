@@ -16,7 +16,7 @@ import pytest
 from rfplan import _csvtext, propagation, twin
 from rfplan.errors import InputError
 from rfplan.scenario import (Band, Interferer, Rect, Scenario, Sector, Site,
-                             TwinConfig)
+                             TwinConfig, save_scenario)
 from rfplan.twin import (METRICS, KpiBatch, batch_excess, coupling_dbm,
                          read_ground_truth, read_kpi_csv, synthesize_kpi,
                          write_ground_truth, write_kpi_csv)
@@ -445,13 +445,26 @@ def test_kpi_csv_bad_header(tmp_path):
         read_kpi_csv(p)
 
 
-def test_ground_truth_round_trip(tmp_path, demo_scenario):
+def test_ground_truth_round_trip(tmp_path, demo_scenario, two_band_scenario):
     p = tmp_path / "truth.json"
-    write_ground_truth(demo_scenario, p)
-    truth = read_ground_truth(p)
-    assert len(truth) == 1
-    assert truth[0].interferer_id == "JAM1"
-    assert truth[0].position == (5000.0, 4500.0)
+    for scenario in (demo_scenario, two_band_scenario):
+        write_ground_truth(scenario, p)
+        assert read_ground_truth(p) == list(scenario.interferers)
+
+
+def test_ground_truth_takes_the_scenario_file_defaults(tmp_path):
+    p = tmp_path / "truth.json"
+    p.write_text('{"interferers": [{"id": "J", "position": [0, 0], "band_ref": "n78"}]}')
+    assert read_ground_truth(p) == [Interferer("J", (0.0, 0.0), 1.5, 20.0, "n78")]
+
+
+@pytest.mark.parametrize("write", [save_scenario, write_ground_truth])
+def test_json_writers_refuse_nan_and_leave_no_file(tmp_path, demo_scenario, write):
+    jam = dataclasses.replace(demo_scenario.interferers[0], height_m=math.nan)
+    p = tmp_path / "out.json"
+    with pytest.raises(ValueError):
+        write(dataclasses.replace(demo_scenario, interferers=(jam,)), p)
+    assert not p.exists()
 
 
 # --- wire format: row-loop references ----------------------------------------
